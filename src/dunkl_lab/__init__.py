@@ -35,15 +35,12 @@ from .errors import (
     UnsupportedRegimeError,
 )
 from .lift import (
-    DunklSimulator,
     FoldRegions,
     LiftPlan,
     LiftRun,
     build_lift_plan,
     cumulative_time_change,
     fold_check_regions,
-    lift_one_root,
-    radial_simulator,
     simulate_dunkl,
 )
 from .radial import (
@@ -54,7 +51,6 @@ from .radial import (
     em_step,
     read_trajectories_csv,
     run_radial,
-    simulate_radial,
     squared_norm_series,
     write_trajectories_csv,
 )

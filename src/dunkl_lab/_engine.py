@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -48,15 +48,15 @@ DEFAULT_CHUNK = 4096
 class EngineParams:
     positive_roots: np.ndarray      # (m, n), α·α = 2
     kvec: np.ndarray                # (m,) drift multiplicities per positive root
-    clock_positions: tuple          # positions (into positive order) with live clocks
-    clock_rates: np.ndarray         # (g,) jump rate coefficients
     x0: np.ndarray                  # (n,) common start point
     tgrid: np.ndarray               # (M+1,)
     seed: int
-    policy: str                     # "reject_halve" | "stop_at_t0"
-    t0_detect: bool                 # terminate when wall distance < ε_wall·(1+‖x‖)
     eps_wall: float
     max_halvings: int
+    policy: str = "reject_halve"    # or "stop_at_t0"
+    t0_detect: bool = False         # terminate when wall distance < ε_wall·(1+‖x‖)
+    clock_positions: tuple = ()     # positions (into positive order) with live clocks
+    clock_rates: np.ndarray = field(default_factory=lambda: np.zeros(0))  # (g,)
     lambda_cap: float = LAMBDA_CAP
     record: bool = False
     noise_transform: Optional[np.ndarray] = None  # orthogonal map applied to dW
@@ -103,11 +103,6 @@ class _PathState:
         if self._clock is None:
             self._clock = rngmod.stream(self._seed, rngmod.CLOCK, self._index, 1)
         return self._clock
-
-
-def _drift(params, x):
-    dots = params.positive_roots @ x
-    return params.positive_roots.T @ (params.kvec / dots)
 
 
 def cover_interval(params, ps, x, h, t_start, depth, first_xi=None):

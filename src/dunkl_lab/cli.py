@@ -79,7 +79,7 @@ def _summary_json(payload):
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def cmd_simulate_radial(args):
+def cmd_radial(args):
     cfg = load_run_config(args.config, args.set or (), seed_override=_env_seed())
     run = run_radial(cfg.system, cfg.k, cfg.x0, cfg.sim, record=True,
                      threads=args.threads)
@@ -212,7 +212,7 @@ def build_parser():
     p.set_defaults(fn=cmd_describe)
 
     for name, fn, extra in [
-        ("simulate-radial", cmd_simulate_radial, False),
+        ("simulate-radial", cmd_radial, False),
         ("simulate-dunkl", cmd_simulate_dunkl, True),
     ]:
         p = sub.add_parser(name, help=f"{name.replace('-', ' ')} from a JSON config")

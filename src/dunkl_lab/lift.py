@@ -45,9 +45,9 @@ from .errors import (
     UnsupportedRegimeError,
 )
 from .radial import (
-    JumpEvent,
     SimulationConfig,
-    Trajectory,
+    _jump_table,
+    _JumpTable,
     _trajectories_from_engine,
 )
 from .rng import FLIP, stream
@@ -62,6 +62,7 @@ from .root_systems import (
 )
 
 REGION_TOL = 1e-9
+CLOCK_BLOCK = 1 << 18  # grid points per batch of clocks; bounds flip-stage temporaries
 
 
 @dataclass(frozen=True)
@@ -127,13 +128,6 @@ def build_lift_plan(system, k, *, rates=None, enumeration=None, mode="auto"):
                     rates=stage_rates, modes=modes)
 
 
-def plan_from_dict(system, k, doc, rates=None):
-    return build_lift_plan(
-        system, k, rates=rates,
-        enumeration=tuple(doc["enumeration"]), mode=tuple(doc["modes"]),
-    )
-
-
 @dataclass(frozen=True)
 class ChamberRegion:
     """A union of closed Weyl-chamber images ∪_w w(C̄)."""
@@ -186,104 +180,117 @@ def fold_check_regions(plan, n_stages=None):
                        covers_space=covers)
 
 
-def cumulative_time_change(trajectory, alpha):
-    """Trapezoidal Ã_t = ∫_0^t ds/(Y_s·α)² along a recorded path.
+def cumulative_time_change(times, states, alpha):
+    """Trapezoidal Ã_t = ∫_0^t ds/(Y_s·α)² along recorded paths.
 
-    Strictly increasing; raises ``SingularClockError`` if the path touches
-    the hyperplane of α on the grid.
+    ``states`` has shape (..., M+1, n) over the grid ``times``; the result
+    has shape (..., M+1).  Strictly increasing; raises
+    ``SingularClockError`` if a path touches the hyperplane of α on the grid.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    dots = trajectory.states @ alpha
+    dots = states @ alpha
     if np.any(dots == 0.0):
         raise SingularClockError("(Y·α)² vanishes at a grid point")
     inv2 = dots**-2.0
-    dtv = np.diff(trajectory.times)
-    seg = 0.5 * (inv2[:-1] + inv2[1:]) * dtv
-    return trajectory.times, np.concatenate([[0.0], np.cumsum(seg)])
+    seg = 0.5 * (inv2[..., :-1] + inv2[..., 1:]) * np.diff(times)
+    lam = np.zeros(inv2.shape)
+    np.cumsum(seg, axis=-1, out=lam[..., 1:])
+    return lam
 
 
-def _interp_raw_state(trajectory, t):
-    """Path state at time ``t``, honoring jump discontinuities in the log."""
-    times, states = trajectory.times, trajectory.states
-    j = int(np.searchsorted(times, t))
-    j = min(max(j, 1), len(times) - 1)
-    t_lo, x_lo = float(times[j - 1]), states[j - 1]
-    t_hi, x_hi = float(times[j]), states[j]
-    for ev in trajectory.events:
-        if t_lo < ev.time <= t:
-            t_lo, x_lo = float(ev.time), ev.post
-        if t <= ev.time < t_hi:
-            t_hi, x_hi = float(ev.time), ev.pre
-    if t_hi <= t_lo:
-        return np.array(x_lo, dtype=float)
-    w = (t - t_lo) / (t_hi - t_lo)
-    return np.asarray(x_lo) + w * (np.asarray(x_hi) - np.asarray(x_lo))
+def _arrivals(rng, total):
+    """Arrival times below ``total`` of a unit-rate Poisson process.
+
+    Running sums of Exp(1) draws, added in draw order, so the values are
+    the same as adding one draw at a time.
+    """
+    size = int(total + 4.0 * np.sqrt(total)) + 8
+    arrivals = np.zeros(1)
+    while arrivals[-1] < total:
+        more = rng.standard_exponential(size)
+        more[0] += arrivals[-1]
+        arrivals = np.concatenate([arrivals, np.cumsum(more)])
+    return arrivals[1:np.searchsorted(arrivals, total)]
 
 
-def _flip_stage(trajectories, system, root_position, rate, seed, stage_index):
-    """Apply the independent-Poisson lift to recorded paths.
+def _flip_jumps(times, rows, jumps, lo, hi, flip_times, alpha):
+    """(pre, post) of a path's new flips, read off the path before the stage.
+
+    The state at a flip time is interpolated linearly between the nearest
+    grid times, or logged jumps when one falls in between (the path jumps
+    there).  Every second flip starts from the reflected path.
+    """
+    j = np.clip(np.searchsorted(times, flip_times), 1, len(times) - 1)
+    t_lo, x_lo = times[j - 1], rows[j - 1]
+    t_hi, x_hi = times[j], rows[j]
+    if hi > lo:
+        k = lo + np.searchsorted(jumps.time[lo:hi], flip_times)
+        before = np.maximum(k - 1, lo)
+        after = np.minimum(k, hi - 1)
+        use_before = (k > lo) & (jumps.time[before] > t_lo)
+        use_after = (k < hi) & (jumps.time[after] < t_hi)
+        t_lo = np.where(use_before, jumps.time[before], t_lo)
+        x_lo = np.where(use_before[:, None], jumps.post[before], x_lo)
+        t_hi = np.where(use_after, jumps.time[after], t_hi)
+        x_hi = np.where(use_after[:, None], jumps.pre[after], x_hi)
+    w = (flip_times - t_lo) / (t_hi - t_lo)
+    pre = x_lo + w[:, None] * (x_hi - x_lo)
+    # np.vecdot matches a 1-D ``pre @ alpha``, so post = pre − (α·pre)α exactly.
+    pre[1::2] -= np.vecdot(pre[1::2], alpha)[:, None] * alpha
+    return pre, pre - np.vecdot(pre, alpha)[:, None] * alpha
+
+
+def _flip_stage(states, stop_index, jumps, times, system, root_position, rate,
+                seed, stage_index):
+    """Apply the independent-Poisson lift to a batch of recorded paths.
 
     Only lawful when the invariance condition holds at this stage (the
     plan builder enforces that).  Flip times are the crossings of the
     additive clock by cumulative Exp(1) draws from the per-path flip
-    stream.
+    stream.  ``states`` (N, M+1, n) is reflected in place wherever a path
+    has flipped an odd number of times; returns the new jump table.
     """
-    alpha = system.positive_roots[root_position]
     pos = system.positive_roots
-    out = []
-    for traj in trajectories:
-        rng = stream(seed, FLIP, stage_index, traj.path_id)
-        _, lam_raw = cumulative_time_change(traj, alpha)
-        lam_grid = rate * lam_raw
-        total = float(lam_grid[-1])
-        flip_times = []
-        acc = float(rng.standard_exponential())
-        while acc < total:
-            flip_times.append(float(np.interp(acc, lam_grid, traj.times)))
-            acc += float(rng.standard_exponential())
-        flip_times = np.asarray(flip_times)
-
-        parity = np.searchsorted(flip_times, traj.times, side="right") % 2
-        dots = traj.states @ alpha
-        reflected = traj.states - np.outer(dots, alpha)
-        new_states = np.where(parity[:, None] == 1, reflected, traj.states)
-
-        new_events = []
-        for ev in traj.events:
-            p = int(np.searchsorted(flip_times, ev.time, side="right")) % 2
-            if p == 0:
-                new_events.append(ev)
+    alpha = pos[root_position]
+    n_paths = len(states)
+    bounds = np.searchsorted(jumps.path, np.arange(n_paths + 1))
+    flipped = np.zeros(len(jumps.time), dtype=bool)
+    new = []
+    block = max(1, CLOCK_BLOCK // len(times))
+    for first in range(0, n_paths, block):
+        clocks = rate * cumulative_time_change(times, states[first:first + block],
+                                               alpha)
+        for p in range(first, min(first + block, n_paths)):
+            end = int(stop_index[p]) + 1
+            clock = clocks[p - first, :end]
+            arrivals = _arrivals(stream(seed, FLIP, stage_index, p), clock[-1])
+            if not len(arrivals):
                 continue
-            pre = reflect(alpha, ev.pre)
-            image = reflect(alpha, pos[ev.root])
-            new_root = _match_root(pos, image)
-            if new_root < 0:
-                new_root = _match_root(pos, -image)
-            if new_root < 0:
-                raise InvalidPlanError(
-                    "flip stage moved a jump outside the positive system; "
-                    "invariance condition violated"
-                )
-            beta = pos[new_root]
-            new_events.append(JumpEvent(time=ev.time, root=int(new_root),
-                                        pre=pre, post=pre - (pre @ beta) * beta))
-        for idx, t_flip in enumerate(flip_times):
-            raw = _interp_raw_state(traj, float(t_flip))
-            pre = reflect(alpha, raw) if idx % 2 == 1 else raw
-            post = pre - (pre @ alpha) * alpha
-            new_events.append(JumpEvent(time=float(t_flip), root=int(root_position),
-                                        pre=pre, post=post))
-        new_events.sort(key=lambda e: e.time)
-        out.append(Trajectory(
-            path_id=traj.path_id,
-            times=traj.times,
-            states=new_states,
-            events=tuple(new_events),
-            termination=traj.termination,
-            t0_time=traj.t0_time,
-            flags=traj.flags,
-        ))
-    return out
+            flip_times = np.interp(arrivals, clock, times[:end])
+            lo, hi = bounds[p], bounds[p + 1]
+            rows = states[p, :end]
+            pre, post = _flip_jumps(times[:end], rows, jumps, lo, hi, flip_times, alpha)
+            odd = np.searchsorted(flip_times, times[:end], side="right") % 2 == 1
+            rows[odd] -= np.outer((rows @ alpha)[odd], alpha)
+            flipped[lo:hi] = np.searchsorted(flip_times, jumps.time[lo:hi],
+                                             side="right") % 2 == 1
+            count = len(flip_times)
+            new.append((np.full(count, p), flip_times, np.full(count, root_position),
+                        pre, post))
+
+    # A jump across β made while the path was flipped is, seen through σ_α,
+    # a jump across ±σ_α(β), a positive root since R is closed under its
+    # reflections.  Every logged post is pre − (β·pre)β exactly.
+    relabel = np.array([max(_match_root(pos, im), _match_root(pos, -im))
+                        for im in reflect(alpha, pos)])
+    root = np.where(flipped, relabel[jumps.root], jumps.root)
+    pre = jumps.pre.copy()
+    pre[flipped] -= np.vecdot(pre[flipped], alpha)[:, None] * alpha
+    beta = pos[root]
+    post = pre - np.vecdot(pre, beta)[:, None] * beta
+    columns = [np.concatenate(c)
+               for c in zip((jumps.path, jumps.time, root, pre, post), *new)]
+    order = np.lexsort((columns[1], columns[0]))  # path, then time; stable
+    return _JumpTable(*(c[order] for c in columns))
 
 
 @dataclass
@@ -303,13 +310,6 @@ class LiftRun:
         return np.array([len(t.events) for t in self.trajectories])
 
 
-def _validate_start(system, x0):
-    x0 = np.asarray(x0, dtype=float)
-    if np.any(system.positive_roots @ x0 == 0.0):
-        raise InvalidArgumentError("x0 lies on a reflecting hyperplane")
-    return x0
-
-
 def simulate_dunkl(plan, x0, config: SimulationConfig, *, stages=None,
                    keep_stage_paths=False, threads=1,
                    noise_transform=None) -> LiftRun:
@@ -321,7 +321,9 @@ def simulate_dunkl(plan, x0, config: SimulationConfig, *, stages=None,
     reach the walls and the construction does not apply).
     """
     system = plan.system
-    x0 = _validate_start(system, x0)
+    x0 = np.asarray(x0, dtype=float)
+    if np.any(system.positive_roots @ x0 == 0.0):
+        raise InvalidArgumentError("x0 lies on a reflecting hyperplane")
     if plan.k.min_value < 0.5:
         raise UnsupportedRegimeError(
             "the jump reconstruction requires every k(α) ≥ 1/2"
@@ -332,11 +334,9 @@ def simulate_dunkl(plan, x0, config: SimulationConfig, *, stages=None,
     n_stages = m if stages is None else int(stages)
     if not 0 <= n_stages <= m:
         raise InvalidArgumentError(f"stages must lie in 0..{m}")
-    modes = plan.modes[:n_stages]
-    g = 0
-    for i, md in enumerate(modes, start=1):
-        if md == "general":
-            g = i
+    # Stages 1..g, up to the last general-mode one, run as engine clocks.
+    g = max((i for i, md in enumerate(plan.modes[:n_stages], start=1)
+             if md == "general"), default=0)
 
     params = _engine.EngineParams(
         positive_roots=system.positive_roots,
@@ -346,95 +346,30 @@ def simulate_dunkl(plan, x0, config: SimulationConfig, *, stages=None,
         x0=x0,
         tgrid=config.time_grid(),
         seed=config.seed,
-        policy="reject_halve",
-        t0_detect=False,
         eps_wall=config.eps_wall,
         max_halvings=config.max_halvings,
         record=True,
         noise_transform=noise_transform,
     )
     res = _engine.run_paths(params, config.n_paths, threads=threads)
-    trajs = _trajectories_from_engine(res)
-    stage_trajs = {g: trajs} if keep_stage_paths else None
+    states, jumps = res.states, _jump_table(res)
+    stage_trajs = None
+    if keep_stage_paths:
+        stage_trajs = {g: _trajectories_from_engine(res, states.copy(), jumps)}
     for s in range(g + 1, n_stages + 1):
-        trajs = _flip_stage(trajs, system, plan.enumeration[s - 1],
-                            plan.rates[s - 1], config.seed, s)
+        jumps = _flip_stage(states, res.stop_index, jumps, res.tgrid, system,
+                            plan.enumeration[s - 1], plan.rates[s - 1], config.seed, s)
         if keep_stage_paths:
-            stage_trajs[s] = trajs
+            stage_trajs[s] = _trajectories_from_engine(res, states.copy(), jumps)
+    trajs = (stage_trajs[n_stages] if keep_stage_paths
+             else _trajectories_from_engine(res, states, jumps))
     return LiftRun(
         trajectories=trajs,
         stage_trajectories=stage_trajs,
-        final_states=np.stack([t.states[-1] for t in trajs]),
+        final_states=states[np.arange(len(states)), res.stop_index],
         termination=np.array([_engine.TERMINATION_LABELS[int(c)]
                               for c in res.termination]),
         wall_contact=res.wall_contact,
         min_wall_distance=res.min_wall_distance,
         n_rejected=res.n_rejected,
-    )
-
-
-@dataclass(frozen=True)
-class DunklSimulator:
-    """A lift pipeline built one root at a time (see ``lift_one_root``)."""
-
-    system: RootSystem
-    k: Multiplicity
-    stage_roots: tuple = ()
-    stage_rates: tuple = ()
-    stage_modes: tuple = ()
-
-    def run(self, x0, config, *, keep_stage_paths=False, threads=1):
-        plan = _partial_plan(self)
-        return simulate_dunkl(plan, x0, config, stages=len(self.stage_roots),
-                              keep_stage_paths=keep_stage_paths, threads=threads)
-
-
-def _partial_plan(sim: DunklSimulator):
-    # Pad the unlifted tail so the plan covers the whole positive system;
-    # the run is truncated to the built stages.
-    m = sim.system.n_positive
-    rest = tuple(i for i in range(m) if i not in sim.stage_roots)
-    enumeration = tuple(sim.stage_roots) + rest
-    rates = tuple(sim.stage_rates) + (0.0,) * len(rest)
-    modes = tuple(sim.stage_modes) + ("general",) * len(rest)
-    return LiftPlan(system=sim.system, k=sim.k, enumeration=enumeration,
-                    rates=rates, modes=modes)
-
-
-def radial_simulator(system, k) -> DunklSimulator:
-    """Stage-0 simulator: the extended radial dynamics, no jumps yet."""
-    return DunklSimulator(system=system, k=k)
-
-
-def lift_one_root(sim: DunklSimulator, root_position, rate, mode) -> DunklSimulator:
-    """Extend a pipeline by one root lift.
-
-    ``mode`` is "shortcut" (independent Poisson flip; requires the
-    invariance condition against the roots already lifted) or "general"
-    (stepwise clock; always lawful).  Zero rate is allowed and produces no
-    jumps.
-    """
-    if mode not in ("shortcut", "general"):
-        raise InvalidArgumentError(f"unknown lift mode {mode!r}")
-    if rate < 0:
-        raise InvalidArgumentError("jump rate must be ≥ 0")
-    root_position = int(root_position)
-    if root_position in sim.stage_roots:
-        raise InvalidArgumentError("root already lifted")
-    enumeration = tuple(sim.stage_roots) + (root_position,)
-    stage = len(enumeration)
-    if mode == "shortcut" and not check_invariance_condition(
-        sim.system, stage,
-        enumeration + tuple(i for i in range(sim.system.n_positive)
-                            if i not in enumeration),
-    ):
-        raise InvalidPlanError(
-            f"stage {stage}: shortcut requested but the invariance condition fails"
-        )
-    return DunklSimulator(
-        system=sim.system,
-        k=sim.k,
-        stage_roots=enumeration,
-        stage_rates=tuple(sim.stage_rates) + (float(rate),),
-        stage_modes=tuple(sim.stage_modes) + (mode,),
     )

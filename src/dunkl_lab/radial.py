@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -85,10 +85,6 @@ class Trajectory:
     events: tuple = ()
     termination: str = "horizon"
     t0_time: Optional[float] = None
-    flags: tuple = ()
-
-    def final_state(self):
-        return self.states[-1]
 
 
 @dataclass
@@ -110,63 +106,75 @@ class RadialRun:
         return float(np.mean(self.wall_contact | (self.termination == "T0")))
 
 
-def _trajectories_from_engine(res: _engine.EngineResult, events_per_path=None):
-    out = []
-    for j in range(len(res.final)):
-        stop = int(res.stop_index[j])
-        term = _engine.TERMINATION_LABELS[int(res.termination[j])]
-        flags = []
-        if res.wall_contact[j]:
-            flags.append("wall_contact")
-        if term == "step_failure":
-            flags.append("step_failure")
-        raw_events = events_per_path[j] if events_per_path is not None else res.events[j]
-        events = tuple(
-            JumpEvent(time=float(t), root=int(r), pre=np.array(pre), post=np.array(post))
-            for (t, r, pre, post) in raw_events
+class _JumpTable(NamedTuple):
+    """The jump log of a batch as flat arrays, sorted by (path, time)."""
+
+    path: np.ndarray    # (E,)
+    time: np.ndarray    # (E,)
+    root: np.ndarray    # (E,) position in the positive enumeration
+    pre: np.ndarray     # (E, n)
+    post: np.ndarray    # (E, n)
+
+
+def _jump_table(res: _engine.EngineResult):
+    rows = [ev for path_events in res.events for ev in path_events]
+    n = res.final.shape[1]
+    return _JumpTable(
+        path=np.repeat(np.arange(len(res.events)), [len(e) for e in res.events]),
+        time=np.array([ev[0] for ev in rows], dtype=float),
+        root=np.array([ev[1] for ev in rows], dtype=np.int64),
+        pre=np.array([ev[2] for ev in rows], dtype=float).reshape(-1, n),
+        post=np.array([ev[3] for ev in rows], dtype=float).reshape(-1, n),
+    )
+
+
+def _trajectories_from_engine(res: _engine.EngineResult, states, jumps: _JumpTable):
+    """One ``Trajectory`` per path; freezes the batch arrays it views."""
+    for a in (res.tgrid, states, jumps.pre, jumps.post):
+        a.flags.writeable = False
+    events = [
+        JumpEvent(time=t, root=r, pre=pre, post=post)
+        for t, r, pre, post in zip(jumps.time.tolist(), jumps.root.tolist(),
+                                   jumps.pre, jumps.post)
+    ]
+    bounds = np.searchsorted(jumps.path, np.arange(len(states) + 1)).tolist()
+    return [
+        Trajectory(
+            path_id=j,
+            times=res.tgrid[: stop + 1],
+            states=states[j, : stop + 1],
+            events=tuple(events[bounds[j]:bounds[j + 1]]),
+            termination=_engine.TERMINATION_LABELS[int(res.termination[j])],
+            t0_time=(float(res.t0_time[j])
+                     if np.isfinite(res.t0_time[j]) else None),
         )
-        out.append(
-            Trajectory(
-                path_id=j,
-                times=res.tgrid[: stop + 1].copy(),
-                states=(res.states[j, : stop + 1].copy()
-                        if res.states is not None else None),
-                events=events,
-                termination=term,
-                t0_time=(float(res.t0_time[j])
-                         if np.isfinite(res.t0_time[j]) else None),
-                flags=tuple(flags),
-            )
-        )
-    return out
+        for j, stop in enumerate(res.stop_index.tolist())
+    ]
 
 
 def run_radial(system: RootSystem, k: Multiplicity, x0, config: SimulationConfig,
-               *, record=True, threads=1, noise_transform=None) -> RadialRun:
-    """Simulate the radial process; see ``simulate_radial`` for the contract.
+               *, record=True, threads=1) -> RadialRun:
+    """Euler–Maruyama paths of the radial process on [0, horizon].
 
-    ``noise_transform`` premultiplies every Gaussian increment by a fixed
-    orthogonal matrix; with matched seeds this realizes the same driving
-    noise in a rotated frame (used by equivariance checks).
+    Paths with min k < 1/2 terminate at the first wall contact (T₀); with
+    min k ≥ 1/2 early termination can only be a discretization artifact
+    (termination "step_failure", and ``wall_contact`` marks near misses).
+    With ``record`` the run also holds one ``Trajectory`` per path.
     """
     x0 = np.asarray(x0, dtype=float)
     if chamber_contains(system.positive_roots, x0) != "interior":
         raise InvalidArgumentError("x0 must lie in the open chamber")
-    policy = config.resolve_policy(k)
     params = _engine.EngineParams(
         positive_roots=system.positive_roots,
         kvec=k.per_positive(),
-        clock_positions=(),
-        clock_rates=np.zeros(0),
         x0=x0,
         tgrid=config.time_grid(),
         seed=config.seed,
-        policy=policy,
+        policy=config.resolve_policy(k),
         t0_detect=k.min_value < 0.5,
         eps_wall=config.eps_wall,
         max_halvings=config.max_halvings,
         record=record,
-        noise_transform=noise_transform,
     )
     res = _engine.run_paths(params, config.n_paths, threads=threads)
     return RadialRun(
@@ -178,19 +186,9 @@ def run_radial(system: RootSystem, k: Multiplicity, x0, config: SimulationConfig
         wall_contact=res.wall_contact,
         min_wall_distance=res.min_wall_distance,
         n_rejected=res.n_rejected,
-        trajectories=_trajectories_from_engine(res) if record else None,
+        trajectories=(_trajectories_from_engine(res, res.states, _jump_table(res))
+                      if record else None),
     )
-
-
-def simulate_radial(system, k, x0, config, *, threads=1):
-    """Euler–Maruyama paths of the radial process on [0, horizon].
-
-    Returns one ``Trajectory`` per path.  Paths with min k < 1/2 terminate
-    at the first wall contact (T₀); with min k ≥ 1/2 early termination can
-    only be a discretization artifact and is reported through flags.
-    """
-    return run_radial(system, k, x0, config, record=True,
-                      threads=threads).trajectories
 
 
 def em_step(system, k, x, dt, dw, *, rng=None, max_halvings=20):
@@ -213,16 +211,11 @@ def em_step(system, k, x, dt, dw, *, rng=None, max_halvings=20):
     params = _engine.EngineParams(
         positive_roots=system.positive_roots,
         kvec=k.per_positive(),
-        clock_positions=(),
-        clock_rates=np.zeros(0),
         x0=x,
         tgrid=np.array([0.0, dt]),
         seed=0,
-        policy="reject_halve",
-        t0_detect=False,
         eps_wall=0.0,
         max_halvings=max_halvings,
-        record=False,
     )
     ps = _engine._PathState(0, 0, np.sign(system.positive_roots @ x),
                             np.zeros(0), np.zeros(0))

@@ -35,13 +35,7 @@ from .calculus import (
     sample_interior_points,
 )
 from .errors import InvalidArgumentError
-from .lift import (
-    build_lift_plan,
-    fold_check_regions,
-    lift_one_root,
-    radial_simulator,
-    simulate_dunkl,
-)
+from .lift import build_lift_plan, fold_check_regions, simulate_dunkl
 from .radial import SimulationConfig, run_radial
 from .root_systems import (
     Multiplicity,
@@ -458,14 +452,17 @@ def mode_equivalence(system, k, x0, root_position, config: SimulationConfig, *,
         n = system.dimension
         vectors = [np.eye(n)[0], np.eye(n)[-1], np.ones(n) / np.sqrt(n)]
     seed = config.seed if seed is None else seed
-    base = radial_simulator(system, k)
+    rest = tuple(i for i in range(system.n_positive) if i != root_position)
     sims = {}
     for mode in ("shortcut", "general"):
         cfg = SimulationConfig(horizon=config.horizon, dt=config.dt,
                                n_paths=config.n_paths,
                                seed=derived_seed(seed, f"{name}:{mode}"))
-        sim = lift_one_root(base, root_position, rate, mode)
-        sims[mode] = sim.run(x0, cfg, threads=threads).final_states
+        plan = build_lift_plan(system, k, rates=multiplicity(system, rate),
+                               enumeration=(root_position,) + rest,
+                               mode=(mode,) + ("general",) * len(rest))
+        sims[mode] = simulate_dunkl(plan, x0, cfg, stages=1,
+                                    threads=threads).final_states
     pvals = []
     for v in vectors:
         a = sims["shortcut"] @ v

@@ -101,7 +101,7 @@ class TestCommands:
         assert rc == 0
         assert "false" in out
 
-    def test_simulate_radial_writes_csv(self, tmp_path, capsys):
+    def test_radial_subcommand_writes_csv(self, tmp_path, capsys):
         out_path = tmp_path / "traj.csv"
         doc = base_doc(output={"path": str(out_path), "format": "csv"})
         rc = main(["simulate-radial", "--config", write_cfg(tmp_path, doc)])
@@ -111,7 +111,7 @@ class TestCommands:
         header = out_path.read_text().splitlines()[0]
         assert header == "path_id,t,x_1,x_2,event"
 
-    def test_simulate_radial_set_override(self, tmp_path, capsys):
+    def test_radial_subcommand_set_override(self, tmp_path, capsys):
         doc = base_doc()
         rc = main(["simulate-radial", "--config", write_cfg(tmp_path, doc),
                    "--set", "sim.paths=5"])

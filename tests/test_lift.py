@@ -9,12 +9,9 @@ from dunkl_lab import (
     build_lift_plan,
     cumulative_time_change,
     fold_check_regions,
-    lift_one_root,
     multiplicity,
-    radial_simulator,
     simulate_dunkl,
 )
-from dunkl_lab.radial import Trajectory
 from dunkl_lab.root_systems import project_batch
 
 
@@ -89,30 +86,41 @@ class TestFoldRegions:
 class TestTimeChange:
     def test_constant_path(self, b2):
         states = np.tile([2.0, 1.0], (11, 1))
-        traj = Trajectory(path_id=0, times=np.linspace(0, 1, 11), states=states)
+        times = np.linspace(0, 1, 11)
         alpha = np.array([1.0, -1.0])  # dot = 1 -> integrand 1
-        times, a_t = cumulative_time_change(traj, alpha)
+        a_t = cumulative_time_change(times, states, alpha)
         assert np.allclose(a_t, times)
         alpha2 = np.array([1.0, 1.0]) * (2.0 / 3.0)  # dot = 2 -> t/4
-        _, a_t2 = cumulative_time_change(traj, alpha2)
+        a_t2 = cumulative_time_change(times, states, alpha2)
         assert np.allclose(a_t2, times / 4.0)
 
     def test_strictly_increasing_and_invertible(self, b2, k_one):
         cfg = small_cfg(n_paths=5)
         run = simulate_dunkl(build_lift_plan(b2, k_one), [2.0, 1.0], cfg, stages=0)
         for traj in run.trajectories:
-            times, a_t = cumulative_time_change(traj, b2.positive_roots[0])
+            a_t = cumulative_time_change(traj.times, traj.states, b2.positive_roots[0])
             assert np.all(np.diff(a_t) > 0)
-            back = np.interp(a_t, a_t, times)
-            assert np.allclose(back, times)
+            back = np.interp(a_t, a_t, traj.times)
+            assert np.allclose(back, traj.times)
 
     def test_growth_over_long_horizon(self, b2, k_one):
         cfg = SimulationConfig(horizon=4.0, dt=2e-3, n_paths=5, seed=9)
         run = simulate_dunkl(build_lift_plan(b2, k_one), [2.0, 1.0], cfg, stages=0)
         for traj in run.trajectories:
-            _, a_t = cumulative_time_change(traj, b2.positive_roots[0])
+            a_t = cumulative_time_change(traj.times, traj.states, b2.positive_roots[0])
             mid = np.searchsorted(traj.times, 2.0)
             assert a_t[-1] > a_t[mid] > a_t[0]
+
+    def test_batch_matches_single_paths(self, b2, k_one):
+        run = simulate_dunkl(build_lift_plan(b2, k_one), [2.0, 1.0],
+                             small_cfg(n_paths=7), stages=0)
+        times = run.trajectories[0].times
+        states = np.stack([t.states for t in run.trajectories])
+        alpha = b2.positive_roots[2]
+        batch = cumulative_time_change(times, states, alpha)
+        assert batch.shape == states.shape[:2]
+        for row, traj in zip(batch, run.trajectories):
+            assert np.array_equal(row, cumulative_time_change(times, traj.states, alpha))
 
 
 class TestSimulateDunkl:
@@ -152,6 +160,53 @@ class TestSimulateDunkl:
                     1.0, np.max(np.abs(disp)))
                 total += 1
         assert total > 50
+
+    @pytest.mark.parametrize("system_name, x0", [("b2", [2.0, 1.0]),
+                                                 ("a2", [3.0, 2.0, 1.0])])
+    def test_jump_log_accounts_for_chamber(self, request, system_name, x0):
+        # With w the product of the reflections logged up to time t, w⁻¹
+        # maps the grid state at t, and the pre-state of the next jump, into
+        # the chamber of x0.  A missing, extra or misplaced flip breaks this.
+        system = request.getfixturevalue(system_name)
+        plan = build_lift_plan(system, multiplicity(system, 1.0), mode="auto")
+        run = simulate_dunkl(plan, x0, small_cfg(n_paths=200, horizon=1.0))
+        roots = system.positive_roots
+        base = np.sign(roots @ np.asarray(x0))
+
+        def outside(inv, states):
+            y = np.atleast_2d(states) @ inv.T
+            slack = 1e-9 * (1.0 + np.abs(y).max(axis=1))
+            return int(np.sum(((y @ roots.T) * base).min(axis=1) <= -slack))
+
+        bad = total = 0
+        for traj in run.trajectories:
+            ev_times = [ev.time for ev in traj.events]
+            cuts = np.concatenate([[0], np.searchsorted(traj.times, ev_times),
+                                   [len(traj.times)]])
+            inv = np.eye(system.dimension)
+            for i, ev in enumerate(traj.events):
+                bad += outside(inv, traj.states[cuts[i]:cuts[i + 1]])
+                bad += outside(inv, ev.pre)
+                alpha = roots[ev.root]
+                inv = inv - np.outer(inv @ alpha, alpha)
+            bad += outside(inv, traj.states[cuts[-2]:])
+            total += len(traj.events)
+        assert total > 50
+        assert bad == 0
+
+    def test_no_jump_after_step_failure(self, b2, k_one):
+        cfg = SimulationConfig(horizon=2.0, dt=0.05, n_paths=200, seed=5,
+                               max_halvings=1)
+        run = simulate_dunkl(build_lift_plan(b2, k_one), [2.0, 1.0], cfg)
+        grid = cfg.time_grid()
+        failed = [t for t in run.trajectories if t.termination == "step_failure"]
+        assert failed
+        for traj in failed:
+            stop = len(traj.times) - 1
+            assert stop < len(grid) - 1
+            assert np.array_equal(traj.times, grid[:stop + 1])
+            assert len(traj.states) == stop + 1
+            assert all(ev.time <= traj.times[-1] for ev in traj.events)
 
     def test_events_sorted_and_within_horizon(self, b2, k_one):
         run = simulate_dunkl(build_lift_plan(b2, k_one), [2.0, 1.0],
@@ -260,22 +315,24 @@ class TestLawInvariants:
 
 
 class TestComposition:
-    def test_lift_one_root_pipeline(self, b2, k_one):
-        sim0 = radial_simulator(b2, k_one)
-        sim1 = lift_one_root(sim0, 0, 1.0, "shortcut")
-        run = sim1.run([2.0, 1.0], small_cfg(n_paths=50, horizon=1.0))
+    def test_one_stage_pipeline(self, b2, k_one):
+        plan = build_lift_plan(b2, k_one, enumeration=(0, 1, 2, 3),
+                               mode=("shortcut",) + ("general",) * 3)
+        run = simulate_dunkl(plan, [2.0, 1.0], small_cfg(n_paths=50, horizon=1.0),
+                             stages=1)
         roots_seen = {ev.root for t in run.trajectories for ev in t.events}
         assert roots_seen <= {0}
 
     def test_shortcut_requires_condition(self, a2):
         k = multiplicity(a2, 1.0)
-        sim = lift_one_root(radial_simulator(a2, k), 0, 1.0, "shortcut")
         with pytest.raises(InvalidPlanError):
-            lift_one_root(sim, 1, 1.0, "shortcut")
+            build_lift_plan(a2, k, enumeration=(0, 1, 2),
+                            mode=("shortcut", "shortcut", "general"))
         # general mode is always available
-        lift_one_root(sim, 1, 1.0, "general")
+        build_lift_plan(a2, k, enumeration=(0, 1, 2),
+                        mode=("shortcut", "general", "general"))
 
     def test_double_lift_rejected(self, b2, k_one):
-        sim = lift_one_root(radial_simulator(b2, k_one), 0, 1.0, "shortcut")
         with pytest.raises(InvalidArgumentError):
-            lift_one_root(sim, 0, 1.0, "shortcut")
+            build_lift_plan(b2, k_one, enumeration=(0, 0, 2, 3),
+                            mode=("shortcut",) + ("general",) * 3)

@@ -9,7 +9,6 @@ from dunkl_lab import (
     em_step,
     multiplicity,
     run_radial,
-    simulate_radial,
     squared_norm_series,
     write_trajectories_csv,
 )
@@ -70,13 +69,13 @@ class TestSimulateRadial:
     def test_requires_interior_start(self, b2, k_one):
         cfg = SimulationConfig(horizon=0.1, dt=0.01, n_paths=2, seed=0)
         with pytest.raises(InvalidArgumentError):
-            simulate_radial(b2, k_one, [1.0, 1.0], cfg)
+            run_radial(b2, k_one, [1.0, 1.0], cfg)
         with pytest.raises(InvalidArgumentError):
-            simulate_radial(b2, k_one, [1.0, 2.0], cfg)
+            run_radial(b2, k_one, [1.0, 2.0], cfg)
 
     def test_paths_stay_in_chamber(self, b2, k_one):
         cfg = SimulationConfig(horizon=0.5, dt=1e-3, n_paths=30, seed=3)
-        trajs = simulate_radial(b2, k_one, [2.0, 1.0], cfg)
+        trajs = run_radial(b2, k_one, [2.0, 1.0], cfg).trajectories
         pos_t = b2.positive_roots.T
         for traj in trajs:
             assert np.all(traj.states @ pos_t > 0)
@@ -85,16 +84,16 @@ class TestSimulateRadial:
 
     def test_deterministic_replay(self, b2, k_one):
         cfg = SimulationConfig(horizon=0.3, dt=1e-3, n_paths=10, seed=11)
-        t1 = simulate_radial(b2, k_one, [2.0, 1.0], cfg)
-        t2 = simulate_radial(b2, k_one, [2.0, 1.0], cfg)
+        t1 = run_radial(b2, k_one, [2.0, 1.0], cfg).trajectories
+        t2 = run_radial(b2, k_one, [2.0, 1.0], cfg).trajectories
         for a, b in zip(t1, t2):
             assert np.array_equal(a.states, b.states)
 
     def test_path_reproducible_in_isolation(self, b2, k_one):
         cfg_big = SimulationConfig(horizon=0.2, dt=1e-3, n_paths=8, seed=21)
         cfg_small = SimulationConfig(horizon=0.2, dt=1e-3, n_paths=1, seed=21)
-        big = simulate_radial(b2, k_one, [2.0, 1.0], cfg_big)
-        small = simulate_radial(b2, k_one, [2.0, 1.0], cfg_small)
+        big = run_radial(b2, k_one, [2.0, 1.0], cfg_big).trajectories
+        small = run_radial(b2, k_one, [2.0, 1.0], cfg_small).trajectories
         # path 0 does not depend on how many other paths were requested
         assert np.array_equal(big[0].states, small[0].states)
 
@@ -161,7 +160,7 @@ class TestWallHitting:
     def test_t0_trajectory_is_truncated(self, rank1):
         k = multiplicity(rank1, 0.1)
         cfg = SimulationConfig(horizon=1.0, dt=1e-3, n_paths=50, seed=3)
-        trajs = simulate_radial(rank1, k, [0.1], cfg)
+        trajs = run_radial(rank1, k, [0.1], cfg).trajectories
         hit = [t for t in trajs if t.termination == "T0"]
         assert hit
         for t in hit:
@@ -173,7 +172,7 @@ class TestWallHitting:
 class TestSeries:
     def test_squared_norm_series(self, b2, k_one):
         cfg = SimulationConfig(horizon=0.1, dt=0.01, n_paths=1, seed=2)
-        traj = simulate_radial(b2, k_one, [2.0, 1.0], cfg)[0]
+        traj = run_radial(b2, k_one, [2.0, 1.0], cfg).trajectories[0]
         times, sq = squared_norm_series(traj)
         assert sq[0] == pytest.approx(5.0)
         assert np.array_equal(times, traj.times)
@@ -190,7 +189,7 @@ class TestSeries:
 class TestCsv:
     def test_round_trip(self, b2, k_one):
         cfg = SimulationConfig(horizon=0.05, dt=0.01, n_paths=3, seed=4)
-        trajs = simulate_radial(b2, k_one, [2.0, 1.0], cfg)
+        trajs = run_radial(b2, k_one, [2.0, 1.0], cfg).trajectories
         buf = io.StringIO()
         write_trajectories_csv(trajs, buf)
         text = buf.getvalue()
@@ -202,7 +201,7 @@ class TestCsv:
     def test_t0_marker_written(self, rank1):
         k = multiplicity(rank1, 0.1)
         cfg = SimulationConfig(horizon=1.0, dt=1e-3, n_paths=20, seed=3)
-        trajs = simulate_radial(rank1, k, [0.1], cfg)
+        trajs = run_radial(rank1, k, [0.1], cfg).trajectories
         buf = io.StringIO()
         write_trajectories_csv(trajs, buf)
         assert ",T0" in buf.getvalue()
@@ -212,6 +211,7 @@ class TestCsv:
         out = []
         for _ in range(2):
             buf = io.StringIO()
-            write_trajectories_csv(simulate_radial(b2, k_one, [2.0, 1.0], cfg), buf)
+            run = run_radial(b2, k_one, [2.0, 1.0], cfg)
+            write_trajectories_csv(run.trajectories, buf)
             out.append(buf.getvalue())
         assert out[0] == out[1]
