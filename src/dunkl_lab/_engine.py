@@ -10,7 +10,16 @@ continue from the reflected point.
 Paths are independent and vectorized in blocks; anything rare (a proposal
 that crosses a wall, a capped clock increment, a firing clock) drops to a
 per-path bisection routine.  All randomness is drawn from per-path
-streams, so results are independent of blocking and worker count.
+streams, so results are independent of blocking and worker count; one
+generator per block serves every path's stream, set to each path's
+batch-derived key in turn.
+
+A vector step is one fused accept test.  The block carries A·x of every
+path from the proposal it accepted, so a step computes A·x once: the
+smallest signed distance (A·x)·sign both tests that the proposal keeps its
+chamber and is the wall distance of an accepted path.  Norms for the
+contact threshold are taken only for paths a cheap bound cannot clear, and
+per-path bisection state exists only for paths that needed it.
 
 Proposals that would cross a reflecting hyperplane are never accepted:
 under the reject-and-halve policy the interval is bisected with fresh
@@ -42,6 +51,7 @@ TERMINATION_LABELS = {TERM_HORIZON: "horizon", TERM_T0: "T0",
 LAMBDA_CAP = 50.0          # max clock increment per accepted sub-step
 PROPOSAL_BUDGET = 100_000  # hard cap on sub-step proposals per grid interval
 DEFAULT_CHUNK = 4096
+NOISE_BUFFER = 8_000_000   # doubles of buffered noise per block segment
 
 
 @dataclass
@@ -82,7 +92,7 @@ class _PathState:
     __slots__ = ("signs", "lam", "thresholds", "events", "proposals",
                  "_retry", "_clock", "_seed", "_index", "rejected")
 
-    def __init__(self, seed, index, signs, lam, thresholds):
+    def __init__(self, seed, index, signs=None, lam=None, thresholds=None):
         self.signs = signs
         self.lam = lam
         self.thresholds = thresholds
@@ -178,12 +188,16 @@ def _run_block(params: EngineParams, first_path: int, n_paths: int) -> EngineRes
     tgrid = params.tgrid
     n_steps = len(tgrid) - 1
     seed = params.seed
+    paths = np.arange(first_path, first_path + n_paths)
 
-    gens = [rngmod.stream(seed, rngmod.DIFFUSION, first_path + j)
-            for j in range(n_paths)]
+    # One generator serves the block, set to each path's own stream in turn.
     # Per-path streams are consumed one grid step at a time; buffering them
-    # in segments keeps memory bounded without changing any draw.
-    seg_len = max(1, min(n_steps, int(8_000_000 // max(1, n_paths * nd))))
+    # in segments keeps memory bounded without changing any draw: a path's
+    # next segment resumes from the state its last one left.
+    gen = rngmod.stream(seed, rngmod.DIFFUSION, first_path)
+    resume = [rngmod.start_state(key)
+              for key in rngmod.keys(seed, rngmod.DIFFUSION, paths)]
+    seg_len = max(1, min(n_steps, NOISE_BUFFER // max(1, n_paths * nd)))
     xi_buf = np.empty((n_paths, 0, nd))
     seg_start = 0
 
@@ -192,32 +206,31 @@ def _run_block(params: EngineParams, first_path: int, n_paths: int) -> EngineRes
         if not seg_start <= step < seg_start + xi_buf.shape[1]:
             seg_start = step
             count = min(seg_len, n_steps - step)
-            xi_buf = np.stack([gen.standard_normal((count, nd)) for gen in gens])
+            xi_buf = np.empty((n_paths, count, nd))
+            for j in range(n_paths):
+                gen.bit_generator.state = resume[j]
+                gen.standard_normal(out=xi_buf[j])
+                if step + count < n_steps:
+                    resume[j] = gen.bit_generator.state
             if params.noise_transform is not None:
                 xi_buf = xi_buf @ params.noise_transform.T
         return xi_buf[:, step - seg_start]
 
     cur = np.tile(np.asarray(params.x0, dtype=float), (n_paths, 1))
-    base_signs = np.sign(A @ params.x0)
-    path_states = []
-    for j in range(n_paths):
-        lam = np.zeros(g)
-        if g:
-            thr = rngmod.stream(seed, rngmod.CLOCK, first_path + j, 0).standard_exponential(g)
-        else:
-            thr = np.zeros(0)
-        path_states.append(_PathState(seed, first_path + j, base_signs.copy(), lam, thr))
+    signs_mat = np.tile(np.sign(A @ params.x0), (n_paths, 1))
+    lam_mat = np.zeros((n_paths, g))
+    thr_mat = np.zeros((n_paths, g))
+    if g:
+        for j, key in enumerate(rngmod.keys(seed, rngmod.CLOCK, paths, 0)):
+            gen.bit_generator.state = rngmod.start_state(key)
+            gen.standard_exponential(out=thr_mat[j])
+    path_states = {}   # only paths that needed the scalar routine
 
     active = np.ones(n_paths, dtype=bool)
     termination = np.full(n_paths, TERM_HORIZON, dtype=np.int8)
     stop_index = np.full(n_paths, n_steps, dtype=np.int64)
     t0_time = np.full(n_paths, np.nan)
     wall_contact = np.zeros(n_paths, dtype=bool)
-    min_wd = np.full(n_paths, np.inf)
-    lam_mat = np.zeros((n_paths, g))
-    thr_mat = (np.stack([ps.thresholds for ps in path_states])
-               if g else np.zeros((n_paths, 0)))
-    signs_mat = np.tile(base_signs, (n_paths, 1))
     states = None
     if params.record:
         states = np.empty((n_paths, n_steps + 1, nd))
@@ -225,15 +238,17 @@ def _run_block(params: EngineParams, first_path: int, n_paths: int) -> EngineRes
 
     rates = np.asarray(params.clock_rates, dtype=float)
 
-    def _terminate(j, code, t_end):
+    def _terminate(j, code, t_end, index):
         active[j] = False
         termination[j] = code
+        stop_index[j] = index
         if code == TERM_T0:
             t0_time[j] = t_end
 
+    # d_cur holds A·x of every active path, carried over from the accepted
+    # proposal; matmuls over a subset of rows give the same bits per row.
     d_cur = cur @ A.T
-    wd = (d_cur * signs_mat).min(axis=1)
-    min_wd = np.minimum(min_wd, wd)
+    min_wd = (d_cur * signs_mat).min(axis=1)
 
     for step in range(n_steps):
         if not active.any():
@@ -242,71 +257,84 @@ def _run_block(params: EngineParams, first_path: int, n_paths: int) -> EngineRes
             break
         xi_step = _xi(step)
         act = np.nonzero(active)[0]
+        full = len(act) == n_paths
+        sel = slice(None) if full else act
         t0s, t1s = float(tgrid[step]), float(tgrid[step + 1])
         h = t1s - t0s
-        x = cur[act]
-        d = x @ A.T
+        d = d_cur[sel]
         drift = (params.kvec / d) @ A
-        prop = x + drift * h + math.sqrt(h) * xi_step[act]
+        prop = cur[sel] + drift * h + math.sqrt(h) * xi_step[sel]
         pd = prop @ A.T
-        ok = np.all(np.sign(pd) == signs_mat[act], axis=1)
+        # A proposal keeps its sign pattern iff every signed distance is > 0;
+        # the smallest one is then its wall distance.
+        wd = (pd * signs_mat[sel]).min(axis=1)
+        ok = plain = wd > 0
+        lam = lam_mat[sel]
         if g:
-            d0 = d[:, clock_cols]
-            d1 = pd[:, clock_cols]
-            dlam = rates * h * 0.5 * (d0**-2.0 + d1**-2.0)
+            dlam = rates * h * 0.5 * (d[:, clock_cols]**-2.0 + pd[:, clock_cols]**-2.0)
+            lam = lam + dlam
             plain = ok & np.all(dlam <= params.lambda_cap, axis=1) \
-                       & np.all(lam_mat[act] + dlam < thr_mat[act], axis=1)
+                       & np.all(lam < thr_mat[sel], axis=1)
+
+        if full and plain.all():
+            cur, d_cur, lam_mat = prop, pd, lam
         else:
-            plain = ok
+            rows = act[plain]
+            cur[rows], d_cur[rows], lam_mat[rows] = prop[plain], pd[plain], lam[plain]
 
-        idx_plain = act[plain]
-        cur[idx_plain] = prop[plain]
-        if g and len(idx_plain):
-            lam_mat[idx_plain] += dlam[plain]
-
+        redo = []
         for local_j in np.nonzero(~plain)[0]:
             j = int(act[local_j])
-            ps = path_states[j]
+            if not ok[local_j] and params.policy == "stop_at_t0":
+                _terminate(j, TERM_T0, t1s, step)
+                continue
+            ps = path_states.setdefault(j, _PathState(seed, first_path + j))
             ps.signs = signs_mat[j].copy()
             ps.lam = lam_mat[j].copy()
             ps.thresholds = thr_mat[j].copy()
             ps.proposals = 0
-            exited = not ok[local_j]
-            if exited and params.policy == "stop_at_t0":
-                _terminate(j, TERM_T0, t1s)
-                stop_index[j] = step
-                continue
             try:
                 cur[j] = cover_interval(params, ps, cur[j].copy(), h, t0s,
                                         params.max_halvings,
                                         first_xi=xi_step[j])
-                signs_mat[j] = ps.signs
-                lam_mat[j] = ps.lam
-                thr_mat[j] = ps.thresholds
             except StepFailureError:
-                _terminate(j, TERM_STEP_FAILURE, t1s)
-                stop_index[j] = step
+                _terminate(j, TERM_STEP_FAILURE, t1s, step)
+                continue
+            signs_mat[j] = ps.signs
+            lam_mat[j] = ps.lam
+            thr_mat[j] = ps.thresholds
+            redo.append(local_j)
+        if redo:
+            rows = act[redo]
+            d_cur[rows] = cur[rows] @ A.T
+            wd[redo] = (d_cur[rows] * signs_mat[rows]).min(axis=1)
 
-        act2 = np.nonzero(active)[0]
-        if len(act2):
-            d2 = cur[act2] @ A.T
-            wd = (d2 * signs_mat[act2]).min(axis=1)
-            min_wd[act2] = np.minimum(min_wd[act2], wd)
-            eps = params.eps_wall * (1.0 + np.linalg.norm(cur[act2], axis=1))
-            contact = wd < eps
-            if contact.any():
-                hit = act2[contact]
-                wall_contact[hit] = True
-                if params.t0_detect:
-                    for j in hit:
-                        _terminate(int(j), TERM_T0, t1s)
-                        stop_index[j] = step + 1
+        if full and active.all():
+            np.minimum(min_wd, wd, out=min_wd)
+        else:
+            live = active[act]
+            act, wd = act[live], wd[live]
+            min_wd[act] = np.minimum(min_wd[act], wd)
+        # ‖x‖ ≤ n·max|x_i| bounds every path's contact threshold from above,
+        # so only paths below that bound need their own norm.
+        near = wd < params.eps_wall * (1.0 + 2.0 * nd * np.abs(cur).max())
+        if near.any():
+            rows = act[near]
+            eps = params.eps_wall * (1.0 + np.linalg.norm(cur[rows], axis=1))
+            hit = rows[wd[near] < eps]
+            wall_contact[hit] = True
+            if params.t0_detect:
+                for j in hit:
+                    _terminate(int(j), TERM_T0, t1s, step + 1)
 
         if params.record:
             states[:, step + 1] = cur
 
-    events = [list(ps.events) for ps in path_states]
-    rejected = np.array([ps.rejected for ps in path_states])
+    events = [[] for _ in range(n_paths)]
+    rejected = np.zeros(n_paths, dtype=np.int64)
+    for j, ps in path_states.items():
+        events[j] = ps.events
+        rejected[j] = ps.rejected
     return EngineResult(
         tgrid=tgrid,
         final=cur,

@@ -1,14 +1,20 @@
 """Deterministic random streams for path-parallel Monte Carlo.
 
 Every consumer of randomness gets its own counter-based Philox stream,
-keyed by ``(master seed, purpose, *indices)`` through a ``SeedSequence``
-spawn key.  A path's stream depends only on the master seed and the path
-index, never on batching or scheduling, so any path can be regenerated in
-isolation and whole runs are reproducible bit for bit for a fixed
-configuration, regardless of worker count.
+keyed by ``(master seed, purpose, *indices)``.  The Philox key is the one
+``np.random.SeedSequence(seed, spawn_key=(purpose, *indices))`` generates;
+``keys`` derives it for a whole batch of paths at once, with the same
+values, and ``start_state`` puts one generator on any path's stream, so
+one generator serves a whole batch.  A path's stream depends only on the
+master seed and the path index, never on batching or scheduling, so any
+path can be regenerated in isolation and whole runs are reproducible bit
+for bit for a fixed configuration, regardless of worker count.
 """
 
 from __future__ import annotations
+
+import functools
+import itertools
 
 import numpy as np
 
@@ -20,8 +26,87 @@ CLOCK = 2       # exponential thresholds for jump clocks
 FLIP = 3        # Poisson streams for shortcut-mode lifts
 CHECK = 4       # verification-side sampling (oracles, test points)
 
+_MASK = 0xFFFFFFFF
+
+
+def _hashmix(value, const, mult=0x931E8875):
+    """SeedSequence's hashmix: the hashed value and the next hash constant."""
+    new = const * mult & _MASK
+    value = (value ^ const) * new & _MASK
+    return value ^ value >> 16, new
+
+
+def _mix(x, y):
+    r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK
+    return r ^ r >> 16
+
+
+def _mix_in(pool, const, words):
+    for value in words:
+        for dst in range(4):
+            hashed, const = _hashmix(value, const)
+            pool[dst] = _mix(pool[dst], hashed)
+    return const
+
+
+@functools.lru_cache(maxsize=256)
+def _seed_pool(seed):
+    """SeedSequence's pool and hash constant once the seed's uint32 words,
+    zero-padded to the pool size of 4, are mixed in."""
+    words = [seed >> s & _MASK for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    pool, const = [], 0x43B0D7E5
+    for value in words[:4]:
+        value, const = _hashmix(value, const)
+        pool.append(value)
+    for src, dst in itertools.permutations(range(4), 2):
+        hashed, const = _hashmix(pool[src], const)
+        pool[dst] = _mix(pool[dst], hashed)
+    const = _mix_in(pool, const, words[4:])
+    return tuple(pool), const
+
+
+def keys(seed: int, *key) -> np.ndarray:
+    """Philox keys of the streams ``(seed, *key)``, shape (..., 2) uint64.
+
+    Equal to ``SeedSequence(seed, spawn_key=key).generate_state(2, np.uint64)``:
+    SeedSequence's uint32 hash mixing, on Python ints or, where a key part
+    is an integer array (say, one entry per path), on whole arrays at once.
+    Key parts must lie in [0, 2³²).
+    """
+    seed = int(seed)
+    parts = [k if isinstance(k, int) else
+             np.asarray(k, dtype=np.uint64) if np.ndim(k) else int(k) for k in key]
+    if seed < 0 or not all(0 <= p <= _MASK if isinstance(p, int)
+                           else p.max(initial=0) <= _MASK for p in parts):
+        raise ValueError("seed must be ≥ 0 and key parts in [0, 2**32)")
+    pool, const = _seed_pool(seed)
+    pool = list(pool)
+    _mix_in(pool, const, parts)
+    const, words = 0x8B51F9DD, []
+    for value in pool:
+        value, const = _hashmix(value, const, 0x58F38DED)
+        words.append(value)
+    lo, hi = words[0] | words[1] << 32, words[2] | words[3] << 32
+    if isinstance(lo, int):
+        return np.array([lo, hi], dtype=np.uint64)
+    return np.stack([lo, hi], axis=-1)
+
+
+def start_state(key) -> dict:
+    """Philox state at the start of the stream with Philox key ``key``.
+
+    Assigned to a ``stream`` generator's ``bit_generator.state``, it puts
+    that generator on this stream: one generator serves many paths."""
+    return {"bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, np.uint64), "key": key},
+            "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0}
+
 
 def stream(seed: int, *key: int) -> np.random.Generator:
-    """Independent generator for the given purpose/index key."""
-    seq = np.random.SeedSequence(int(seed), spawn_key=tuple(int(k) for k in key))
-    return np.random.Generator(np.random.Philox(seq))
+    """Independent generator for the given purpose/index key.
+
+    Philox takes the key directly, so the generator's ``seed_seq`` is not
+    the stream's; do not ``spawn`` from it."""
+    return np.random.Generator(np.random.Philox(key=keys(seed, *key)))

@@ -115,10 +115,10 @@ def render_table(reports):
 
 
 def derived_seed(master, tag):
-    """Stable 63-bit seed for a named sub-experiment."""
-    h = zlib.crc32(tag.encode())
-    seq = np.random.SeedSequence(int(master), spawn_key=(rngmod.CHECK, h))
-    return int(seq.generate_state(2, dtype=np.uint32)[0])
+    """Stable 32-bit seed for a named sub-experiment: the first uint32 word
+    of the ``(master, CHECK, crc32(tag))`` stream's key."""
+    key = rngmod.keys(master, rngmod.CHECK, zlib.crc32(tag.encode()))
+    return int(key[0]) & 0xFFFFFFFF
 
 
 def _timed(fn, *args, **kwargs):

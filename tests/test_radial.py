@@ -12,6 +12,7 @@ from dunkl_lab import (
     squared_norm_series,
     write_trajectories_csv,
 )
+from dunkl_lab import _engine
 from dunkl_lab.lift import build_lift_plan, simulate_dunkl
 from dunkl_lab.radial import read_trajectories_csv
 
@@ -131,14 +132,46 @@ class TestSimulateRadial:
             (run_half.termination != "horizon") | run_half.wall_contact)
         assert flagged_half <= flagged
 
-    def test_worker_count_independent(self, b2, k_one, monkeypatch):
-        import dunkl_lab._engine as engine
-        monkeypatch.setattr(engine, "DEFAULT_CHUNK", 64)
-        cfg = SimulationConfig(horizon=0.2, dt=1e-3, n_paths=150, seed=17)
-        r1 = run_radial(b2, k_one, [2.0, 1.0], cfg, record=True, threads=1)
-        r2 = run_radial(b2, k_one, [2.0, 1.0], cfg, record=True, threads=2)
-        for a, b in zip(r1.trajectories, r2.trajectories):
-            assert np.array_equal(a.states, b.states)
+    @staticmethod
+    def _engine_params(b2, k_one, clocks):
+        kvec = k_one.per_positive()
+        return _engine.EngineParams(
+            positive_roots=b2.positive_roots, kvec=kvec,
+            x0=np.array([0.6, 0.2]) if clocks else np.array([2.0, 1.0]),
+            tgrid=SimulationConfig(horizon=0.2, dt=1e-2 if clocks else 1e-3,
+                                   n_paths=150, seed=17).time_grid(),
+            seed=17, eps_wall=1e-8, max_halvings=20, record=True,
+            clock_positions=(0, 1, 2, 3) if clocks else (),
+            clock_rates=kvec if clocks else np.zeros(0))
+
+    @staticmethod
+    def _assert_blocking_invariant(params):
+        """Blocks of 64 paths across one and two workers, and one block of
+        4096, give the same engine output, events included."""
+        runs = [_engine.run_paths(params, 150, threads=t, chunk_size=c)
+                for t, c in ((1, 64), (2, 64), (1, 4096))]
+        for other in runs[1:]:
+            for name in ("tgrid", "final", "stop_index", "termination", "t0_time",
+                         "wall_contact", "min_wall_distance", "n_rejected", "states"):
+                assert np.array_equal(getattr(runs[0], name), getattr(other, name),
+                                      equal_nan=name == "t0_time"), name
+            assert len(other.events) == 150
+            for a, b in zip(runs[0].events, other.events):
+                assert len(a) == len(b)
+                for ea, eb in zip(a, b):
+                    assert ea[:2] == eb[:2]
+                    assert np.array_equal(ea[2], eb[2]) and np.array_equal(ea[3], eb[3])
+        return runs[0]
+
+    def test_worker_count_independent(self, b2, k_one):
+        self._assert_blocking_invariant(self._engine_params(b2, k_one, clocks=False))
+
+    def test_worker_count_independent_with_clocks(self, b2, k_one):
+        """General-mode clocks from near the walls: clocks fire and steps
+        reject, so the per-path retry and clock streams are exercised."""
+        run = self._assert_blocking_invariant(self._engine_params(b2, k_one, clocks=True))
+        assert sum(map(len, run.events)) > 0
+        assert run.n_rejected.sum() > 0
 
 
 class TestWallHitting:
