@@ -11,8 +11,8 @@ Paths are independent and vectorized in blocks; anything rare (a proposal
 that crosses a wall, a capped clock increment, a firing clock) drops to a
 per-path bisection routine.  All randomness is drawn from per-path
 streams, so results are independent of blocking and worker count; one
-generator per block serves every path's stream, set to each path's
-batch-derived key in turn.
+generator per block serves every path's stream: ``rng.stream(..., into=)``
+sets it to each path's key in turn.
 
 A vector step is one fused accept test.  The block carries A·x of every
 path from the proposal it accepted, so a step computes A·x once: the
@@ -188,27 +188,28 @@ def _run_block(params: EngineParams, first_path: int, n_paths: int) -> EngineRes
     tgrid = params.tgrid
     n_steps = len(tgrid) - 1
     seed = params.seed
-    paths = np.arange(first_path, first_path + n_paths)
 
     # One generator serves the block, set to each path's own stream in turn.
     # Per-path streams are consumed one grid step at a time; buffering them
     # in segments keeps memory bounded without changing any draw: a path's
     # next segment resumes from the state its last one left.
-    gen = rngmod.stream(seed, rngmod.DIFFUSION, first_path)
-    resume = [rngmod.start_state(key)
-              for key in rngmod.keys(seed, rngmod.DIFFUSION, paths)]
+    gen = None
+    resume = [None] * n_paths
     seg_len = max(1, min(n_steps, NOISE_BUFFER // max(1, n_paths * nd)))
     xi_buf = np.empty((n_paths, 0, nd))
     seg_start = 0
 
     def _xi(step):
-        nonlocal xi_buf, seg_start
+        nonlocal gen, xi_buf, seg_start
         if not seg_start <= step < seg_start + xi_buf.shape[1]:
             seg_start = step
             count = min(seg_len, n_steps - step)
             xi_buf = np.empty((n_paths, count, nd))
             for j in range(n_paths):
-                gen.bit_generator.state = resume[j]
+                if resume[j] is None:
+                    gen = rngmod.stream(seed, rngmod.DIFFUSION, first_path + j, into=gen)
+                else:
+                    gen.bit_generator.state = resume[j]
                 gen.standard_normal(out=xi_buf[j])
                 if step + count < n_steps:
                     resume[j] = gen.bit_generator.state
@@ -221,8 +222,8 @@ def _run_block(params: EngineParams, first_path: int, n_paths: int) -> EngineRes
     lam_mat = np.zeros((n_paths, g))
     thr_mat = np.zeros((n_paths, g))
     if g:
-        for j, key in enumerate(rngmod.keys(seed, rngmod.CLOCK, paths, 0)):
-            gen.bit_generator.state = rngmod.start_state(key)
+        for j in range(n_paths):
+            gen = rngmod.stream(seed, rngmod.CLOCK, first_path + j, 0, into=gen)
             gen.standard_exponential(out=thr_mat[j])
     path_states = {}   # only paths that needed the scalar routine
 

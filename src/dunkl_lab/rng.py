@@ -3,9 +3,10 @@
 Every consumer of randomness gets its own counter-based Philox stream,
 keyed by ``(master seed, purpose, *indices)``.  The Philox key is the one
 ``np.random.SeedSequence(seed, spawn_key=(purpose, *indices))`` generates;
-``keys`` derives it for a whole batch of paths at once, with the same
-values, and ``start_state`` puts one generator on any path's stream, so
-one generator serves a whole batch.  A path's stream depends only on the
+``keys`` derives it with the same values, for one path or for a whole
+batch of paths at once.  ``stream(..., into=gen)`` and ``start_state`` put
+an existing generator on any path's stream, so one generator serves a
+whole batch.  A path's stream depends only on the
 master seed and the path index, never on batching or scheduling, so any
 path can be regenerated in isolation and whole runs are reproducible bit
 for bit for a fixed configuration, regardless of worker count.
@@ -42,17 +43,29 @@ def _mix(x, y):
 
 
 def _mix_in(pool, const, words):
+    """Mix ``words`` into ``pool`` in place; returns the next hash constant.
+    ``_hashmix`` and ``_mix`` written out, as one key costs 8 of each."""
     for value in words:
         for dst in range(4):
-            hashed, const = _hashmix(value, const)
-            pool[dst] = _mix(pool[dst], hashed)
+            new = const * 0x931E8875 & _MASK
+            hashed = (value ^ const) * new & _MASK
+            const = new
+            r = (0xCA01F9DD * pool[dst] - 0x4973F715 * (hashed ^ hashed >> 16)) & _MASK
+            pool[dst] = r ^ r >> 16
     return const
 
 
 @functools.lru_cache(maxsize=256)
-def _seed_pool(seed):
-    """SeedSequence's pool and hash constant once the seed's uint32 words,
-    zero-padded to the pool size of 4, are mixed in."""
+def _pool(seed, *lead):
+    """SeedSequence's pool and next hash constant once the seed's uint32
+    words, zero-padded to the pool size of 4, and then the key parts
+    ``lead`` are mixed in.  Cached: a run keys all its paths with a few
+    seeds and purposes."""
+    if lead:
+        pool, const = _pool(seed)
+        pool = list(pool)
+        const = _mix_in(pool, const, lead)
+        return tuple(pool), const
     words = [seed >> s & _MASK for s in range(0, max(seed.bit_length(), 1), 32)]
     words += [0] * (4 - len(words))
     pool, const = [], 0x43B0D7E5
@@ -80,13 +93,17 @@ def keys(seed: int, *key) -> np.ndarray:
     if seed < 0 or not all(0 <= p <= _MASK if isinstance(p, int)
                            else p.max(initial=0) <= _MASK for p in parts):
         raise ValueError("seed must be ≥ 0 and key parts in [0, 2**32)")
-    pool, const = _seed_pool(seed)
+    # A run's keys share their seed and purpose, so that pool is cached.
+    lead = parts[:1] if parts and isinstance(parts[0], int) else []
+    pool, const = _pool(seed, *lead)
     pool = list(pool)
-    _mix_in(pool, const, parts)
+    _mix_in(pool, const, parts[len(lead):])
     const, words = 0x8B51F9DD, []
     for value in pool:
-        value, const = _hashmix(value, const, 0x58F38DED)
-        words.append(value)
+        new = const * 0x58F38DED & _MASK
+        value = (value ^ const) * new & _MASK
+        const = new
+        words.append(value ^ value >> 16)
     lo, hi = words[0] | words[1] << 32, words[2] | words[3] << 32
     if isinstance(lo, int):
         return np.array([lo, hi], dtype=np.uint64)
@@ -104,9 +121,17 @@ def start_state(key) -> dict:
             "has_uint32": 0, "uinteger": 0}
 
 
-def stream(seed: int, *key: int) -> np.random.Generator:
+def stream(seed: int, *key: int, into=None) -> np.random.Generator:
     """Independent generator for the given purpose/index key.
+
+    With ``into``, a generator this function returned, that generator is
+    put at the start of the stream and returned instead of a new one: the
+    engine opens every path's stream this way, at the cost of a key
+    derivation and a state assignment, not of a new Philox.
 
     Philox takes the key directly, so the generator's ``seed_seq`` is not
     the stream's; do not ``spawn`` from it."""
-    return np.random.Generator(np.random.Philox(key=keys(seed, *key)))
+    if into is None:
+        return np.random.Generator(np.random.Philox(key=keys(seed, *key)))
+    into.bit_generator.state = start_state(keys(seed, *key))
+    return into

@@ -60,6 +60,15 @@ def test_reused_generator_draws_the_stream():
                           old.standard_normal(6))
 
 
+def test_stream_into_rekeys_the_generator():
+    gen = rng.stream(3, rng.DIFFUSION, 0)
+    for key in ((rng.DIFFUSION, 5), (rng.CLOCK, 5, 0), (rng.DIFFUSION, 5)):
+        gen.standard_normal(3)   # a used generator starts the stream afresh
+        assert rng.stream(3, *key, into=gen) is gen
+        assert np.array_equal(gen.standard_normal(7),
+                              rng.stream(3, *key).standard_normal(7))
+
+
 @pytest.mark.parametrize("buffer", [_engine.NOISE_BUFFER, 7 * 2 * 3, 1])
 def test_engine_noise_is_each_paths_stream(monkeypatch, buffer):
     """With no drift and no wall in reach, x_{t+1} = x_t + 0 + √h·ξ_t, so the
