@@ -10,9 +10,7 @@ continue from the reflected point.
 Paths are independent and vectorized in blocks; anything rare (a proposal
 that crosses a wall, a capped clock increment, a firing clock) drops to a
 per-path bisection routine.  All randomness is drawn from per-path
-streams, so results are independent of blocking and worker count; one
-generator per block serves every path's stream: ``rng.stream(..., into=)``
-sets it to each path's key in turn.
+streams, so results are independent of blocking and worker count.
 
 A vector step is one fused accept test.  The block carries A·x of every
 path from the proposal it accepted, so a step computes A·x once: the
@@ -189,30 +187,21 @@ def _run_block(params: EngineParams, first_path: int, n_paths: int) -> EngineRes
     n_steps = len(tgrid) - 1
     seed = params.seed
 
-    # One generator serves the block, set to each path's own stream in turn.
+    gens = [rngmod.stream(seed, rngmod.DIFFUSION, first_path + j)
+            for j in range(n_paths)]
     # Per-path streams are consumed one grid step at a time; buffering them
-    # in segments keeps memory bounded without changing any draw: a path's
-    # next segment resumes from the state its last one left.
-    gen = None
-    resume = [None] * n_paths
+    # in segments keeps memory bounded without changing any draw.
     seg_len = max(1, min(n_steps, NOISE_BUFFER // max(1, n_paths * nd)))
     xi_buf = np.empty((n_paths, 0, nd))
     seg_start = 0
 
     def _xi(step):
-        nonlocal gen, xi_buf, seg_start
+        nonlocal xi_buf, seg_start
         if not seg_start <= step < seg_start + xi_buf.shape[1]:
             seg_start = step
-            count = min(seg_len, n_steps - step)
-            xi_buf = np.empty((n_paths, count, nd))
-            for j in range(n_paths):
-                if resume[j] is None:
-                    gen = rngmod.stream(seed, rngmod.DIFFUSION, first_path + j, into=gen)
-                else:
-                    gen.bit_generator.state = resume[j]
-                gen.standard_normal(out=xi_buf[j])
-                if step + count < n_steps:
-                    resume[j] = gen.bit_generator.state
+            xi_buf = np.empty((n_paths, min(seg_len, n_steps - step), nd))
+            for gen, buf in zip(gens, xi_buf):
+                gen.standard_normal(out=buf)
             if params.noise_transform is not None:
                 xi_buf = xi_buf @ params.noise_transform.T
         return xi_buf[:, step - seg_start]
@@ -221,10 +210,9 @@ def _run_block(params: EngineParams, first_path: int, n_paths: int) -> EngineRes
     signs_mat = np.tile(np.sign(A @ params.x0), (n_paths, 1))
     lam_mat = np.zeros((n_paths, g))
     thr_mat = np.zeros((n_paths, g))
-    if g:
-        for j in range(n_paths):
-            gen = rngmod.stream(seed, rngmod.CLOCK, first_path + j, 0, into=gen)
-            gen.standard_exponential(out=thr_mat[j])
+    for j in range(n_paths if g else 0):
+        clock = rngmod.stream(seed, rngmod.CLOCK, first_path + j, 0)
+        thr_mat[j] = clock.standard_exponential(g)
     path_states = {}   # only paths that needed the scalar routine
 
     active = np.ones(n_paths, dtype=bool)
@@ -289,7 +277,9 @@ def _run_block(params: EngineParams, first_path: int, n_paths: int) -> EngineRes
             if not ok[local_j] and params.policy == "stop_at_t0":
                 _terminate(j, TERM_T0, t1s, step)
                 continue
-            ps = path_states.setdefault(j, _PathState(seed, first_path + j))
+            ps = path_states.get(j)
+            if ps is None:
+                ps = path_states[j] = _PathState(seed, first_path + j)
             ps.signs = signs_mat[j].copy()
             ps.lam = lam_mat[j].copy()
             ps.thresholds = thr_mat[j].copy()

@@ -50,7 +50,7 @@ from .radial import (
     _JumpTable,
     _trajectories_from_engine,
 )
-from .rng import FLIP, keys, start_state, stream
+from .rng import FLIP, generator, keys
 from .root_systems import (
     Multiplicity,
     RootSystem,
@@ -256,7 +256,6 @@ def _flip_stage(states, stop_index, jumps, times, system, root_position, rate,
     flipped = np.zeros(len(jumps.time), dtype=bool)
     new = []
     flip_keys = keys(seed, FLIP, stage_index, np.arange(n_paths))
-    gen = stream(seed, FLIP, stage_index, 0)
     block = max(1, CLOCK_BLOCK // len(times))
     for first in range(0, n_paths, block):
         clocks = rate * cumulative_time_change(times, states[first:first + block],
@@ -264,8 +263,7 @@ def _flip_stage(states, stop_index, jumps, times, system, root_position, rate,
         for p in range(first, min(first + block, n_paths)):
             end = int(stop_index[p]) + 1
             clock = clocks[p - first, :end]
-            gen.bit_generator.state = start_state(flip_keys[p])
-            arrivals = _arrivals(gen, clock[-1])
+            arrivals = _arrivals(generator(flip_keys[p]), clock[-1])
             if not len(arrivals):
                 continue
             flip_times = np.interp(arrivals, clock, times[:end])

@@ -4,12 +4,12 @@ Every consumer of randomness gets its own counter-based Philox stream,
 keyed by ``(master seed, purpose, *indices)``.  The Philox key is the one
 ``np.random.SeedSequence(seed, spawn_key=(purpose, *indices))`` generates;
 ``keys`` derives it with the same values, for one path or for a whole
-batch of paths at once.  ``stream(..., into=gen)`` and ``start_state`` put
-an existing generator on any path's stream, so one generator serves a
-whole batch.  A path's stream depends only on the
-master seed and the path index, never on batching or scheduling, so any
-path can be regenerated in isolation and whole runs are reproducible bit
-for bit for a fixed configuration, regardless of worker count.
+batch of paths at once, and ``generator`` builds a stream's generator
+from its key, so a batch's streams cost one key derivation.  A path's
+stream depends only on the master seed and the path index, never on
+batching or scheduling, so any path can be regenerated in isolation and
+whole runs are reproducible bit for bit for a fixed configuration,
+regardless of worker count.
 """
 
 from __future__ import annotations
@@ -30,8 +30,10 @@ CHECK = 4       # verification-side sampling (oracles, test points)
 _MASK = 0xFFFFFFFF
 
 
+# SeedSequence's uint32 hash mixing.  The operands are Python ints or uint64
+# arrays holding uint32 values; masking keeps every result in uint32.
 def _hashmix(value, const, mult=0x931E8875):
-    """SeedSequence's hashmix: the hashed value and the next hash constant."""
+    """The hashed value and the next hash constant."""
     new = const * mult & _MASK
     value = (value ^ const) * new & _MASK
     return value ^ value >> 16, new
@@ -43,95 +45,76 @@ def _mix(x, y):
 
 
 def _mix_in(pool, const, words):
-    """Mix ``words`` into ``pool`` in place; returns the next hash constant.
-    ``_hashmix`` and ``_mix`` written out, as one key costs 8 of each."""
-    for value in words:
+    """Mix ``words`` into ``pool`` in place; returns the next hash constant."""
+    for word in words:
         for dst in range(4):
-            new = const * 0x931E8875 & _MASK
-            hashed = (value ^ const) * new & _MASK
-            const = new
-            r = (0xCA01F9DD * pool[dst] - 0x4973F715 * (hashed ^ hashed >> 16)) & _MASK
-            pool[dst] = r ^ r >> 16
+            hashed, const = _hashmix(word, const)
+            pool[dst] = _mix(pool[dst], hashed)
     return const
 
 
 @functools.lru_cache(maxsize=256)
-def _pool(seed, *lead):
-    """SeedSequence's pool and next hash constant once the seed's uint32
-    words, zero-padded to the pool size of 4, and then the key parts
-    ``lead`` are mixed in.  Cached: a run keys all its paths with a few
-    seeds and purposes."""
-    if lead:
-        pool, const = _pool(seed)
-        pool = list(pool)
-        const = _mix_in(pool, const, lead)
-        return tuple(pool), const
+def _pool(seed, purpose):
+    """SeedSequence's pool of 4 words and next hash constant once the
+    seed's uint32 words, zero-padded to the pool size, and the purpose are
+    mixed in.  Cached: a run keys all its streams with a few of these."""
     words = [seed >> s & _MASK for s in range(0, max(seed.bit_length(), 1), 32)]
     words += [0] * (4 - len(words))
     pool, const = [], 0x43B0D7E5
-    for value in words[:4]:
-        value, const = _hashmix(value, const)
+    for word in words[:4]:
+        value, const = _hashmix(word, const)
         pool.append(value)
     for src, dst in itertools.permutations(range(4), 2):
         hashed, const = _hashmix(pool[src], const)
         pool[dst] = _mix(pool[dst], hashed)
-    const = _mix_in(pool, const, words[4:])
+    const = _mix_in(pool, const, words[4:] + [purpose])
     return tuple(pool), const
 
 
-def keys(seed: int, *key) -> np.ndarray:
-    """Philox keys of the streams ``(seed, *key)``, shape (..., 2) uint64.
-
-    Equal to ``SeedSequence(seed, spawn_key=key).generate_state(2, np.uint64)``:
-    SeedSequence's uint32 hash mixing, on Python ints or, where a key part
-    is an integer array (say, one entry per path), on whole arrays at once.
-    Key parts must lie in [0, 2³²).
+def keys(seed: int, purpose: int, *key) -> np.ndarray:
+    """Philox keys of the streams ``(seed, purpose, *key)``, shape (..., 2)
+    uint64, equal to ``SeedSequence(seed, spawn_key=(purpose, *key))
+    .generate_state(2, np.uint64)``.  A key part after the purpose may be
+    an integer array (say, one entry per path); key parts lie in [0, 2³²).
     """
-    seed = int(seed)
-    parts = [k if isinstance(k, int) else
-             np.asarray(k, dtype=np.uint64) if np.ndim(k) else int(k) for k in key]
+    seed, purpose = int(seed), int(purpose)
+    parts = [int(k) if isinstance(k, (int, np.integer)) else
+             np.asarray(k, dtype=np.uint64) for k in key]
     if seed < 0 or not all(0 <= p <= _MASK if isinstance(p, int)
-                           else p.max(initial=0) <= _MASK for p in parts):
+                           else p.max(initial=0) <= _MASK for p in [purpose] + parts):
         raise ValueError("seed must be ≥ 0 and key parts in [0, 2**32)")
-    # A run's keys share their seed and purpose, so that pool is cached.
-    lead = parts[:1] if parts and isinstance(parts[0], int) else []
-    pool, const = _pool(seed, *lead)
+    pool, const = _pool(seed, purpose)
     pool = list(pool)
-    _mix_in(pool, const, parts[len(lead):])
+    _mix_in(pool, const, parts)
     const, words = 0x8B51F9DD, []
     for value in pool:
-        new = const * 0x58F38DED & _MASK
-        value = (value ^ const) * new & _MASK
-        const = new
-        words.append(value ^ value >> 16)
+        value, const = _hashmix(value, const, 0x58F38DED)
+        words.append(value)
     lo, hi = words[0] | words[1] << 32, words[2] | words[3] << 32
     if isinstance(lo, int):
         return np.array([lo, hi], dtype=np.uint64)
     return np.stack([lo, hi], axis=-1)
 
 
-def start_state(key) -> dict:
-    """Philox state at the start of the stream with Philox key ``key``.
+class _Key(np.random.bit_generator.ISeedSequence):
+    """Hands Philox a key ``keys`` derived.  ``Philox(key=)`` would also
+    draw OS entropy for a seed sequence it never uses."""
 
-    Assigned to a ``stream`` generator's ``bit_generator.state``, it puts
-    that generator on this stream: one generator serves many paths."""
-    return {"bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, np.uint64), "key": key},
-            "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
-            "has_uint32": 0, "uinteger": 0}
+    def __init__(self, key):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        assert (n_words, dtype) == (2, np.uint64)
+        return self.key
 
 
-def stream(seed: int, *key: int, into=None) -> np.random.Generator:
-    """Independent generator for the given purpose/index key.
+def generator(key) -> np.random.Generator:
+    """Generator at the start of the stream with Philox key ``key`` (one
+    row of ``keys``).  Its ``seed_seq`` is not the stream's; do not
+    ``spawn`` from it."""
+    return np.random.Generator(np.random.Philox(_Key(key)))
 
-    With ``into``, a generator this function returned, that generator is
-    put at the start of the stream and returned instead of a new one: the
-    engine opens every path's stream this way, at the cost of a key
-    derivation and a state assignment, not of a new Philox.
 
-    Philox takes the key directly, so the generator's ``seed_seq`` is not
-    the stream's; do not ``spawn`` from it."""
-    if into is None:
-        return np.random.Generator(np.random.Philox(key=keys(seed, *key)))
-    into.bit_generator.state = start_state(keys(seed, *key))
-    return into
+def stream(seed: int, *key: int) -> np.random.Generator:
+    """Independent generator for the given purpose/index key."""
+    return generator(keys(seed, *key))

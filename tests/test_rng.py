@@ -42,31 +42,21 @@ def test_keys_equal_seed_sequence(seed, shape):
 
 
 def test_keys_reject_out_of_range():
-    for bad in ((-1, 0), (1, -1), (1, 2**32), (1, np.array([0, 2**32]))):
+    for bad in ((-1, 0), (1, -1), (1, 2**32), (1, 0, np.array([0, 2**32])),
+                (1, 0, np.array([-1]))):
         with pytest.raises((ValueError, OverflowError)):
             rng.keys(*bad)
 
 
-def test_reused_generator_draws_the_stream():
-    gen = rng.stream(5, rng.FLIP, 2, 0)
-    for p in (7, 3, 7):
-        expected = rng.stream(5, rng.FLIP, 2, p).standard_exponential(9)
-        gen.bit_generator.state = rng.start_state(rng.keys(5, rng.FLIP, 2, p))
-        got = gen.standard_exponential(9)
-        assert np.array_equal(got, expected)
+def test_generator_from_a_batch_key_draws_the_stream():
+    batch = rng.keys(5, rng.FLIP, 2, np.arange(8))
+    for p in (7, 3):
+        assert np.array_equal(rng.generator(batch[p]).standard_exponential(9),
+                              rng.stream(5, rng.FLIP, 2, p).standard_exponential(9))
     old = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(5, spawn_key=(rng.FLIP, 2, 7))))
     assert np.array_equal(rng.stream(5, rng.FLIP, 2, 7).standard_normal(6),
                           old.standard_normal(6))
-
-
-def test_stream_into_rekeys_the_generator():
-    gen = rng.stream(3, rng.DIFFUSION, 0)
-    for key in ((rng.DIFFUSION, 5), (rng.CLOCK, 5, 0), (rng.DIFFUSION, 5)):
-        gen.standard_normal(3)   # a used generator starts the stream afresh
-        assert rng.stream(3, *key, into=gen) is gen
-        assert np.array_equal(gen.standard_normal(7),
-                              rng.stream(3, *key).standard_normal(7))
 
 
 @pytest.mark.parametrize("buffer", [_engine.NOISE_BUFFER, 7 * 2 * 3, 1])
