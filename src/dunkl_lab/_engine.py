@@ -7,9 +7,11 @@ optional set of root clocks accumulates the integrated intensities
 Exp(1) threshold, the state reflects across α_j, and the same dynamics
 continue from the reflected point.
 
-Paths are independent and vectorized in blocks; anything rare (a proposal
-that crosses a wall, a capped clock increment, a firing clock) drops to a
-per-path bisection routine.  All randomness is drawn from per-path
+Paths are independent and vectorized in blocks; the paths a grid step
+does not accept (a proposal that crosses a wall, a capped clock increment,
+a firing clock) go to ``cover_interval``, which advances all of them
+together in rounds, each path through its own stack of bisected and
+post-firing sub-intervals.  All randomness is drawn from per-path
 streams, so results are independent of blocking and worker count.
 
 A vector step is one fused accept test.  The block carries A·x of every
@@ -17,7 +19,9 @@ path from the proposal it accepted, so a step computes A·x once: the
 smallest signed distance (A·x)·sign both tests that the proposal keeps its
 chamber and is the wall distance of an accepted path.  Norms for the
 contact threshold are taken only for paths a cheap bound cannot clear, and
-per-path bisection state exists only for paths that needed it.
+per-path streams for retries and firings exist only for paths that needed
+them: a block derives their keys in one ``rng.keys`` call when a path first
+needs one, and a path's generator is built on its first draw.
 
 Proposals that would cross a reflecting hyperplane are never accepted:
 under the reject-and-halve policy the interval is bisected with fresh
@@ -37,7 +41,6 @@ from typing import Optional
 import numpy as np
 
 from . import rng as rngmod
-from .errors import StepFailureError
 
 TERM_HORIZON = 0
 TERM_T0 = 1
@@ -85,97 +88,110 @@ class EngineResult:
 
 
 class _PathState:
-    """Mutable per-path context for the scalar bisection routine."""
+    """Streams, event log and rejection count of a path that needed
+    ``cover_interval``.  A stream is held as its Philox key until its first
+    draw builds the generator (or as a generator, given one)."""
 
-    __slots__ = ("signs", "lam", "thresholds", "events", "proposals",
-                 "_retry", "_clock", "_seed", "_index", "rejected")
+    __slots__ = ("events", "rejected", "_retry", "_clock")
 
-    def __init__(self, seed, index, signs=None, lam=None, thresholds=None):
-        self.signs = signs
-        self.lam = lam
-        self.thresholds = thresholds
+    def __init__(self, retry, clock=None):
         self.events = []
-        self.proposals = 0
         self.rejected = 0
-        self._retry = None
-        self._clock = None
-        self._seed = seed
-        self._index = index
+        self._retry = retry
+        self._clock = clock
 
     def retry_rng(self):
-        if self._retry is None:
-            self._retry = rngmod.stream(self._seed, rngmod.RETRY, self._index)
+        if not isinstance(self._retry, np.random.Generator):
+            self._retry = rngmod.generator(self._retry)
         return self._retry
 
     def clock_rng(self):
-        if self._clock is None:
-            self._clock = rngmod.stream(self._seed, rngmod.CLOCK, self._index, 1)
+        if not isinstance(self._clock, np.random.Generator):
+            self._clock = rngmod.generator(self._clock)
         return self._clock
 
 
-def cover_interval(params, ps, x, h, t_start, depth, first_xi=None):
-    """Advance one path across a full interval of length ``h``.
+def cover_interval(params, paths, x, signs, lam, thr, h, t_start, xi):
+    """Advance the rows ``x`` (R, n) of ``paths`` across an interval of
+    length ``h`` from ``t_start``; ``xi`` (R, n) is each row's first noise.
 
-    Proposals that change the chamber sign pattern, or whose clock
-    increment exceeds the cap, bisect the interval with fresh noise.
-    Clock crossings fire a reflection jump at the linearly interpolated
-    crossing time and the remainder of the interval continues from the
-    reflected point.  Returns the state at ``t_start + h``.
+    Each row works through a stack of (h, t_start, depth) sub-intervals in
+    the order a depth-first bisection visits them, and every round takes
+    the top task of each unfinished row.  A proposal that changes the
+    chamber sign pattern, or whose clock increment exceeds the cap, is
+    replaced by its two halves with fresh noise.  A clock crossing fires a
+    reflection jump at the linearly interpolated crossing time, and the
+    remainder continues from the reflected point with fresh noise.  Fresh
+    noise and thresholds come from the path's own streams, so no row's
+    draws depend on the others.  ``x``, ``signs``, ``lam`` and ``thr`` are
+    updated in place.  Returns the rows that covered the interval; a row
+    fails when a rejection finds no halving left or when it would start
+    proposal ``PROPOSAL_BUDGET + 1``.
     """
-    ps.proposals += 1
-    if ps.proposals > PROPOSAL_BUDGET:
-        raise StepFailureError("per-interval proposal budget exhausted")
-    n = x.shape[0]
-    if first_xi is None:
-        first_xi = ps.retry_rng().standard_normal(n)
-        if params.noise_transform is not None:
-            first_xi = params.noise_transform @ first_xi
-    dots = params.positive_roots @ x
-    drift = params.positive_roots.T @ (params.kvec / dots)
-    prop = x + drift * h + math.sqrt(h) * first_xi
-    pdots = params.positive_roots @ prop
+    A = params.positive_roots
+    cols = np.asarray(params.clock_positions, dtype=np.int64)
+    stacks = [[(h, t_start, params.max_halvings)] for _ in paths]
+    proposals = np.zeros(len(paths), dtype=np.int64)
+    covered = np.ones(len(paths), dtype=bool)
+    rows = np.arange(len(paths))
+    while rows.size:
+        hs, ts, depth = map(np.array, zip(*[stacks[r].pop() for r in rows]))
+        proposals[rows] += 1
+        if xi is None:
+            xi = np.array([paths[r].retry_rng().standard_normal(x.shape[1]) for r in rows])
+            if params.noise_transform is not None:
+                xi = np.matmul(params.noise_transform, xi[:, :, None])[:, :, 0]
+        xr = x[rows]
+        d = xr @ A.T
+        # A stacked matmul runs the 1-D product's gemv on each row; one
+        # (kvec / d) @ A gemm would differ in the last bit.
+        drift = np.matmul(A.T, (params.kvec / d)[:, :, None])[:, :, 0]
+        prop = xr + drift * hs[:, None] + np.sqrt(hs)[:, None] * xi
+        xi = None
+        pd = prop @ A.T
+        dlam = params.clock_rates * hs[:, None] * 0.5 * (d[:, cols]**-2.0
+                                                         + pd[:, cols]**-2.0)
+        total = lam[rows] + dlam
+        bad = (np.sign(pd) != signs[rows]).any(axis=1) \
+            | (dlam > params.lambda_cap).any(axis=1)
+        cross = ~bad & (total >= thr[rows]).any(axis=1)
+        calm = ~bad & ~cross
+        x[rows[calm]], lam[rows[calm]] = prop[calm], total[calm]
 
-    def bisect():
-        ps.rejected += 1
-        if depth <= 0:
-            raise StepFailureError("max step halvings exhausted")
-        mid = cover_interval(params, ps, x, 0.5 * h, t_start, depth - 1)
-        return cover_interval(params, ps, mid, 0.5 * h, t_start + 0.5 * h, depth - 1)
+        for i in np.flatnonzero(bad):
+            r = rows[i]
+            paths[r].rejected += 1
+            if depth[i] <= 0:
+                covered[r], stacks[r] = False, []
+                continue
+            half = 0.5 * hs[i]
+            stacks[r] += [(half, ts[i] + half, depth[i] - 1), (half, ts[i], depth[i] - 1)]
 
-    if np.any(np.sign(pdots) != ps.signs):
-        return bisect()
+        if cross.any():
+            fired = rows[cross]
+            dl, lam0, thr0 = dlam[cross], lam[fired], thr[fired]
+            theta = np.where(dl > 0, (thr0 - lam0) / np.where(dl > 0, dl, 1.0), np.inf)
+            j = np.where(total[cross] >= thr0, theta, np.inf).argmin(axis=1)
+            th = np.clip(theta[np.arange(len(fired)), j], 0.0, 1.0)
+            pre = xr[cross] + th[:, None] * (prop[cross] - xr[cross])
+            lam[fired] = lam0 + th[:, None] * dl
+            lam[fired, j] = 0.0
+            alpha = A[cols[j]]
+            post = pre - np.vecdot(pre, alpha)[:, None] * alpha
+            x[fired], signs[fired] = post, np.sign(post @ A.T)
+            t_fire = ts[cross] + th * hs[cross]
+            h_rest, d_rest = (1.0 - th) * hs[cross], depth[cross]
+            for a, r in enumerate(fired):
+                paths[r].events.append((float(t_fire[a]), params.clock_positions[j[a]],
+                                        pre[a], post[a]))
+                thr[r, j[a]] = paths[r].clock_rng().standard_exponential()
+                if th[a] < 1.0:
+                    stacks[r].append((h_rest[a], t_fire[a], d_rest[a]))
 
-    g = len(params.clock_positions)
-    if g:
-        clock_cols = list(params.clock_positions)
-        d0 = dots[clock_cols]
-        d1 = pdots[clock_cols]
-        dlam = params.clock_rates * h * 0.5 * (d0**-2 + d1**-2)
-        if np.any(dlam > params.lambda_cap):
-            return bisect()
-        crossing = ps.lam + dlam >= ps.thresholds
-        if crossing.any():
-            with np.errstate(divide="ignore"):
-                theta = np.where(dlam > 0,
-                                 (ps.thresholds - ps.lam) / np.where(dlam > 0, dlam, 1.0),
-                                 np.inf)
-            theta = np.where(crossing, theta, np.inf)
-            j = int(np.argmin(theta))
-            th = float(min(max(theta[j], 0.0), 1.0))
-            x_star = x + th * (prop - x)
-            ps.lam = ps.lam + th * dlam
-            alpha = params.positive_roots[params.clock_positions[j]]
-            post = x_star - (x_star @ alpha) * alpha
-            ps.events.append((t_start + th * h, params.clock_positions[j], x_star, post))
-            ps.lam[j] = 0.0
-            ps.thresholds[j] = ps.clock_rng().standard_exponential()
-            ps.signs = np.sign(params.positive_roots @ post)
-            if th >= 1.0:
-                return post
-            return cover_interval(params, ps, post, (1.0 - th) * h,
-                                  t_start + th * h, depth)
-        ps.lam = ps.lam + dlam
-    return prop
+        left = np.array([bool(stacks[r]) for r in rows], dtype=bool)
+        covered[rows[left & (proposals[rows] >= PROPOSAL_BUDGET)]] = False
+        rows = rows[left & (proposals[rows] < PROPOSAL_BUDGET)]
+    return covered
 
 
 def _run_block(params: EngineParams, first_path: int, n_paths: int) -> EngineResult:
@@ -210,10 +226,20 @@ def _run_block(params: EngineParams, first_path: int, n_paths: int) -> EngineRes
     signs_mat = np.tile(np.sign(A @ params.x0), (n_paths, 1))
     lam_mat = np.zeros((n_paths, g))
     thr_mat = np.zeros((n_paths, g))
-    for j in range(n_paths if g else 0):
-        clock = rngmod.stream(seed, rngmod.CLOCK, first_path + j, 0)
-        thr_mat[j] = clock.standard_exponential(g)
-    path_states = {}   # only paths that needed the scalar routine
+    paths = first_path + np.arange(n_paths)
+    for row, key in zip(thr_mat, rngmod.keys(seed, rngmod.CLOCK, paths, 0) if g else ()):
+        rngmod.generator(key).standard_exponential(out=row)
+    path_states = {}   # only paths that needed cover_interval
+    retry_keys = None
+
+    def _path_state(j):
+        nonlocal retry_keys
+        if j not in path_states:
+            if retry_keys is None:
+                retry_keys = (rngmod.keys(seed, rngmod.RETRY, paths),
+                              rngmod.keys(seed, rngmod.CLOCK, paths, 1))
+            path_states[j] = _PathState(retry_keys[0][j], retry_keys[1][j])
+        return path_states[j]
 
     active = np.ones(n_paths, dtype=bool)
     termination = np.full(n_paths, TERM_HORIZON, dtype=np.int8)
@@ -235,8 +261,10 @@ def _run_block(params: EngineParams, first_path: int, n_paths: int) -> EngineRes
             t0_time[j] = t_end
 
     # d_cur holds A·x of every active path, carried over from the accepted
-    # proposal; matmuls over a subset of rows give the same bits per row.
+    # proposal, and inv_cur its clock columns' (A·x)⁻²; matmuls over a subset
+    # of rows give the same bits per row.
     d_cur = cur @ A.T
+    inv_cur = d_cur[:, clock_cols]**-2.0
     min_wd = (d_cur * signs_mat).min(axis=1)
 
     for step in range(n_steps):
@@ -257,47 +285,43 @@ def _run_block(params: EngineParams, first_path: int, n_paths: int) -> EngineRes
         # A proposal keeps its sign pattern iff every signed distance is > 0;
         # the smallest one is then its wall distance.
         wd = (pd * signs_mat[sel]).min(axis=1)
-        ok = plain = wd > 0
-        lam = lam_mat[sel]
+        ok = wd > 0
+        plain = ok.copy()
+        lam, inv = lam_mat[sel], pd[:, clock_cols]**-2.0
         if g:
-            dlam = rates * h * 0.5 * (d[:, clock_cols]**-2.0 + pd[:, clock_cols]**-2.0)
+            dlam = rates * h * 0.5 * (inv_cur[sel] + inv)
             lam = lam + dlam
-            plain = ok & np.all(dlam <= params.lambda_cap, axis=1) \
-                       & np.all(lam < thr_mat[sel], axis=1)
+            if not dlam.max() <= params.lambda_cap:
+                plain &= np.all(dlam <= params.lambda_cap, axis=1)
+            plain[np.flatnonzero(lam >= thr_mat[sel]) // g] = False
 
         if full and plain.all():
-            cur, d_cur, lam_mat = prop, pd, lam
+            cur, d_cur, lam_mat, inv_cur = prop, pd, lam, inv
+        elif full:
+            for dst, src in ((cur, prop), (d_cur, pd), (lam_mat, lam), (inv_cur, inv)):
+                np.copyto(dst, src, where=plain[:, None])
         else:
             rows = act[plain]
-            cur[rows], d_cur[rows], lam_mat[rows] = prop[plain], pd[plain], lam[plain]
+            cur[rows], d_cur[rows] = prop[plain], pd[plain]
+            lam_mat[rows], inv_cur[rows] = lam[plain], inv[plain]
 
-        redo = []
-        for local_j in np.nonzero(~plain)[0]:
-            j = int(act[local_j])
-            if not ok[local_j] and params.policy == "stop_at_t0":
+        redo = np.flatnonzero(~plain)
+        if params.policy == "stop_at_t0":
+            for j in act[redo[~ok[redo]]]:
                 _terminate(j, TERM_T0, t1s, step)
-                continue
-            ps = path_states.get(j)
-            if ps is None:
-                ps = path_states[j] = _PathState(seed, first_path + j)
-            ps.signs = signs_mat[j].copy()
-            ps.lam = lam_mat[j].copy()
-            ps.thresholds = thr_mat[j].copy()
-            ps.proposals = 0
-            try:
-                cur[j] = cover_interval(params, ps, cur[j].copy(), h, t0s,
-                                        params.max_halvings,
-                                        first_xi=xi_step[j])
-            except StepFailureError:
-                _terminate(j, TERM_STEP_FAILURE, t1s, step)
-                continue
-            signs_mat[j] = ps.signs
-            lam_mat[j] = ps.lam
-            thr_mat[j] = ps.thresholds
-            redo.append(local_j)
-        if redo:
+            redo = redo[ok[redo]]
+        if redo.size:
             rows = act[redo]
+            x, signs, lam_r, thr_r = cur[rows], signs_mat[rows], lam_mat[rows], thr_mat[rows]
+            covered = cover_interval(params, [_path_state(j) for j in rows], x, signs,
+                                     lam_r, thr_r, h, t0s, xi_step[rows])
+            for j in rows[~covered]:
+                _terminate(j, TERM_STEP_FAILURE, t1s, step)
+            rows, redo = rows[covered], redo[covered]
+            cur[rows], signs_mat[rows] = x[covered], signs[covered]
+            lam_mat[rows], thr_mat[rows] = lam_r[covered], thr_r[covered]
             d_cur[rows] = cur[rows] @ A.T
+            inv_cur[rows] = d_cur[rows][:, clock_cols]**-2.0
             wd[redo] = (d_cur[rows] * signs_mat[rows]).min(axis=1)
 
         if full and active.all():

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _engine
 from .calculus import drift as drift_field
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, StepFailureError
 from .root_systems import Multiplicity, RootSystem, chamber_contains
 
 
@@ -217,11 +217,13 @@ def em_step(system, k, x, dt, dw, *, rng=None, max_halvings=20):
         eps_wall=0.0,
         max_halvings=max_halvings,
     )
-    ps = _engine._PathState(0, 0, np.sign(system.positive_roots @ x),
-                            np.zeros(0), np.zeros(0))
-    ps._retry = rng
-    return _engine.cover_interval(params, ps, x.copy(), dt, 0.0,
-                                  max_halvings, first_xi=dw / math.sqrt(dt))
+    out = x[None].copy()
+    if not _engine.cover_interval(params, [_engine._PathState(rng)], out,
+                                  np.sign(out @ system.positive_roots.T),
+                                  np.zeros((1, 0)), np.zeros((1, 0)), dt, 0.0,
+                                  dw[None] / math.sqrt(dt))[0]:
+        raise StepFailureError("step halvings or proposal budget exhausted")
+    return out[0]
 
 
 def squared_norm_series(trajectory: Trajectory):

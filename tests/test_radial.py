@@ -6,6 +6,7 @@ import pytest
 from dunkl_lab import (
     InvalidArgumentError,
     SimulationConfig,
+    StepFailureError,
     em_step,
     multiplicity,
     run_radial,
@@ -64,6 +65,25 @@ class TestEmStep:
         rng = np.random.default_rng(1)
         out = em_step(rank1, k, np.array([0.1]), 0.01, np.array([-5.0]), rng=rng)
         assert out[0] > 0.0
+
+    def test_retry_route_values(self, rank1, b2):
+        """Proposals across a wall are bisected with draws from ``rng``; the
+        values pin those draws and the order the halves are covered in."""
+        out = em_step(rank1, multiplicity(rank1, 1.0), np.array([0.1]), 0.01,
+                      np.array([-5.0]), rng=np.random.default_rng(1))
+        assert out.tolist() == [0.2611973956391902]
+        # crosses e₁ = e₂; covered in five proposals, two of them rejected
+        out = em_step(b2, multiplicity(b2, 1.0), np.array([0.6, 0.2]), 0.05,
+                      np.array([-0.1, 0.5]), rng=np.random.default_rng(3))
+        assert out.tolist() == [0.5107885157820902, 0.27271656735256156]
+
+    def test_exhausted_halvings_raise(self, rank1, b2):
+        with pytest.raises(StepFailureError):
+            em_step(rank1, multiplicity(rank1, 1.0), np.array([0.1]), 0.01,
+                    np.array([-5.0]), rng=np.random.default_rng(1), max_halvings=0)
+        with pytest.raises(StepFailureError):
+            em_step(b2, multiplicity(b2, 1.0), np.array([0.6, 0.2]), 0.05,
+                    np.array([-0.1, 0.5]), rng=np.random.default_rng(3), max_halvings=0)
 
 
 class TestSimulateRadial:

@@ -59,6 +59,23 @@ def test_generator_from_a_batch_key_draws_the_stream():
                           old.standard_normal(6))
 
 
+@pytest.mark.parametrize("shape", [(rng.CLOCK, 0), (rng.RETRY,), (rng.CLOCK, 1)],
+                         ids=["clock0", "retry", "clock1"])
+def test_engine_batch_keys_draw_the_streams(shape):
+    """The engine takes a block's clock-threshold, retry and firing keys from
+    one ``rng.keys`` call over its paths and builds a path's generator on
+    its first draw; each draws what the path's ``rng.stream`` draws."""
+    purpose, *rest = shape
+    first_path = 4096
+    batch = rng.keys(11, purpose, first_path + np.arange(128), *rest)
+    for j in (0, 1, 77, 127):
+        ours = rng.generator(batch[j])
+        ref = rng.stream(11, purpose, first_path + j, *rest)
+        assert np.array_equal(ours.standard_exponential(4), ref.standard_exponential(4))
+        assert np.array_equal(ours.standard_normal(3), ref.standard_normal(3))
+        assert ours.standard_exponential() == ref.standard_exponential()
+
+
 @pytest.mark.parametrize("buffer", [_engine.NOISE_BUFFER, 7 * 2 * 3, 1])
 def test_engine_noise_is_each_paths_stream(monkeypatch, buffer):
     """With no drift and no wall in reach, x_{t+1} = x_t + 0 + √h·ξ_t, so the
