@@ -31,7 +31,6 @@ from .errors import (
     InvalidPlanError,
     SingularClockError,
     SingularDriftError,
-    StepFailureError,
     UnsupportedRegimeError,
 )
 from .lift import (
@@ -48,10 +47,8 @@ from .radial import (
     RadialRun,
     SimulationConfig,
     Trajectory,
-    em_step,
     read_trajectories_csv,
     run_radial,
-    squared_norm_series,
     write_trajectories_csv,
 )
 from .root_systems import (

@@ -90,11 +90,11 @@ class EngineResult:
 class _PathState:
     """Streams, event log and rejection count of a path that needed
     ``cover_interval``.  A stream is held as its Philox key until its first
-    draw builds the generator (or as a generator, given one)."""
+    draw builds the generator."""
 
     __slots__ = ("events", "rejected", "_retry", "_clock")
 
-    def __init__(self, retry, clock=None):
+    def __init__(self, retry, clock):
         self.events = []
         self.rejected = 0
         self._retry = retry

@@ -37,10 +37,6 @@ class UnsupportedRegimeError(InvalidArgumentError):
     """Parameters fall outside the regime the construction supports."""
 
 
-class StepFailureError(DunklLabError):
-    """An integration step could not be completed within its halving budget."""
-
-
 class ConfigError(DunklLabError, ValueError):
     """A run configuration failed schema validation.
 

@@ -19,8 +19,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import _engine
-from .calculus import drift as drift_field
-from .errors import InvalidArgumentError, StepFailureError
+from .errors import InvalidArgumentError
 from .root_systems import Multiplicity, RootSystem, chamber_contains
 
 
@@ -189,47 +188,6 @@ def run_radial(system: RootSystem, k: Multiplicity, x0, config: SimulationConfig
         trajectories=(_trajectories_from_engine(res, res.states, _jump_table(res))
                       if record else None),
     )
-
-
-def em_step(system, k, x, dt, dw, *, rng=None, max_halvings=20):
-    """One explicit Euler–Maruyama step from ``x`` with increment ``dw``.
-
-    The candidate is x + ∇log ϖ_k(x)·dt + dw.  If it leaves the chamber
-    the interval is covered by bisection with fresh increments drawn from
-    ``rng`` (required in that case); exhausting the halving budget raises
-    ``StepFailureError``.
-    """
-    x = np.asarray(x, dtype=float)
-    dw = np.asarray(dw, dtype=float)
-    candidate = x + drift_field(system, k, x) * dt + dw
-    if chamber_contains(system.positive_roots, candidate) == "interior":
-        return candidate
-    if rng is None:
-        raise InvalidArgumentError(
-            "candidate leaves the chamber; pass rng to allow halved retries"
-        )
-    params = _engine.EngineParams(
-        positive_roots=system.positive_roots,
-        kvec=k.per_positive(),
-        x0=x,
-        tgrid=np.array([0.0, dt]),
-        seed=0,
-        eps_wall=0.0,
-        max_halvings=max_halvings,
-    )
-    out = x[None].copy()
-    if not _engine.cover_interval(params, [_engine._PathState(rng)], out,
-                                  np.sign(out @ system.positive_roots.T),
-                                  np.zeros((1, 0)), np.zeros((1, 0)), dt, 0.0,
-                                  dw[None] / math.sqrt(dt))[0]:
-        raise StepFailureError("step halvings or proposal budget exhausted")
-    return out[0]
-
-
-def squared_norm_series(trajectory: Trajectory):
-    """(times, ‖x‖²) along a trajectory, for squared-Bessel comparisons."""
-    return trajectory.times, np.einsum("ij,ij->i", trajectory.states,
-                                       trajectory.states)
 
 
 # ---------------------------------------------------------------------------

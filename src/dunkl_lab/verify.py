@@ -8,8 +8,10 @@ derived off a master seed, so a whole suite is reproducible bit for bit
 from (seed, configuration); only the recorded runtimes vary.
 
 Each statistical check is paired with a negative control that feeds it a
-deliberately mismatched pair; a suite treats a passing control as an
-error, since a check that cannot fail verifies nothing.
+deliberately mismatched pair, since a check that cannot fail verifies
+nothing.  A control's report is its check's report with the verdict
+inverted: it passes exactly when the check fails, and
+``details["expected"]`` says why the check must fail there.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import json
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -121,28 +123,20 @@ def derived_seed(master, tag):
     return int(key[0]) & 0xFFFFFFFF
 
 
-def _timed(fn, *args, **kwargs):
-    t0 = time.perf_counter()
-    rep = fn(*args, **kwargs)
-    rep.runtime = time.perf_counter() - t0
-    return rep
-
-
-def stack_paths(trajectories, require_full=True):
+def stack_paths(trajectories):
     """(times, states (N, M+1, n)) for paths that reached the horizon.
 
     Returns the kept-path mask as third element; early-terminated paths
-    cannot be stacked on the common grid and are dropped.
+    cannot be stacked on the common grid and are dropped, and more than 5%
+    of them is an error.
     """
     full_len = max(len(t.times) for t in trajectories)
     kept = np.array([len(t.times) == full_len and t.termination == "horizon"
                      for t in trajectories])
-    if require_full and not kept.all():
-        frac = 1.0 - kept.mean()
-        if frac > 0.05:
-            raise InvalidArgumentError(
-                f"{frac:.1%} of paths terminated early; check the regime"
-            )
+    frac = 1.0 - kept.mean()
+    if frac > 0.05:
+        raise InvalidArgumentError(
+            f"{frac:.1%} of paths terminated early; check the regime")
     idx = np.nonzero(kept)[0]
     times = trajectories[idx[0]].times
     states = np.stack([trajectories[i].states for i in idx])
@@ -400,14 +394,10 @@ def folding_identity(plan, j, x0, config: SimulationConfig, *, rectangles=None,
         if not region.contains(plan.system, _rect_corners(rect)).all():
             raise InvalidArgumentError(f"rectangle {rect} leaves the pre-stage region")
     seed = config.seed if seed is None else seed
-    cfg_a = SimulationConfig(horizon=config.horizon, dt=config.dt,
-                             n_paths=config.n_paths,
-                             seed=derived_seed(seed, f"{name}:pre"))
-    cfg_b = SimulationConfig(horizon=config.horizon, dt=config.dt,
-                             n_paths=config.n_paths,
-                             seed=derived_seed(seed, f"{name}:post"))
-    pre = simulate_dunkl(plan, x0, cfg_a, stages=j - 1, threads=threads)
-    post = simulate_dunkl(plan, x0, cfg_b, stages=j, threads=threads)
+    cfg_pre = replace(config, seed=derived_seed(seed, f"{name}:pre"))
+    cfg_post = replace(config, seed=derived_seed(seed, f"{name}:post"))
+    pre = simulate_dunkl(plan, x0, cfg_pre, stages=j - 1, threads=threads)
+    post = simulate_dunkl(plan, x0, cfg_post, stages=j, threads=threads)
     alpha_j = plan.system.positive_roots[plan.enumeration[j - 1]]
     pre_states = pre.final_states
     post_states = post.final_states
@@ -455,9 +445,7 @@ def mode_equivalence(system, k, x0, root_position, config: SimulationConfig, *,
     rest = tuple(i for i in range(system.n_positive) if i != root_position)
     sims = {}
     for mode in ("shortcut", "general"):
-        cfg = SimulationConfig(horizon=config.horizon, dt=config.dt,
-                               n_paths=config.n_paths,
-                               seed=derived_seed(seed, f"{name}:{mode}"))
+        cfg = replace(config, seed=derived_seed(seed, f"{name}:{mode}"))
         plan = build_lift_plan(system, k, rates=multiplicity(system, rate),
                                enumeration=(root_position,) + rest,
                                mode=(mode,) + ("general",) * len(rest))
@@ -612,19 +600,15 @@ def rotation_covariance_paths(system, k, x0, config: SimulationConfig, *,
     x0 = np.asarray(x0, dtype=float)
 
     plan = build_lift_plan(system, k, mode="auto")
-    cfg_a = SimulationConfig(horizon=config.horizon, dt=config.dt,
-                             n_paths=config.n_paths,
-                             seed=derived_seed(seed, f"{name}:base"))
-    base = simulate_dunkl(plan, x0, cfg_a, threads=threads)
+    cfg_base = replace(config, seed=derived_seed(seed, f"{name}:base"))
+    base = simulate_dunkl(plan, x0, cfg_base, threads=threads)
     rotated_states = base.final_states @ theta.T
 
     rot_system = rotate_system(system, theta)
     rot_k = Multiplicity(system=rot_system, by_orbit=k.by_orbit)
     rot_plan = build_lift_plan(rot_system, rot_k, mode="auto")
-    cfg_b = SimulationConfig(horizon=config.horizon, dt=config.dt,
-                             n_paths=config.n_paths,
-                             seed=derived_seed(seed, f"{name}:rotated"))
-    other = simulate_dunkl(rot_plan, theta @ x0, cfg_b, threads=threads)
+    cfg_rotated = replace(config, seed=derived_seed(seed, f"{name}:rotated"))
+    other = simulate_dunkl(rot_plan, theta @ x0, cfg_rotated, threads=threads)
 
     n = system.dimension
     pvals = [float(sps.ks_2samp(rotated_states[:, i],
@@ -672,9 +656,16 @@ def harmonicity_check(system, k, *, n_points=100, seed=0, tol=1e-5,
 # the assembled battery
 
 
+def _control(report, expected):
+    """Turn a check's report into its negative control's: the control passes
+    exactly when the check fails, and ``expected`` says why it must fail."""
+    report.passed = not report.passed
+    report.details["expected"] = expected
+    return report
+
+
 def run_suite(system, k, x0, *, horizon=1.0, dt=1e-3, n_paths=2000,
-              seed=0, k_prime=None, threads=1, include_controls=True,
-              martingale_paths=None):
+              seed=0, k_prime=None, threads=1):
     """Run the full verification battery for one (system, k, x₀) setup.
 
     Returns a list of reports.  Controls (deliberately mismatched pairs)
@@ -684,168 +675,118 @@ def run_suite(system, k, x0, *, horizon=1.0, dt=1e-3, n_paths=2000,
     reports = []
     x0 = np.asarray(x0, dtype=float)
     n = system.dimension
-    gamma = k.gamma
-    dim_besq = n + 2.0 * gamma
-    if martingale_paths is None:
-        martingale_paths = max(800, n_paths // 2)
+    dim_besq = n + 2.0 * k.gamma
+    start = float(np.linalg.norm(x0))
+    k_plus = multiplicity(system, [v + 0.5 for v in k.by_orbit])
+    if k_prime is None:
+        k_prime = k_plus
+
+    def cfg(tag, paths=n_paths):
+        return SimulationConfig(horizon=horizon, dt=dt, n_paths=paths,
+                                seed=derived_seed(seed, tag))
+
+    def add(fn, *args, control=None, **kw):
+        t0 = time.perf_counter()
+        rep = fn(*args, **kw)
+        rep.runtime = time.perf_counter() - t0
+        reports.append(rep if control is None else _control(rep, control))
+        return rep
 
     # deterministic identities
-    reports.append(_timed(harmonicity_check, system, k, which="delta",
-                          seed=derived_seed(seed, "harmonic-delta")))
+    add(harmonicity_check, system, k, which="delta",
+        seed=derived_seed(seed, "harmonic-delta"))
     if 0.5 in k.by_orbit:
-        reports.append(_timed(harmonicity_check, system, k, which="delta_bar",
-                              seed=derived_seed(seed, "harmonic-deltabar")))
-    reports.append(_timed(harmonicity_check, system, k, which="pi", tol=1e-6,
-                          seed=derived_seed(seed, "harmonic-pi")))
-    reports.append(_timed(harmonicity_check, system, 0.8, which="pi_power",
-                          tol=1e-6, seed=derived_seed(seed, "harmonic-pipow"),
-                          name="harmonic-pi_power"))
+        add(harmonicity_check, system, k, which="delta_bar",
+            seed=derived_seed(seed, "harmonic-deltabar"))
+    add(harmonicity_check, system, k, which="pi", tol=1e-6,
+        seed=derived_seed(seed, "harmonic-pi"))
+    add(harmonicity_check, system, 0.8, which="pi_power", tol=1e-6,
+        seed=derived_seed(seed, "harmonic-pipow"), name="harmonic-pi_power")
 
     # simulations reused across checks
-    cfg_radial = SimulationConfig(horizon=horizon, dt=dt, n_paths=n_paths,
-                                  seed=derived_seed(seed, "radial"))
-    radial = run_radial(system, k, x0, cfg_radial, record=False, threads=threads)
+    radial = run_radial(system, k, x0, cfg("radial"), record=False, threads=threads)
     plan = build_lift_plan(system, k, mode="auto")
-    cfg_full = SimulationConfig(horizon=horizon, dt=dt, n_paths=n_paths,
-                                seed=derived_seed(seed, "full"))
-    full = simulate_dunkl(plan, x0, cfg_full, threads=threads)
+    full = simulate_dunkl(plan, x0, cfg("full"), threads=threads)
 
     sq = np.einsum("ij,ij->i", radial.final_states, radial.final_states)
-    t0 = time.perf_counter()
-    rep = moment_besq(sq, x0, gamma, n, horizon, name="moment-besq-radial")
-    rep.runtime = time.perf_counter() - t0
-    reports.append(rep)
-
+    add(moment_besq, sq, x0, k.gamma, n, horizon, name="moment-besq-radial")
     radial_norms = np.sqrt(sq)
-    full_norms = np.linalg.norm(full.final_states, axis=1)
-    reports.append(_timed(
-        norm_is_bessel, radial_norms, dim_besq, float(np.linalg.norm(x0)),
-        horizon, seed=derived_seed(seed, "bessel-radial"), name="ks-norm-radial"))
-    reports.append(_timed(
-        norm_is_bessel, full_norms, dim_besq, float(np.linalg.norm(x0)),
-        horizon, seed=derived_seed(seed, "bessel-full"), name="ks-norm-full"))
-    if include_controls:
-        ctrl = _timed(
-            norm_is_bessel, radial_norms, dim_besq - 1.0,
-            float(np.linalg.norm(x0)), horizon,
-            seed=derived_seed(seed, "bessel-ctrl"), name="ks-norm:control")
-        ctrl.passed = not ctrl.passed
-        ctrl.details["expected"] = "off-by-one dimension must be rejected"
-        reports.append(ctrl)
+    add(norm_is_bessel, radial_norms, dim_besq, start, horizon,
+        seed=derived_seed(seed, "bessel-radial"), name="ks-norm-radial")
+    add(norm_is_bessel, np.linalg.norm(full.final_states, axis=1), dim_besq,
+        start, horizon, seed=derived_seed(seed, "bessel-full"), name="ks-norm-full")
+    add(norm_is_bessel, radial_norms, dim_besq - 1.0, start, horizon,
+        seed=derived_seed(seed, "bessel-ctrl"), name="ks-norm:control",
+        control="off-by-one dimension must be rejected")
 
     # projection agreement
-    rep = _timed(projection_agreement, full.final_states, radial.final_states,
-                 system, name="projection-agreement")
-    reports.append(rep)
-    if include_controls:
-        k_wrong = multiplicity(system, [v + 0.5 for v in k.by_orbit])
-        cfg_w = SimulationConfig(horizon=horizon, dt=dt, n_paths=n_paths,
-                                 seed=derived_seed(seed, "radial-wrong"))
-        radial_wrong = run_radial(system, k_wrong, x0, cfg_w, record=False,
-                                  threads=threads)
-        ctrl = _timed(projection_agreement, full.final_states,
-                      radial_wrong.final_states, system,
-                      name="projection:control")
-        ctrl.passed = not ctrl.passed
-        ctrl.details["expected"] = "mismatched multiplicity must be rejected"
-        reports.append(ctrl)
+    add(projection_agreement, full.final_states, radial.final_states, system,
+        name="projection-agreement")
+    radial_wrong = run_radial(system, k_plus, x0, cfg("radial-wrong"),
+                              record=False, threads=threads)
+    add(projection_agreement, full.final_states, radial_wrong.final_states,
+        system, name="projection:control",
+        control="mismatched multiplicity must be rejected")
 
-    # skew-product mode equivalence on the first shortcut-eligible stage
-    first_ok = next((i for i, md in enumerate(plan.modes) if md == "shortcut"),
-                    None)
-    if first_ok == 0:
-        reports.append(_timed(
-            mode_equivalence, system, k, x0, plan.enumeration[0],
-            SimulationConfig(horizon=horizon, dt=dt, n_paths=n_paths,
-                             seed=derived_seed(seed, "modes")),
-            threads=threads))
+    # skew-product mode equivalence when the first stage may take the shortcut
+    if plan.modes[0] == "shortcut":
+        add(mode_equivalence, system, k, x0, plan.enumeration[0], cfg("modes"),
+            threads=threads)
 
     # folding at the first disjoint stage
     regions = fold_check_regions(plan)
     fold_j = next((j for j in range(1, plan.n_stages + 1)
                    if regions.disjoint[j - 1]), None)
     if fold_j is not None and n == 2:
-        cfg_fold = SimulationConfig(horizon=horizon, dt=dt, n_paths=n_paths,
-                                    seed=derived_seed(seed, "folding"))
-        reports.append(_timed(folding_identity, plan, fold_j, x0, cfg_fold,
-                              threads=threads))
-        if include_controls:
-            ctrl = _timed(folding_identity, plan, fold_j, x0, cfg_fold,
-                          drop_reflected_mass=True,
-                          name=f"folding-j{fold_j}:control", threads=threads)
-            ctrl.passed = not ctrl.passed
-            ctrl.details["expected"] = "dropping reflected mass must be rejected"
-            reports.append(ctrl)
+        add(folding_identity, plan, fold_j, x0, cfg("folding"), threads=threads)
+        add(folding_identity, plan, fold_j, x0, cfg("folding"),
+            drop_reflected_mass=True, name=f"folding-j{fold_j}:control",
+            threads=threads, control="dropping reflected mass must be rejected")
 
     # wall-hitting profile (rank-1, fixed setup)
-    reports.append(_timed(wall_hitting_profile, max(800, n_paths // 4),
-                          derived_seed(seed, "wall"), threads=threads))
-    if include_controls:
-        ctrl = _timed(wall_hitting_profile, max(800, n_paths // 4),
-                      derived_seed(seed, "wall-ctrl"), mislabel_shift=5,
-                      name="wall-profile:control", threads=threads)
-        ctrl.passed = not ctrl.passed
-        ctrl.details["expected"] = "mislabeled simulations must break the profile"
-        reports.append(ctrl)
+    wall_paths = max(800, n_paths // 4)
+    add(wall_hitting_profile, wall_paths, derived_seed(seed, "wall"),
+        threads=threads)
+    add(wall_hitting_profile, wall_paths, derived_seed(seed, "wall-ctrl"),
+        mislabel_shift=5, name="wall-profile:control", threads=threads,
+        control="mislabeled simulations must break the profile")
 
     # rotational covariance
-    reports.append(_timed(rotation_covariance_generator, system, k,
-                          seed=derived_seed(seed, "rotgen")))
-    if include_controls and len(system.orbits) >= 2 and len(set(k.by_orbit)) > 1:
-        ctrl = _timed(rotation_covariance_generator, system, k,
-                      seed=derived_seed(seed, "rotgen-ctrl"),
-                      wrong_transport=True, name="rotate-generator:control")
-        ctrl.passed = not ctrl.passed
-        ctrl.details["expected"] = "untransported multiplicity must be rejected"
-        reports.append(ctrl)
-    reports.append(_timed(
-        rotation_covariance_paths, system, k, x0,
-        SimulationConfig(horizon=horizon, dt=dt,
-                         n_paths=max(1000, n_paths // 2),
-                         seed=derived_seed(seed, "rotpaths")),
-        threads=threads))
+    add(rotation_covariance_generator, system, k, seed=derived_seed(seed, "rotgen"))
+    if len(system.orbits) >= 2 and len(set(k.by_orbit)) > 1:
+        add(rotation_covariance_generator, system, k,
+            seed=derived_seed(seed, "rotgen-ctrl"), wrong_transport=True,
+            name="rotate-generator:control",
+            control="untransported multiplicity must be rejected")
+    add(rotation_covariance_paths, system, k, x0,
+        cfg("rotpaths", max(1000, n_paths // 2)), threads=threads)
 
     # martingale residual battery
     bias_c = calibrate_bias_coefficient(system, horizon, 4000,
                                         derived_seed(seed, "bias"))
-    allowance = bias_c * dt
-    battery = function_battery(n)
-    cfg_m = SimulationConfig(horizon=horizon, dt=dt, n_paths=martingale_paths,
-                             seed=derived_seed(seed, "mart"))
-    radial_paths = run_radial(system, k, x0, cfg_m, record=True,
-                              threads=threads).trajectories
-    cfg_mf = SimulationConfig(horizon=horizon, dt=dt, n_paths=martingale_paths,
-                              seed=derived_seed(seed, "mart-full"))
-    full_paths = simulate_dunkl(plan, x0, cfg_mf, threads=threads).trajectories
-    if k_prime is None:
-        k_prime = multiplicity(system, [v + 0.5 for v in k.by_orbit])
+    mart_paths = max(800, n_paths // 2)
     plan_kp = build_lift_plan(system, k, rates=k_prime, mode="auto")
-    cfg_mk = SimulationConfig(horizon=horizon, dt=dt, n_paths=martingale_paths,
-                              seed=derived_seed(seed, "mart-kp"))
-    kp_paths = simulate_dunkl(plan_kp, x0, cfg_mk, threads=threads).trajectories
-
     spec_radial = GeneratorSpec.radial(system, k)
-    spec_full = GeneratorSpec.full(system, k)
-    spec_kp = GeneratorSpec.full(system, k, jump_k=k_prime)
-    for u in battery:
-        for tag, paths, spec in [("radial", radial_paths, spec_radial),
-                                 ("full", full_paths, spec_full),
-                                 ("two-param", kp_paths, spec_kp)]:
-            reports.append(_timed(
-                martingale_residual, lambda p=paths: p, spec, u,
-                bias_allowance=allowance,
-                name=f"martingale-{tag}-{u.name}"))
-    if include_controls:
-        ctrl = _timed(
-            martingale_residual, lambda: full_paths, spec_radial,
-            control_function(n), bias_allowance=allowance,
-            name="martingale:control")
-        ctrl.passed = not ctrl.passed
-        ctrl.details["expected"] = "full paths against the radial generator must fail"
-        reports.append(ctrl)
-    for r in reports:
-        if "bias" not in r.details and r.name.startswith("martingale"):
-            r.details["bias_coefficient"] = bias_c
+    full_paths = simulate_dunkl(plan, x0, cfg("mart-full", mart_paths),
+                                threads=threads).trajectories
+    runs = [
+        ("radial", run_radial(system, k, x0, cfg("mart", mart_paths), record=True,
+                              threads=threads).trajectories, spec_radial),
+        ("full", full_paths, GeneratorSpec.full(system, k)),
+        ("two-param", simulate_dunkl(plan_kp, x0, cfg("mart-kp", mart_paths),
+                                     threads=threads).trajectories,
+         GeneratorSpec.full(system, k, jump_k=k_prime)),
+    ]
+    allowance = bias_c * dt
+    for u in function_battery(n):
+        for tag, paths, spec in runs:
+            rep = add(martingale_residual, lambda p=paths: p, spec, u,
+                      bias_allowance=allowance, name=f"martingale-{tag}-{u.name}")
+            rep.details["bias_coefficient"] = bias_c
+    rep = add(martingale_residual, lambda: full_paths, spec_radial,
+              control_function(n), bias_allowance=allowance, name="martingale:control",
+              control="full paths against the radial generator must fail")
+    rep.details["bias_coefficient"] = bias_c
     return reports
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -194,8 +195,20 @@ class TestCommands:
 
 
 class TestVerifySuiteCommand:
+    # SHA-256 of the suite's reports, runtimes removed, as sorted-key JSON
+    QUICK_SUITE_SHA256 = (
+        "4f713577543c06479361bf2c883f72ed68cdc84564a67cc067f87216ca98e526")
+
     def test_quick_suite(self, tmp_path, capsys):
-        # very small sizes: exercises the wiring, not the statistics
+        """Very small sizes: the wiring, not the statistics.
+
+        The digest pins all 32 reports (names, order, estimates, verdicts
+        and details; only ``runtime`` is free), including the two checks
+        that fail at this size, projection-agreement and mode-equivalence.
+        A deliberate change to the reproducibility contract or to a check
+        updates it and says so in CHANGES.md; anything else that moves it
+        is a regression.
+        """
         doc = base_doc()
         doc["sim"] = {"T": 0.5, "dt": 0.005, "paths": 400, "seed": 314}
         rc = main(["verify-suite", "--config", write_cfg(tmp_path, doc)])
@@ -206,3 +219,8 @@ class TestVerifySuiteCommand:
         parsed = json.loads(out[json_start:])
         assert any(r["name"] == "projection-agreement" for r in parsed)
         assert rc in (0, 1)
+        assert len(parsed) == 32
+        for r in parsed:
+            r.pop("runtime")
+        digest = hashlib.sha256(json.dumps(parsed, sort_keys=True).encode())
+        assert digest.hexdigest() == self.QUICK_SUITE_SHA256

@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -6,14 +7,11 @@ import pytest
 from dunkl_lab import (
     InvalidArgumentError,
     SimulationConfig,
-    StepFailureError,
-    em_step,
     multiplicity,
     run_radial,
-    squared_norm_series,
     write_trajectories_csv,
 )
-from dunkl_lab import _engine
+from dunkl_lab import _engine, rng
 from dunkl_lab.lift import build_lift_plan, simulate_dunkl
 from dunkl_lab.radial import read_trajectories_csv
 
@@ -43,49 +41,6 @@ class TestConfig:
         assert cfg.resolve_policy(multiplicity(rank1, 0.3)) == "stop_at_t0"
 
 
-class TestEmStep:
-    def test_zero_drift_is_brownian(self, b2):
-        k0 = multiplicity(b2, 0.0)
-        x = np.array([2.0, 1.0])
-        dw = np.array([0.05, -0.03])
-        assert np.allclose(em_step(b2, k0, x, 0.01, dw), x + dw)
-
-    def test_rank_one_deterministic_value(self, rank1):
-        k = multiplicity(rank1, 1.0)
-        out = em_step(rank1, k, np.array([0.5]), 0.01, np.array([0.0]))
-        assert out[0] == pytest.approx(0.52)
-
-    def test_exit_without_rng_raises(self, rank1):
-        k = multiplicity(rank1, 1.0)
-        with pytest.raises(InvalidArgumentError):
-            em_step(rank1, k, np.array([0.1]), 0.01, np.array([-5.0]))
-
-    def test_exit_with_rng_stays_inside(self, rank1):
-        k = multiplicity(rank1, 1.0)
-        rng = np.random.default_rng(1)
-        out = em_step(rank1, k, np.array([0.1]), 0.01, np.array([-5.0]), rng=rng)
-        assert out[0] > 0.0
-
-    def test_retry_route_values(self, rank1, b2):
-        """Proposals across a wall are bisected with draws from ``rng``; the
-        values pin those draws and the order the halves are covered in."""
-        out = em_step(rank1, multiplicity(rank1, 1.0), np.array([0.1]), 0.01,
-                      np.array([-5.0]), rng=np.random.default_rng(1))
-        assert out.tolist() == [0.2611973956391902]
-        # crosses e₁ = e₂; covered in five proposals, two of them rejected
-        out = em_step(b2, multiplicity(b2, 1.0), np.array([0.6, 0.2]), 0.05,
-                      np.array([-0.1, 0.5]), rng=np.random.default_rng(3))
-        assert out.tolist() == [0.5107885157820902, 0.27271656735256156]
-
-    def test_exhausted_halvings_raise(self, rank1, b2):
-        with pytest.raises(StepFailureError):
-            em_step(rank1, multiplicity(rank1, 1.0), np.array([0.1]), 0.01,
-                    np.array([-5.0]), rng=np.random.default_rng(1), max_halvings=0)
-        with pytest.raises(StepFailureError):
-            em_step(b2, multiplicity(b2, 1.0), np.array([0.6, 0.2]), 0.05,
-                    np.array([-0.1, 0.5]), rng=np.random.default_rng(3), max_halvings=0)
-
-
 class TestSimulateRadial:
     def test_requires_interior_start(self, b2, k_one):
         cfg = SimulationConfig(horizon=0.1, dt=0.01, n_paths=2, seed=0)
@@ -93,6 +48,27 @@ class TestSimulateRadial:
             run_radial(b2, k_one, [1.0, 1.0], cfg)
         with pytest.raises(InvalidArgumentError):
             run_radial(b2, k_one, [1.0, 2.0], cfg)
+
+    def test_first_step_is_drift_plus_noise(self, rank1):
+        """On the line, ∇log ϖ_k(x) = k/x: one accepted step from 0.5 is
+        0.5 + (1/0.5)·h + √h·ξ with ξ the path's first diffusion draw."""
+        cfg = SimulationConfig(horizon=0.01, dt=0.01, n_paths=3, seed=7)
+        run = run_radial(rank1, multiplicity(rank1, 1.0), [0.5], cfg)
+        assert run.n_rejected.sum() == 0
+        for p, traj in enumerate(run.trajectories):
+            xi = rng.stream(7, rng.DIFFUSION, p).standard_normal(1)[0]
+            assert traj.states[1, 0] == pytest.approx(0.52 + math.sqrt(0.01) * xi,
+                                                      rel=1e-12)
+
+    def test_wall_crossings_are_retried_inside(self, rank1):
+        """From 0.1 with h = 0.01 some proposals cross the wall; they are
+        rejected and the interval covered by bisection, so every path
+        reaches the horizon and every recorded state stays positive."""
+        cfg = SimulationConfig(horizon=0.2, dt=0.01, n_paths=200, seed=1)
+        run = run_radial(rank1, multiplicity(rank1, 1.0), [0.1], cfg)
+        assert run.n_rejected.sum() > 0
+        assert np.all(run.termination == "horizon")
+        assert all(np.all(t.states > 0) for t in run.trajectories)
 
     def test_paths_stay_in_chamber(self, b2, k_one):
         cfg = SimulationConfig(horizon=0.5, dt=1e-3, n_paths=30, seed=3)
@@ -220,23 +196,6 @@ class TestWallHitting:
             assert t.times[-1] <= 1.0
             assert t.t0_time is not None
             assert len(t.times) == len(t.states)
-
-
-class TestSeries:
-    def test_squared_norm_series(self, b2, k_one):
-        cfg = SimulationConfig(horizon=0.1, dt=0.01, n_paths=1, seed=2)
-        traj = run_radial(b2, k_one, [2.0, 1.0], cfg).trajectories[0]
-        times, sq = squared_norm_series(traj)
-        assert sq[0] == pytest.approx(5.0)
-        assert np.array_equal(times, traj.times)
-        assert np.allclose(sq, np.einsum("ij,ij->i", traj.states, traj.states))
-
-    def test_constant_path(self, b2):
-        from dunkl_lab.radial import Trajectory
-        states = np.tile([2.0, 1.0], (5, 1))
-        traj = Trajectory(path_id=0, times=np.arange(5.0), states=states)
-        _, sq = squared_norm_series(traj)
-        assert np.allclose(sq, 5.0)
 
 
 class TestCsv:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from dunkl_lab import SimulationConfig, build_lift_plan, multiplicity, run_radial
 from dunkl_lab.calculus import GeneratorSpec
+from dunkl_lab import verify
 from dunkl_lab.lift import simulate_dunkl
 from dunkl_lab.verify import (
     Report,
@@ -22,6 +24,7 @@ from dunkl_lab.verify import (
     render_table,
     reports_to_json,
     rotation_covariance_generator,
+    rotation_covariance_paths,
     function_battery,
     wall_hitting_profile,
 )
@@ -192,6 +195,31 @@ class TestModeEquivalence:
         cfg = SimulationConfig(horizon=0.5, dt=2e-3, n_paths=500, seed=71)
         rep = mode_equivalence(b2, k, [2.0, 1.0], 0, cfg, rate=0.0)
         assert rep.passed
+
+
+class TestCallerSettings:
+    def test_simulations_keep_the_callers_wall_settings(self, b2, monkeypatch):
+        """Checks that run their own lifts change only the seed of the
+        caller's config: its wall policy, halving budget and wall epsilon
+        reach ``simulate_dunkl`` unchanged."""
+        received = []
+
+        def recording(plan, x0, config, **kwargs):
+            received.append(config)
+            return simulate_dunkl(plan, x0, config, **kwargs)
+
+        monkeypatch.setattr(verify, "simulate_dunkl", recording)
+        k = multiplicity(b2, 1.0)
+        cfg = SimulationConfig(horizon=0.1, dt=0.01, n_paths=20, seed=5,
+                               wall_policy="reject_halve", max_halvings=3,
+                               eps_wall=1e-6)
+        folding_identity(build_lift_plan(b2, k), 1, [2.0, 1.0], cfg)
+        mode_equivalence(b2, k, [2.0, 1.0], 0, cfg)
+        rotation_covariance_paths(b2, k, [2.0, 1.0], cfg)
+        assert len(received) == 6
+        assert len({c.seed for c in received}) == 6
+        for got in received:
+            assert dataclasses.replace(got, seed=cfg.seed) == cfg
 
 
 class TestWallProfile:
