@@ -190,52 +190,70 @@ def cumulative_time_change(times, states, alpha):
     dots = states @ alpha
     if np.any(dots == 0.0):
         raise SingularClockError("(Y·α)² vanishes at a grid point")
-    inv2 = dots**-2.0
-    seg = 0.5 * (inv2[..., :-1] + inv2[..., 1:]) * np.diff(times)
+    inv2 = np.power(dots, -2.0, out=dots)
+    seg = np.add(inv2[..., :-1], inv2[..., 1:])
+    seg *= 0.5
+    seg *= np.diff(times)
     lam = np.zeros(inv2.shape)
     np.cumsum(seg, axis=-1, out=lam[..., 1:])
     return lam
 
 
-def _arrivals(rng, total):
-    """Arrival times below ``total`` of a unit-rate Poisson process.
+def _arrivals(rng, first, total):
+    """Arrival times below ``total`` of a unit-rate Poisson process whose
+    first arrival ``first`` was drawn from ``rng``.
 
     Running sums of Exp(1) draws, added in draw order, so the values are
     the same as adding one draw at a time.
     """
     size = int(total + 4.0 * np.sqrt(total)) + 8
-    arrivals = np.zeros(1)
+    arrivals, more = np.array([first]), size - 1
     while arrivals[-1] < total:
-        more = rng.standard_exponential(size)
-        more[0] += arrivals[-1]
-        arrivals = np.concatenate([arrivals, np.cumsum(more)])
-    return arrivals[1:np.searchsorted(arrivals, total)]
+        draws = rng.standard_exponential(more)
+        draws[0] += arrivals[-1]
+        arrivals = np.concatenate([arrivals, np.cumsum(draws)])
+        more = size
+    return arrivals[:np.searchsorted(arrivals, total)]
 
 
-def _flip_jumps(times, rows, jumps, lo, hi, flip_times, alpha):
-    """(pre, post) of a path's new flips, read off the path before the stage.
-
-    The state at a flip time is interpolated linearly between the nearest
-    grid times, or logged jumps when one falls in between (the path jumps
-    there).  Every second flip starts from the reflected path.
+def _merge_ranks(flip_path, flip_times, jump_path, jump_time):
+    """Flips and logged jumps, each sorted by (path, time), merged in that
+    order with flips first on ties.  Returns, per flip, the number of jumps
+    before it and, per jump, the number of its path's flips at or before it.
     """
-    j = np.clip(np.searchsorted(times, flip_times), 1, len(times) - 1)
-    t_lo, x_lo = times[j - 1], rows[j - 1]
-    t_hi, x_hi = times[j], rows[j]
-    if hi > lo:
-        k = lo + np.searchsorted(jumps.time[lo:hi], flip_times)
-        before = np.maximum(k - 1, lo)
-        after = np.minimum(k, hi - 1)
-        use_before = (k > lo) & (jumps.time[before] > t_lo)
-        use_after = (k < hi) & (jumps.time[after] < t_hi)
-        t_lo = np.where(use_before, jumps.time[before], t_lo)
-        x_lo = np.where(use_before[:, None], jumps.post[before], x_lo)
-        t_hi = np.where(use_after, jumps.time[after], t_hi)
-        x_hi = np.where(use_after[:, None], jumps.pre[after], x_hi)
-    w = (flip_times - t_lo) / (t_hi - t_lo)
-    pre = x_lo + w[:, None] * (x_hi - x_lo)
+    # numpy orders complex numbers lexicographically: path + i·time.
+    flip_key, jump_key = flip_path + 1j * flip_times, jump_path + 1j * jump_time
+    return (np.searchsorted(jump_key, flip_key),
+            np.searchsorted(flip_key, jump_key, side="right")
+            - np.searchsorted(flip_path, jump_path))
+
+
+def _flip_jumps(times, rows, stop, lo, hi, owner, flip_times, jumps, k, alpha):
+    """(pre, post) of a block's new flips, read off the paths before the stage.
+
+    Flip i belongs to the path of row ``owner[i]`` of ``rows``, ``stop``,
+    ``lo`` and ``hi``: its grid states, its stop index and its logged jumps
+    ``lo:hi``; ``k[i]`` is the first of these at or after the flip.  The
+    state at a flip time is interpolated linearly between the nearest grid
+    times, or logged jumps when one falls in between (the path jumps
+    there).  Every second flip of a path starts from the reflected path.
+    """
+    j = np.clip(np.searchsorted(times, flip_times), 1, stop[owner])
+    t_lo, x_lo = times[j - 1], rows[owner, j - 1]
+    t_hi, x_hi = times[j], rows[owner, j]
+    use = np.flatnonzero(k > lo[owner])
+    use = use[jumps.time[k[use] - 1] > t_lo[use]]
+    t_lo[use], x_lo[use] = jumps.time[k[use] - 1], jumps.post[k[use] - 1]
+    use = np.flatnonzero(k < hi[owner])
+    use = use[jumps.time[k[use]] < t_hi[use]]
+    t_hi[use], x_hi[use] = jumps.time[k[use]], jumps.pre[k[use]]
+    pre = x_hi - x_lo
+    pre *= ((flip_times - t_lo) / (t_hi - t_lo))[:, None]
+    pre += x_lo
+    # owner is sorted, so searchsorted finds the first flip of each path.
+    second = (np.arange(len(owner)) - np.searchsorted(owner, owner)) % 2 == 1
     # np.vecdot matches a 1-D ``pre @ alpha``, so post = pre − (α·pre)α exactly.
-    pre[1::2] -= np.vecdot(pre[1::2], alpha)[:, None] * alpha
+    pre[second] -= np.vecdot(pre[second], alpha)[:, None] * alpha
     return pre, pre - np.vecdot(pre, alpha)[:, None] * alpha
 
 
@@ -246,37 +264,70 @@ def _flip_stage(states, stop_index, jumps, times, system, root_position, rate,
     Only lawful when the invariance condition holds at this stage (the
     plan builder enforces that).  Flip times are the crossings of the
     additive clock by cumulative Exp(1) draws from the per-path flip
-    stream.  ``states`` (N, M+1, n) is reflected in place wherever a path
-    has flipped an odd number of times; returns the new jump table.
+    stream.  Every path's stream is opened, but only a path whose first
+    arrival falls below its clock total draws more; everything else runs
+    over all flips of a block of paths at once.  ``states`` (N, M+1, n) is
+    reflected in place wherever a path has flipped an odd number of times;
+    returns the new jump table.
     """
     pos = system.positive_roots
     alpha = pos[root_position]
-    n_paths = len(states)
+    n_paths, n_times = states.shape[:2]
     bounds = np.searchsorted(jumps.path, np.arange(n_paths + 1))
     flipped = np.zeros(len(jumps.time), dtype=bool)
     new = []
+
+    def flip(paths, counts, flip_times):
+        """Flip ``paths[i]`` at its ``counts[i]`` sorted ``flip_times``.
+
+        A function, so that a block's temporaries, sized by its flips, are
+        freed before the next block and the final jump table.
+        """
+        owner = np.repeat(np.arange(len(paths)), counts)
+        rows = states[paths]  # as before this stage
+        jl, jh = bounds[paths[0]], bounds[paths[-1] + 1]
+        k, flips_before = _merge_ranks(paths[owner], flip_times,
+                                       jumps.path[jl:jh], jumps.time[jl:jh])
+        flipped[jl:jh] = flips_before % 2 == 1
+        pre, post = _flip_jumps(times, rows, stop_index[paths], bounds[paths],
+                                bounds[paths + 1], owner, flip_times, jumps, jl + k,
+                                alpha)
+        new.append((paths[owner], flip_times, np.full(len(owner), root_position),
+                    pre, post))
+        # A grid point is reflected when an odd number of its path's flips
+        # come at or before it, up to the path's stop.  uint8 sums wrap at
+        # 256, which keeps their parity.
+        at = owner * (n_times + 1) + np.searchsorted(times, flip_times)
+        flips = np.bincount(at, minlength=len(paths) * (n_times + 1))
+        odd = np.cumsum(flips.reshape(len(paths), -1)[:, :-1], axis=1, dtype=np.uint8)
+        odd = (odd & 1).view(bool)
+        odd &= np.arange(n_times) <= stop_index[paths][:, None]
+        # A stacked ``rows @ alpha`` matches each path's 2-D product, as a
+        # flipping path has two grid points or more (numpy computes a
+        # one-row product as a dot, which can differ in the last bit).
+        dots = (rows @ alpha)[odd]
+        for i, a in enumerate(alpha):
+            rows[..., i][odd] -= dots * a
+        states[paths] = rows
+
     flip_keys = keys(seed, FLIP, stage_index, np.arange(n_paths))
-    block = max(1, CLOCK_BLOCK // len(times))
+    block = max(1, CLOCK_BLOCK // n_times)
     for first in range(0, n_paths, block):
-        clocks = rate * cumulative_time_change(times, states[first:first + block],
-                                               alpha)
-        for p in range(first, min(first + block, n_paths)):
-            end = int(stop_index[p]) + 1
-            clock = clocks[p - first, :end]
-            arrivals = _arrivals(generator(flip_keys[p]), clock[-1])
-            if not len(arrivals):
-                continue
-            flip_times = np.interp(arrivals, clock, times[:end])
-            lo, hi = bounds[p], bounds[p + 1]
-            rows = states[p, :end]
-            pre, post = _flip_jumps(times[:end], rows, jumps, lo, hi, flip_times, alpha)
-            odd = np.searchsorted(flip_times, times[:end], side="right") % 2 == 1
-            rows[odd] -= np.outer((rows @ alpha)[odd], alpha)
-            flipped[lo:hi] = np.searchsorted(flip_times, jumps.time[lo:hi],
-                                             side="right") % 2 == 1
-            count = len(flip_times)
-            new.append((np.full(count, p), flip_times, np.full(count, root_position),
-                        pre, post))
+        stop = stop_index[first:first + block]
+        clocks = cumulative_time_change(times, states[first:first + block], alpha)
+        clocks *= rate
+        paths, flip_times = [], []
+        for p, total in enumerate(clocks[np.arange(len(stop)), stop].tolist()):
+            rng = generator(flip_keys[first + p])
+            arrival = rng.standard_exponential()
+            if arrival < total:
+                end = int(stop[p]) + 1
+                flip_times.append(np.interp(_arrivals(rng, arrival, total),
+                                            clocks[p, :end], times[:end]))
+                paths.append(first + p)
+        if paths:
+            flip(np.array(paths), [len(f) for f in flip_times],
+                 np.concatenate(flip_times))
 
     # A jump across β made while the path was flipped is, seen through σ_α,
     # a jump across ±σ_α(β), a positive root since R is closed under its

@@ -203,8 +203,9 @@ class TestVerifySuiteCommand:
         """Very small sizes: the wiring, not the statistics.
 
         The digest pins all 32 reports (names, order, estimates, verdicts
-        and details; only ``runtime`` is free), including the two checks
-        that fail at this size, projection-agreement and mode-equivalence.
+        and details; only ``runtime`` is free), including the three checks
+        that fail at this size: projection-agreement, mode-equivalence and
+        folding-j1:control.
         A deliberate change to the reproducibility contract or to a check
         updates it and says so in CHANGES.md; anything else that moves it
         is a regression.

@@ -11,7 +11,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from dunkl_lab import SimulationConfig, _engine, build_type_b, multiplicity, run_radial
+from dunkl_lab import (SimulationConfig, _engine, build_type_a, build_type_b,
+                       multiplicity, run_radial)
 from dunkl_lab.lift import build_lift_plan, simulate_dunkl
 
 
@@ -67,6 +68,61 @@ def test_outputs_match_contract(case):
     run, expected = CONTRACT[case]
     digest, jumps, rejected = _digest(run())
     assert (digest, jumps, rejected) == expected
+
+
+# Flip stages beyond the all-shortcut B2 plan: flips after an engine-clock
+# stage, and flips over paths that stopped early.  Each case also runs with
+# ``keep_stage_paths=True``, which hashes every stage's trajectories.
+def _stage_digest(run):
+    h = hashlib.sha256()
+    for stage, trajs in sorted(run.stage_trajectories.items()):
+        h.update(np.int64(stage).tobytes())
+        for t in trajs:
+            h.update(np.ascontiguousarray(t.states, dtype=float).tobytes())
+            for e in t.events:
+                h.update(np.array([e.root], dtype=np.int64).tobytes())
+                h.update(np.array([e.time, *e.pre, *e.post], dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def _a2_mixed(**kwargs):
+    a2 = build_type_a(3)
+    plan = build_lift_plan(a2, multiplicity(a2, 1.0), mode="auto")
+    assert plan.modes == ("shortcut", "general", "shortcut")
+    x0 = 0.7 * a2.positive_roots.sum(axis=0) + 0.01
+    cfg = SimulationConfig(horizon=0.5, dt=1e-2, n_paths=200, seed=6)
+    return simulate_dunkl(plan, x0, cfg, **kwargs)
+
+
+def _b2_general_then_flips(**kwargs):
+    b2 = build_type_b(2)
+    plan = build_lift_plan(b2, multiplicity(b2, 1.0),
+                           mode=("general", "shortcut", "shortcut", "shortcut"))
+    cfg = SimulationConfig(horizon=0.5, dt=0.05, n_paths=300, seed=8, max_halvings=1)
+    return simulate_dunkl(plan, [0.6, 0.2], cfg, **kwargs)
+
+
+# case -> (SHA-256, jumps, rejected proposals, paths ended by a step failure,
+# SHA-256 of every stage's trajectories)
+STAGE_CONTRACT = {
+    "a2_mixed": (_a2_mixed, (
+        "03ed7047afdbeaa2e52b16631568f4c2080f462a4984e3503ac4c9ac53c91853", 135, 0, 0,
+        "0655e1f32325c8b6a3d3e51d74376d4a79ac7a36e780b666cf68af374c19fdd8")),
+    "b2_general_then_flips": (_b2_general_then_flips, (
+        "ea9197801062a76a5729a928cf0d38a8623e7fe5fa49fff60012a1b3879ed47c", 13965, 131,
+        20, "e359d7b6c8d45c4013c73c0a0e65789fb75825ec4efc526411d9818deb285327")),
+}
+
+
+@pytest.mark.parametrize("keep", [False, True], ids=["final", "stages"])
+@pytest.mark.parametrize("case", sorted(STAGE_CONTRACT))
+def test_flip_stages_match_contract(case, keep):
+    simulate, expected = STAGE_CONTRACT[case]
+    run = simulate(keep_stage_paths=keep)
+    got = (*_digest(run), int(np.sum(run.termination == "step_failure")))
+    assert got == expected[:4]
+    if keep:
+        assert _stage_digest(run) == expected[4]
 
 
 # The engine's own branches, on B2 clocks at all four roots from near the

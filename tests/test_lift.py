@@ -12,6 +12,7 @@ from dunkl_lab import (
     multiplicity,
     simulate_dunkl,
 )
+from dunkl_lab import lift
 from dunkl_lab.root_systems import project_batch
 
 
@@ -282,6 +283,20 @@ class TestSimulateDunkl:
         plan = build_lift_plan(b2, k_one)
         run = simulate_dunkl(plan, [-2.0, 1.0], small_cfg(n_paths=20))
         assert run.final_states.shape == (20, 2)
+
+
+class TestChunking:
+    # A flip stage works on blocks of CLOCK_BLOCK grid points; on this case's
+    # 11-point grid, 1 and 3 paths per block.
+    @pytest.mark.parametrize("clock_block", [1, 33])
+    def test_flip_stages_do_not_depend_on_blocks(self, monkeypatch, clock_block):
+        from test_contract import STAGE_CONTRACT, _digest, _stage_digest
+
+        simulate, expected = STAGE_CONTRACT["b2_general_then_flips"]
+        monkeypatch.setattr(lift, "CLOCK_BLOCK", clock_block)
+        run = simulate(keep_stage_paths=True)
+        assert _digest(run) == expected[:3]
+        assert _stage_digest(run) == expected[4]
 
 
 class TestLawInvariants:
