@@ -34,12 +34,10 @@ from .errors import (
     UnsupportedRegimeError,
 )
 from .lift import (
-    FoldRegions,
     LiftPlan,
     LiftRun,
     build_lift_plan,
     cumulative_time_change,
-    fold_check_regions,
     simulate_dunkl,
 )
 from .radial import (
@@ -59,6 +57,7 @@ from .root_systems import (
     build_type_a,
     build_type_b,
     chamber_contains,
+    chamber_labels,
     check_invariance_condition,
     generate_weyl_group,
     multiplicity,

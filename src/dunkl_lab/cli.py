@@ -20,8 +20,8 @@ import numpy as np
 
 from . import verify as verify_mod
 from .config import load_run_config
-from .errors import DunklLabError
-from .lift import build_lift_plan, fold_check_regions, simulate_dunkl
+from .errors import DunklLabError, InvalidArgumentError
+from .lift import build_lift_plan, simulate_dunkl
 from .radial import read_trajectories_csv, run_radial, write_trajectories_csv
 from .root_systems import (
     build_type_a,
@@ -111,7 +111,6 @@ def cmd_simulate_dunkl(args):
     if cfg.output:
         write_trajectories_csv(run.trajectories, cfg.output["path"])
     sq = np.einsum("ij,ij->i", run.final_states, run.final_states)
-    regions = fold_check_regions(plan)
     summary = {
         "paths": cfg.sim.n_paths,
         "horizon": cfg.sim.horizon,
@@ -120,7 +119,6 @@ def cmd_simulate_dunkl(args):
         "mean_sq_norm_T": float(sq.mean()),
         "mean_jumps_per_path": float(run.n_jumps.mean()),
         "total_jumps": int(run.n_jumps.sum()),
-        "region_disjoint_flags": list(regions.disjoint),
         "step_failure_fraction": float(np.mean(run.termination == "step_failure")),
         "output": cfg.output["path"] if cfg.output else None,
     }
@@ -162,6 +160,8 @@ def cmd_verify_suite(args):
 
 
 def cmd_export_plot_data(args):
+    if args.bins < 1:
+        raise InvalidArgumentError(f"--bins must be at least 1, got {args.bins}")
     paths = read_trajectories_csv(getattr(args, "in"))
     all_t = np.concatenate([rec["t"] for rec in paths.values()])
     t_max = float(all_t.max())

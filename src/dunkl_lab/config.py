@@ -90,6 +90,9 @@ SCHEMA = {
 }
 
 
+_SIM_OPTIONAL = {"wall_policy": str, "max_halvings": int, "eps_wall": float}
+
+
 @dataclass
 class RunConfig:
     """Everything a batch command needs, assembled from one document."""
@@ -193,15 +196,16 @@ def assemble(doc, seed_override=None):
                 "/enumeration")
     sim_doc = doc["sim"]
     seed = int(sim_doc["seed"]) if seed_override is None else int(seed_override)
+    # keys the document leaves out take SimulationConfig's defaults
+    optional = {key: cast(sim_doc[key]) for key, cast in _SIM_OPTIONAL.items()
+                if key in sim_doc}
     try:
         sim = SimulationConfig(
             horizon=float(sim_doc["T"]),
             dt=float(sim_doc["dt"]),
             n_paths=int(sim_doc["paths"]),
             seed=seed,
-            wall_policy=sim_doc.get("wall_policy", "auto"),
-            max_halvings=int(sim_doc.get("max_halvings", 20)),
-            eps_wall=float(sim_doc.get("eps_wall", 1e-8)),
+            **optional,
         )
     except Exception as exc:
         raise ConfigError(str(exc), "/sim") from exc

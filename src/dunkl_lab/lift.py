@@ -33,8 +33,6 @@ post = pre − (α·pre)α for its recorded root exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from . import _engine
@@ -55,13 +53,11 @@ from .root_systems import (
     Multiplicity,
     RootSystem,
     _as_enumeration,
-    _dedup_key,
     _match_root,
     check_invariance_condition,
     reflect,
 )
 
-REGION_TOL = 1e-9
 CLOCK_BLOCK = 1 << 18  # grid points per batch of clocks; bounds flip-stage temporaries
 
 
@@ -126,58 +122,6 @@ def build_lift_plan(system, k, *, rates=None, enumeration=None, mode="auto"):
             )
     return LiftPlan(system=system, k=k, enumeration=enumeration,
                     rates=stage_rates, modes=modes)
-
-
-@dataclass(frozen=True)
-class ChamberRegion:
-    """A union of closed Weyl-chamber images ∪_w w(C̄)."""
-
-    elements: tuple  # tuple of (n, n) arrays, deterministic order
-
-    def contains(self, system, states, tol=REGION_TOL):
-        """Boolean mask: which rows of ``states`` lie in the region."""
-        states = np.atleast_2d(np.asarray(states, dtype=float))
-        pos_t = system.positive_roots.T
-        inside = np.zeros(len(states), dtype=bool)
-        for w in self.elements:
-            inside |= ((states @ w) @ pos_t >= -tol).all(axis=1)
-        return inside
-
-
-@dataclass(frozen=True)
-class FoldRegions:
-    """The nested regions C_0 ⊆ C_1 ⊆ … and per-stage disjointness flags."""
-
-    regions: tuple          # n_stages + 1 ChamberRegion entries
-    disjoint: tuple         # stage i (1-based): C_{i−1} ∩ σ_{α_i}(C_{i−1}) = ∅
-    covers_space: bool      # last region is all of ℝⁿ
-
-
-def fold_check_regions(plan, n_stages=None):
-    """Chamber sequence C_{i+1} = C_i ∪ σ_{α_{i+1}}(C_i) with C_0 = C."""
-    system = plan.system
-    if n_stages is None:
-        n_stages = plan.n_stages
-    n = system.dimension
-    elems = [np.eye(n)]
-    keys = {_dedup_key(elems[0])}
-    regions = [ChamberRegion(elements=tuple(elems))]
-    disjoint = []
-    for s in range(n_stages):
-        alpha = system.positive_roots[plan.enumeration[s]]
-        sigma = np.eye(n) - np.outer(alpha, alpha)
-        reflected = [sigma @ w for w in elems]
-        overlap = any(_dedup_key(r) in keys for r in reflected)
-        disjoint.append(not overlap)
-        for r in reflected:
-            key = _dedup_key(r)
-            if key not in keys:
-                keys.add(key)
-                elems.append(r)
-        regions.append(ChamberRegion(elements=tuple(elems)))
-    covers = len(elems) == len(system.weyl_group)
-    return FoldRegions(regions=tuple(regions), disjoint=tuple(disjoint),
-                       covers_space=covers)
 
 
 def cumulative_time_change(times, states, alpha):
@@ -350,7 +294,6 @@ class LiftRun:
     """Output of a lift simulation: final-stage paths plus diagnostics."""
 
     trajectories: list
-    stage_trajectories: Optional[dict]  # stage index -> paths (engine stage onward)
     final_states: np.ndarray
     termination: np.ndarray
     wall_contact: np.ndarray
@@ -362,8 +305,7 @@ class LiftRun:
         return np.array([len(t.events) for t in self.trajectories])
 
 
-def simulate_dunkl(plan, x0, config: SimulationConfig, *, stages=None,
-                   keep_stage_paths=False, threads=1,
+def simulate_dunkl(plan, x0, config: SimulationConfig, *, stages=None, threads=1,
                    noise_transform=None) -> LiftRun:
     """Simulate Y^i for i = ``stages`` (default: all m) under a lift plan.
 
@@ -405,19 +347,11 @@ def simulate_dunkl(plan, x0, config: SimulationConfig, *, stages=None,
     )
     res = _engine.run_paths(params, config.n_paths, threads=threads)
     states, jumps = res.states, _jump_table(res)
-    stage_trajs = None
-    if keep_stage_paths:
-        stage_trajs = {g: _trajectories_from_engine(res, states.copy(), jumps)}
     for s in range(g + 1, n_stages + 1):
         jumps = _flip_stage(states, res.stop_index, jumps, res.tgrid, system,
                             plan.enumeration[s - 1], plan.rates[s - 1], config.seed, s)
-        if keep_stage_paths:
-            stage_trajs[s] = _trajectories_from_engine(res, states.copy(), jumps)
-    trajs = (stage_trajs[n_stages] if keep_stage_paths
-             else _trajectories_from_engine(res, states, jumps))
     return LiftRun(
-        trajectories=trajs,
-        stage_trajectories=stage_trajs,
+        trajectories=_trajectories_from_engine(res, states, jumps),
         final_states=states[np.arange(len(states)), res.stop_index],
         termination=np.array([_engine.TERMINATION_LABELS[int(c)]
                               for c in res.termination]),

@@ -330,6 +330,21 @@ def project_batch(system, states, tol=DEFAULT_BOUNDARY_TOL):
     return out
 
 
+def chamber_labels(system, states):
+    """Chamber label of each row of ``states``: the index into
+    ``weyl_group`` of the w with w⁻¹x ∈ C.
+
+    Read off x's sign pattern against R₊: the chamber w(C) has the pattern
+    of w·ρ, with ρ = Σ_{α∈R₊} α in C.  Meaningful off the walls only.
+    """
+    pos = system.positive_roots
+    bits = 1 << np.arange(len(pos), dtype=np.int64)
+    codes = (system.weyl_group @ pos.sum(axis=0) @ pos.T > 0) @ bits
+    order = np.argsort(codes)
+    got = (np.asarray(states, dtype=float) @ pos.T > 0) @ bits
+    return order[np.minimum(np.searchsorted(codes[order], got), len(codes) - 1)]
+
+
 def check_invariance_condition(system, i, enumeration=None, tol=ROOT_MATCH_TOL):
     """Whether σ_{α_i} maps {±α_1, …, ±α_{i−1}} onto itself.
 

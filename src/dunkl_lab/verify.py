@@ -1,11 +1,13 @@
 """Statistical and numerical acceptance checks with structured reports.
 
 Every check returns a ``Report`` whose pass criterion is declared up
-front: either |estimate − target| ≤ tolerance for moment/identity checks,
-or p ≥ significance for two-sample distribution checks (Bonferroni across
-coordinates inside a check).  Checks draw their randomness from streams
-derived off a master seed, so a whole suite is reproducible bit for bit
-from (seed, configuration); only the recorded runtimes vary.
+front: |estimate − target| ≤ tolerance for moment/identity checks;
+p ≥ significance for two-sample distribution checks (Bonferroni across
+coordinates inside a check); and for the exact chamber-label law, max|z|
+over the |W| labels ≤ the two-sided normal quantile at α/|W|.  Checks
+draw their randomness from streams derived off a master seed, so a whole
+suite is reproducible bit for bit from (seed, configuration); only the
+recorded runtimes vary.
 
 Each statistical check is paired with a negative control that feeds it a
 deliberately mismatched pair, since a check that cannot fail verifies
@@ -36,12 +38,13 @@ from .calculus import (
     rotate_system,
     sample_interior_points,
 )
-from .errors import InvalidArgumentError
-from .lift import build_lift_plan, fold_check_regions, simulate_dunkl
+from .errors import InvalidArgumentError, SingularClockError
+from .lift import build_lift_plan, simulate_dunkl
 from .radial import SimulationConfig, run_radial
 from .root_systems import (
     Multiplicity,
     build_rank_one,
+    chamber_labels,
     multiplicity,
     project_batch,
     reflect,
@@ -315,17 +318,14 @@ def moment_besq(sq_norm_samples, x0, gamma, dim, horizon, name="moment-besq"):
 
 
 # ---------------------------------------------------------------------------
-# projection, folding, mode equivalence
+# projection agreement
 
 
-def projection_agreement(full_states, radial_states, system, *,
-                         alpha=DEFAULT_ALPHA, name="projection"):
-    """Coordinatewise KS between π(Y_T) and the radial X_T (Bonferroni)."""
-    projected = project_batch(system, np.asarray(full_states, dtype=float))
-    radial_states = np.asarray(radial_states, dtype=float)
-    n = system.dimension
-    pvals = [float(sps.ks_2samp(projected[:, i], radial_states[:, i]).pvalue)
-             for i in range(n)]
+def _coordinate_ks(a, b, alpha, name, sample_size, **details):
+    """Two-sample KS of each coordinate of ``a`` against ``b``, Bonferroni
+    across the coordinates."""
+    n = a.shape[1]
+    pvals = [float(sps.ks_2samp(a[:, i], b[:, i]).pvalue) for i in range(n)]
     threshold = alpha / n
     return Report(
         name=name,
@@ -333,141 +333,80 @@ def projection_agreement(full_states, radial_states, system, *,
         stderr=None,
         tolerance=None,
         alpha=threshold,
-        sample_size=len(projected),
+        sample_size=sample_size,
         passed=bool(min(pvals) >= threshold),
-        details={"pvalues": pvals, "bonferroni_m": n},
+        details={"pvalues": pvals, **details},
     )
 
 
-def default_rectangles():
-    """Ten boxes inside the chamber x₁ > x₂ > 0 with useful mass at T = 1."""
-    return [
-        ((1.0, 1.5), (0.0, 0.9)),
-        ((1.5, 2.5), (0.0, 0.7)),
-        ((1.5, 2.5), (0.7, 1.4)),
-        ((2.5, 3.5), (0.0, 0.8)),
-        ((2.5, 3.5), (0.8, 1.6)),
-        ((2.5, 3.5), (1.6, 2.4)),
-        ((3.5, 4.5), (0.0, 1.0)),
-        ((3.5, 4.5), (1.0, 2.0)),
-        ((3.5, 4.5), (2.0, 3.0)),
-        ((4.5, 6.0), (0.0, 1.5)),
-    ]
+def projection_agreement(full_states, radial_states, system, *,
+                         alpha=DEFAULT_ALPHA, name="projection"):
+    """Coordinatewise KS between π(Y_T) and the radial X_T (Bonferroni)."""
+    projected = project_batch(system, np.asarray(full_states, dtype=float))
+    return _coordinate_ks(projected, np.asarray(radial_states, dtype=float), alpha,
+                          name, len(projected), bonferroni_m=system.dimension)
 
 
-def _in_rect(states, rect):
-    inside = np.ones(len(states), dtype=bool)
-    for axis, (lo, hi) in enumerate(rect):
-        inside &= (states[:, axis] >= lo) & (states[:, axis] < hi)
-    return inside
+# ---------------------------------------------------------------------------
+# the chamber label given the radial path
 
 
-def _rect_corners(rect):
-    corners = [[]]
-    for lo, hi in rect:
-        corners = [c + [v] for c in corners for v in (lo, hi)]
-    return np.array(corners)
+def label_law(run, plan, *, stages=None, alpha=DEFAULT_ALPHA, name="label-law"):
+    """Each path's final chamber label against its exact law given the
+    path's own radial part Y: the skew product X = w·Y read as a law.
 
-
-def folding_identity(plan, j, x0, config: SimulationConfig, *, rectangles=None,
-                     seed=None, name=None, drop_reflected_mass=False,
-                     threads=1):
-    """Semigroup folding at stage ``j``: P^{j−1}(A) vs P^j(A) + P^j(σ_j A).
-
-    Requires the pre-stage region to be disjoint from its reflection;
-    otherwise the check is reported as skipped, not failed.  With
-    ``drop_reflected_mass`` the reflected term is omitted — the negative
-    control, which must fail wherever jumps carry mass out of the region.
+    Given Y, w is a Markov chain on W.  A jump of X across α is w → w·σ_β,
+    β = w⁻¹α, at rate c(β)/(β·Y)² (the rates are W-invariant), active at
+    prefix ``stages`` only where w·β ∈ ±{α_1, …, α_stages}.  Per grid step
+    and root (Lie–Trotter), p ← a·p + (1 − a)·p∘(w ↦ wσ_β), with
+    a = (1 + e^{−2Λ})/2 and Λ = c·h/(d₀·d₁) exact along the straight
+    segment, d = β·Y.  Per label, z = Σ(1{w_i = w} − p_i(w)) / √Σ p_i(w)(1 −
+    p_i(w)), ±∞ where the variance is zero and the count is off; pass iff
+    max|z| ≤ the normal quantile at α/(2|W|).  The cost is about |W|·m
+    operations per grid step and path.  Raises ``SingularClockError`` if a
+    path touches a wall on the grid.
     """
-    if name is None:
-        name = f"folding-j{j}"
-    regions = fold_check_regions(plan, j)
-    if not regions.disjoint[j - 1]:
-        return Report(name=name, estimate=float("nan"), stderr=None,
-                      tolerance=None, alpha=None, sample_size=0, passed=True,
-                      skipped=True,
-                      details={"reason": "regions not disjoint; hypothesis not met"})
-    if rectangles is None:
-        rectangles = default_rectangles()
-    region = regions.regions[j - 1]
-    for rect in rectangles:
-        if not region.contains(plan.system, _rect_corners(rect)).all():
-            raise InvalidArgumentError(f"rectangle {rect} leaves the pre-stage region")
-    seed = config.seed if seed is None else seed
-    cfg_pre = replace(config, seed=derived_seed(seed, f"{name}:pre"))
-    cfg_post = replace(config, seed=derived_seed(seed, f"{name}:post"))
-    pre = simulate_dunkl(plan, x0, cfg_pre, stages=j - 1, threads=threads)
-    post = simulate_dunkl(plan, x0, cfg_post, stages=j, threads=threads)
-    alpha_j = plan.system.positive_roots[plan.enumeration[j - 1]]
-    pre_states = pre.final_states
-    post_states = post.final_states
-    post_reflected = reflect(alpha_j, post_states)
-    worst = 0.0
-    rows = []
-    ok = True
-    for rect in rectangles:
-        p0 = float(np.mean(_in_rect(pre_states, rect)))
-        in_a = _in_rect(post_states, rect)
-        if not drop_reflected_mass:
-            in_a = in_a | _in_rect(post_reflected, rect)
-        q = float(np.mean(in_a))
-        se = float(np.sqrt(p0 * (1 - p0) / len(pre_states)
-                           + q * (1 - q) / len(post_states)))
-        diff = abs(p0 - q)
-        rect_ok = diff <= 3.0 * se if se > 0 else diff == 0.0
-        ok &= rect_ok
-        z = diff / se if se > 0 else (0.0 if diff == 0 else np.inf)
-        worst = max(worst, z)
-        rows.append({"rect": rect, "p_pre": p0, "p_post": q, "z": z, "ok": rect_ok})
-    return Report(
-        name=name,
-        estimate=float(worst),
-        stderr=None,
-        tolerance=3.0,
-        alpha=None,
-        sample_size=config.n_paths,
-        passed=bool(ok),
-        details={"rectangles": rows,
-                 "reflected_mass_dropped": drop_reflected_mass},
-    )
+    system, m = plan.system, plan.n_stages
+    stages = m if stages is None else int(stages)
+    if not 0 <= stages <= m:
+        raise InvalidArgumentError(f"stages must lie in 0..{m}")
+    times, states, kept = stack_paths(run.trajectories)
+    pos, group = system.positive_roots, system.weyl_group
+    # root[w, b]: the position of ±w·β_b in R₊, the one α with |α·wβ_b| = 2;
+    # flip[b][w]: the label of w·σ_{β_b} where that jump is active, else w
+    root = np.abs(pos @ group @ pos.T).argmax(axis=1)
+    stage_of = np.argsort(plan.enumeration)
+    active = stage_of[root] < stages
+    flip = [np.where(active[:, b], chamber_labels(system, group @ reflect(beta, pos.sum(0))),
+                     np.arange(len(group))) for b, beta in enumerate(pos)]
 
+    labels = chamber_labels(system, states[:, [0, -1]])
+    p = np.zeros((len(group), len(states)))
+    p[labels[:, 0], np.arange(len(states))] = 1.0
+    rate = np.asarray(plan.rates)[stage_of]
+    for t in range(0, len(times) - 1, 64):  # blocks of grid steps bound the temporaries
+        x = states[:, t:t + 65]
+        # β·Y = β·w⁻¹x = |α·x| for the α = ±w·β
+        d = np.take_along_axis(np.abs(x @ pos.T), root[chamber_labels(system, x)], axis=-1)
+        if np.any(d <= 0.0):
+            raise SingularClockError("the radial path touches a wall on the grid")
+        lam = rate * np.diff(times[t:t + 65])[:, None] / (d[:, :-1] * d[:, 1:])
+        moved = -0.5 * np.expm1(-2.0 * np.ascontiguousarray(np.moveaxis(lam, 0, -1)))
+        for step in moved:  # 1 − a, as (steps, m, N)
+            for b, share in enumerate(step):
+                p += share * (p[flip[b]] - p)
 
-def mode_equivalence(system, k, x0, root_position, config: SimulationConfig, *,
-                     vectors=None, rate=None, alpha=DEFAULT_ALPHA,
-                     seed=None, name="mode-equivalence", threads=1):
-    """KS agreement of the shortcut and general one-root lifts at T."""
-    if rate is None:
-        rate = float(k.per_positive()[root_position])
-    if vectors is None:
-        n = system.dimension
-        vectors = [np.eye(n)[0], np.eye(n)[-1], np.ones(n) / np.sqrt(n)]
-    seed = config.seed if seed is None else seed
-    rest = tuple(i for i in range(system.n_positive) if i != root_position)
-    sims = {}
-    for mode in ("shortcut", "general"):
-        cfg = replace(config, seed=derived_seed(seed, f"{name}:{mode}"))
-        plan = build_lift_plan(system, k, rates=multiplicity(system, rate),
-                               enumeration=(root_position,) + rest,
-                               mode=(mode,) + ("general",) * len(rest))
-        sims[mode] = simulate_dunkl(plan, x0, cfg, stages=1,
-                                    threads=threads).final_states
-    pvals = []
-    for v in vectors:
-        a = sims["shortcut"] @ v
-        b = sims["general"] @ v
-        pvals.append(float(sps.ks_2samp(a, b).pvalue))
-    threshold = alpha / len(vectors)
-    return Report(
-        name=name,
-        estimate=float(min(pvals)),
-        stderr=None,
-        tolerance=None,
-        alpha=threshold,
-        sample_size=config.n_paths,
-        passed=bool(min(pvals) >= threshold),
-        details={"pvalues": pvals, "rate": rate,
-                 "root_position": int(root_position)},
-    )
+    observed = np.bincount(labels[:, -1], minlength=len(group))
+    expected, var = p.sum(axis=1), np.sum(p * (1.0 - p), axis=1)
+    diff = observed - expected
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(diff == 0.0, 0.0, diff / np.sqrt(var))
+    worst = float(np.max(np.abs(z)))
+    bound = float(sps.norm.isf(alpha / (2 * len(group))))
+    return Report(name=name, estimate=worst, stderr=None, tolerance=bound, alpha=alpha,
+                  sample_size=int(kept.sum()), passed=worst <= bound,
+                  details={"z": z, "expected": expected, "observed": observed,
+                           "stages": stages, "dropped_paths": int((~kept).sum())})
 
 
 # ---------------------------------------------------------------------------
@@ -610,21 +549,8 @@ def rotation_covariance_paths(system, k, x0, config: SimulationConfig, *,
     cfg_rotated = replace(config, seed=derived_seed(seed, f"{name}:rotated"))
     other = simulate_dunkl(rot_plan, theta @ x0, cfg_rotated, threads=threads)
 
-    n = system.dimension
-    pvals = [float(sps.ks_2samp(rotated_states[:, i],
-                                other.final_states[:, i]).pvalue)
-             for i in range(n)]
-    threshold = alpha / n
-    return Report(
-        name=name,
-        estimate=float(min(pvals)),
-        stderr=None,
-        tolerance=None,
-        alpha=threshold,
-        sample_size=config.n_paths,
-        passed=bool(min(pvals) >= threshold),
-        details={"pvalues": pvals},
-    )
+    return _coordinate_ks(rotated_states, other.final_states, alpha, name,
+                          config.n_paths)
 
 
 # ---------------------------------------------------------------------------
@@ -728,20 +654,23 @@ def run_suite(system, k, x0, *, horizon=1.0, dt=1e-3, n_paths=2000,
         system, name="projection:control",
         control="mismatched multiplicity must be rejected")
 
-    # skew-product mode equivalence when the first stage may take the shortcut
-    if plan.modes[0] == "shortcut":
-        add(mode_equivalence, system, k, x0, plan.enumeration[0], cfg("modes"),
-            threads=threads)
-
-    # folding at the first disjoint stage
-    regions = fold_check_regions(plan)
-    fold_j = next((j for j in range(1, plan.n_stages + 1)
-                   if regions.disjoint[j - 1]), None)
-    if fold_j is not None and n == 2:
-        add(folding_identity, plan, fold_j, x0, cfg("folding"), threads=threads)
-        add(folding_identity, plan, fold_j, x0, cfg("folding"),
-            drop_reflected_mass=True, name=f"folding-j{fold_j}:control",
-            threads=threads, control="dropping reflected mass must be rejected")
+    # the chamber label given the radial path, in both modes and at k′
+    mart_paths = max(800, n_paths // 2)
+    plan_kp = build_lift_plan(system, k, rates=k_prime, mode="auto")
+    two_param = simulate_dunkl(plan_kp, x0, cfg("mart-kp", mart_paths), threads=threads)
+    if len(system.weyl_group) > 48:  # the order of B3
+        reports.append(Report(
+            name="label-law", estimate=float("nan"), stderr=None, tolerance=None,
+            alpha=None, sample_size=0, passed=True, skipped=True,
+            details={"reason": f"|W| = {len(system.weyl_group)} > 48, the order of B3"}))
+    else:
+        add(label_law, full, plan, name="label-law-full")
+        plan_general = build_lift_plan(system, k, mode="general")
+        general = simulate_dunkl(plan_general, x0, cfg("label-general"), threads=threads)
+        add(label_law, general, plan_general, name="label-law-general")
+        add(label_law, two_param, plan_kp, name="label-law-two-param")
+        add(label_law, full, build_lift_plan(system, k, rates=k_plus, mode="auto"),
+            name="label-law:control", control="mismatched jump rates must be rejected")
 
     # wall-hitting profile (rank-1, fixed setup)
     wall_paths = max(800, n_paths // 4)
@@ -764,8 +693,6 @@ def run_suite(system, k, x0, *, horizon=1.0, dt=1e-3, n_paths=2000,
     # martingale residual battery
     bias_c = calibrate_bias_coefficient(system, horizon, 4000,
                                         derived_seed(seed, "bias"))
-    mart_paths = max(800, n_paths // 2)
-    plan_kp = build_lift_plan(system, k, rates=k_prime, mode="auto")
     spec_radial = GeneratorSpec.radial(system, k)
     full_paths = simulate_dunkl(plan, x0, cfg("mart-full", mart_paths),
                                 threads=threads).trajectories
@@ -773,8 +700,7 @@ def run_suite(system, k, x0, *, horizon=1.0, dt=1e-3, n_paths=2000,
         ("radial", run_radial(system, k, x0, cfg("mart", mart_paths), record=True,
                               threads=threads).trajectories, spec_radial),
         ("full", full_paths, GeneratorSpec.full(system, k)),
-        ("two-param", simulate_dunkl(plan_kp, x0, cfg("mart-kp", mart_paths),
-                                     threads=threads).trajectories,
+        ("two-param", two_param.trajectories,
          GeneratorSpec.full(system, k, jump_k=k_prime)),
     ]
     allowance = bias_c * dt

@@ -14,10 +14,11 @@ import pytest
 from dunkl_lab import (
     SimulationConfig,
     build_lift_plan,
+    build_rank_one,
     build_type_a,
     build_type_b,
+    chamber_labels,
     check_invariance_condition,
-    fold_check_regions,
     multiplicity,
     run_radial,
     simulate_dunkl,
@@ -28,19 +29,18 @@ from dunkl_lab.root_systems import reflect, validate_root_system
 from dunkl_lab.verify import (
     calibrate_bias_coefficient,
     control_function,
-    default_rectangles,
     derived_seed,
-    folding_identity,
     function_battery,
     harmonicity_check,
+    label_law,
     martingale_residual,
-    mode_equivalence,
     norm_is_bessel,
     projection_agreement,
     rotation_covariance_generator,
     rotation_covariance_paths,
     wall_hitting_profile,
 )
+from test_lift import reachable_labels
 
 ACC_SEED = 20170406
 
@@ -162,16 +162,25 @@ def test_criterion_04_norm_ks(radial_5k, full_5k):
                   f"{ctrl.estimate:.2e} rejected; {elapsed:.1f}s (< 3min)")
 
 
-def test_criterion_05_mode_equivalence(b2, k_one):
+def test_criterion_05_mode_equivalence(b2, k_one, full_5k):
+    # Both lift modes against one exact law: the chamber label given each
+    # path's own radial part, each with rates ×0.5 as the control.
     t0 = time.perf_counter()
     cfg = SimulationConfig(horizon=1.0, dt=1e-3, n_paths=5000,
-                           seed=derived_seed(ACC_SEED, "modes"))
-    rep = mode_equivalence(b2, k_one, [2.0, 1.0], 0, cfg)
+                           seed=derived_seed(ACC_SEED, "label-general"))
+    general = simulate_dunkl(build_lift_plan(b2, k_one, mode="general"), [2.0, 1.0], cfg)
+    ok, parts = True, []
+    for mode, run in (("auto", full_5k), ("general", general)):
+        rep = label_law(run, build_lift_plan(b2, k_one, mode=mode))
+        ctrl = label_law(run, build_lift_plan(b2, k_one, rates=multiplicity(b2, 0.5),
+                                              mode=mode))
+        ok &= rep.passed and not ctrl.passed
+        parts.append(f"{mode} max|z| = {rep.estimate:.2f} (×0.5 control "
+                     f"{ctrl.estimate:.1f})")
     elapsed = time.perf_counter() - t0
-    ok = rep.passed and elapsed < 180.0
-    pvals = ", ".join(f"{p:.3f}" for p in rep.details["pvalues"])
-    report(5, ok, f"shortcut vs general clock at stage 1: p = [{pvals}] "
-                  f"(each ≥ 0.01/3), N = 5000, {elapsed:.1f}s (< 3min)")
+    ok &= elapsed < 180.0
+    report(5, ok, f"label law given the radial path: {'; '.join(parts)}, bound "
+                  f"{rep.tolerance:.2f}, N = 5000, {elapsed:.1f}s (< 3min)")
 
 
 def test_criterion_06_end_to_end(b2, k_one, radial_5k, full_5k):
@@ -188,20 +197,21 @@ def test_criterion_06_end_to_end(b2, k_one, radial_5k, full_5k):
                                        ev.pre - (ev.pre @ alpha) * alpha)
             n_events += 1
 
-    # stage confinement, pointwise on every path of a dedicated run
+    # stage confinement, pointwise on every path of one run per stage prefix:
+    # each grid state and each jump's post keeps a chamber label reachable
+    # from x0's by the prefix's reflections
     plan = build_lift_plan(b2, k_one, mode="auto")
     cfg = SimulationConfig(horizon=1.0, dt=1e-3, n_paths=500,
                            seed=derived_seed(ACC_SEED, "confine"))
-    staged = simulate_dunkl(plan, [2.0, 1.0], cfg, keep_stage_paths=True)
-    regions = fold_check_regions(plan)
     confined = True
-    for stage, trajs in staged.stage_trajectories.items():
-        region = regions.regions[stage]
-        for traj in trajs:
-            confined &= bool(region.contains(b2, traj.states).all())
+    for stage in range(plan.n_stages + 1):
+        staged = simulate_dunkl(plan, [2.0, 1.0], cfg, stages=stage)
+        allowed = reachable_labels(b2, plan, [2.0, 1.0], stage)
+        for traj in staged.trajectories:
+            confined &= bool(np.isin(chamber_labels(b2, traj.states), allowed).all())
             if traj.events:
-                confined &= bool(region.contains(
-                    b2, np.array([ev.post for ev in traj.events])).all())
+                confined &= bool(np.isin(chamber_labels(
+                    b2, np.array([ev.post for ev in traj.events])), allowed).all())
     elapsed = time.perf_counter() - t0
     ok = rep.passed and jumps_ok and confined and elapsed < 300.0
     report(6, ok, f"π(Y⁴_1) vs X^W_1 min p = {rep.estimate:.3f} (≥ 0.005/coord); "
@@ -210,16 +220,45 @@ def test_criterion_06_end_to_end(b2, k_one, radial_5k, full_5k):
 
 
 def test_criterion_07_folding(b2, k_one):
+    # The label law at each stage prefix.  On B2 the prefix-(j−1) law, which
+    # drops the mass reflected by stage j, is the control; A2 (whose auto
+    # plan mixes modes) and rank one run in both modes, with rates ×0.5 as
+    # the control.
     t0 = time.perf_counter()
+    ok, worst, controls = True, 0.0, []
     plan = build_lift_plan(b2, k_one, mode="auto")
-    cfg = SimulationConfig(horizon=1.0, dt=1e-3, n_paths=10000,
-                           seed=derived_seed(ACC_SEED, "folding"))
-    rep = folding_identity(plan, 1, [2.0, 1.0], cfg,
-                           rectangles=default_rectangles())
+    for j in (1, 2, 3):
+        cfg = SimulationConfig(horizon=1.0, dt=1e-3, n_paths=2000,
+                               seed=derived_seed(ACC_SEED, f"label-b2-{j}"))
+        run = simulate_dunkl(plan, [2.0, 1.0], cfg, stages=j)
+        rep = label_law(run, plan, stages=j)
+        ctrl = label_law(run, plan, stages=j - 1)
+        ok &= rep.passed and not ctrl.passed
+        worst = max(worst, rep.estimate)
+        controls.append(ctrl.estimate)
+    a2 = build_type_a(3)
+    cases = [("A2", a2, 0.7 * a2.positive_roots.sum(axis=0) + [0.3, 0.1, -0.2], 2000),
+             ("rank one", build_rank_one(), [1.0], 4000)]
+    for label, system, x0, n_paths in cases:
+        k = multiplicity(system, 1.0)
+        for mode in ("auto", "general"):
+            plan = build_lift_plan(system, k, mode=mode)
+            half = build_lift_plan(system, k, rates=multiplicity(system, 0.5), mode=mode)
+            for j in range(1, plan.n_stages + 1):
+                cfg = SimulationConfig(horizon=1.0, dt=1e-3, n_paths=n_paths,
+                                       seed=derived_seed(ACC_SEED, f"label-{label}-{mode}-{j}"))
+                run = simulate_dunkl(plan, x0, cfg, stages=j)
+                rep = label_law(run, plan, stages=j)
+                ok &= rep.passed
+                worst = max(worst, rep.estimate)
+            ctrl = label_law(run, half)  # on the run of all stages
+            ok &= not ctrl.passed
+            controls.append(ctrl.estimate)
     elapsed = time.perf_counter() - t0
-    ok = rep.passed and not rep.skipped and len(rep.details["rectangles"]) == 10
-    report(7, ok, f"semigroup folding at stage 1: worst |z| = {rep.estimate:.2f} "
-                  f"≤ 3 over 10 rectangles, N = 10000, {elapsed:.1f}s")
+    report(7, ok, f"label law at every stage prefix, B2 auto (N = 2000), A2 and rank "
+                  f"one in both modes: worst max|z| = {worst:.2f}; controls (B2 "
+                  f"prefix j−1, then ×0.5) min max|z| = {min(controls):.2f}; "
+                  f"{elapsed:.1f}s")
 
 
 def test_criterion_08_wall_profile():

@@ -185,6 +185,20 @@ class TestCommands:
         assert len(lines) == 6
         assert lines[0].startswith("t_lo,t_hi,count,jumps")
 
+    @pytest.mark.parametrize("bins", ["0", "-2"])
+    def test_export_plot_data_rejects_bins_below_one(self, tmp_path, capsys, bins):
+        out_path = tmp_path / "traj.csv"
+        doc = base_doc(output={"path": str(out_path), "format": "csv"})
+        main(["simulate-radial", "--config", write_cfg(tmp_path, doc)])
+        capsys.readouterr()
+        summary_path = tmp_path / "summary.csv"
+        rc = main(["export-plot-data", "--in", str(out_path),
+                   "--out", str(summary_path), "--bins", bins])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and "--bins" in err
+        assert not summary_path.exists()
+
     def test_entry_point_runs(self):
         proc = subprocess.run(
             [sys.executable, "-m", "dunkl_lab.cli", "describe",
@@ -197,15 +211,14 @@ class TestCommands:
 class TestVerifySuiteCommand:
     # SHA-256 of the suite's reports, runtimes removed, as sorted-key JSON
     QUICK_SUITE_SHA256 = (
-        "4f713577543c06479361bf2c883f72ed68cdc84564a67cc067f87216ca98e526")
+        "55c3c703bb708190c4a3ec1682c15b41a2f624fc9ca2111e0eccbc5d320ddf0c")
 
     def test_quick_suite(self, tmp_path, capsys):
         """Very small sizes: the wiring, not the statistics.
 
-        The digest pins all 32 reports (names, order, estimates, verdicts
-        and details; only ``runtime`` is free), including the three checks
-        that fail at this size: projection-agreement, mode-equivalence and
-        folding-j1:control.
+        The digest pins all 33 reports (names, order, estimates, verdicts
+        and details; only ``runtime`` is free), including the one check
+        that fails at this size: projection-agreement.
         A deliberate change to the reproducibility contract or to a check
         updates it and says so in CHANGES.md; anything else that moves it
         is a regression.
@@ -220,7 +233,7 @@ class TestVerifySuiteCommand:
         parsed = json.loads(out[json_start:])
         assert any(r["name"] == "projection-agreement" for r in parsed)
         assert rc in (0, 1)
-        assert len(parsed) == 32
+        assert len(parsed) == 33
         for r in parsed:
             r.pop("runtime")
         digest = hashlib.sha256(json.dumps(parsed, sort_keys=True).encode())

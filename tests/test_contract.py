@@ -71,13 +71,14 @@ def test_outputs_match_contract(case):
 
 
 # Flip stages beyond the all-shortcut B2 plan: flips after an engine-clock
-# stage, and flips over paths that stopped early.  Each case also runs with
-# ``keep_stage_paths=True``, which hashes every stage's trajectories.
-def _stage_digest(run):
+# stage, and flips over paths that stopped early.  Each case also hashes the
+# trajectories of the runs with ``stages=s``, for every stage from the last
+# engine-clock one on.
+def _stage_digest(simulate, stages):
     h = hashlib.sha256()
-    for stage, trajs in sorted(run.stage_trajectories.items()):
+    for stage in stages:
         h.update(np.int64(stage).tobytes())
-        for t in trajs:
+        for t in simulate(stages=stage).trajectories:
             h.update(np.ascontiguousarray(t.states, dtype=float).tobytes())
             for e in t.events:
                 h.update(np.array([e.root], dtype=np.int64).tobytes())
@@ -102,13 +103,13 @@ def _b2_general_then_flips(**kwargs):
     return simulate_dunkl(plan, [0.6, 0.2], cfg, **kwargs)
 
 
-# case -> (SHA-256, jumps, rejected proposals, paths ended by a step failure,
-# SHA-256 of every stage's trajectories)
+# case -> (stages hashed by stage, (SHA-256, jumps, rejected proposals, paths
+# ended by a step failure, SHA-256 of those stages' trajectories))
 STAGE_CONTRACT = {
-    "a2_mixed": (_a2_mixed, (
+    "a2_mixed": (_a2_mixed, (2, 3), (
         "03ed7047afdbeaa2e52b16631568f4c2080f462a4984e3503ac4c9ac53c91853", 135, 0, 0,
         "0655e1f32325c8b6a3d3e51d74376d4a79ac7a36e780b666cf68af374c19fdd8")),
-    "b2_general_then_flips": (_b2_general_then_flips, (
+    "b2_general_then_flips": (_b2_general_then_flips, (1, 2, 3, 4), (
         "ea9197801062a76a5729a928cf0d38a8623e7fe5fa49fff60012a1b3879ed47c", 13965, 131,
         20, "e359d7b6c8d45c4013c73c0a0e65789fb75825ec4efc526411d9818deb285327")),
 }
@@ -117,12 +118,12 @@ STAGE_CONTRACT = {
 @pytest.mark.parametrize("keep", [False, True], ids=["final", "stages"])
 @pytest.mark.parametrize("case", sorted(STAGE_CONTRACT))
 def test_flip_stages_match_contract(case, keep):
-    simulate, expected = STAGE_CONTRACT[case]
-    run = simulate(keep_stage_paths=keep)
+    simulate, stages, expected = STAGE_CONTRACT[case]
+    run = simulate()
     got = (*_digest(run), int(np.sum(run.termination == "step_failure")))
     assert got == expected[:4]
     if keep:
-        assert _stage_digest(run) == expected[4]
+        assert _stage_digest(simulate, stages) == expected[4]
 
 
 # The engine's own branches, on B2 clocks at all four roots from near the

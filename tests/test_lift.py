@@ -8,12 +8,28 @@ from dunkl_lab import (
     UnsupportedRegimeError,
     build_lift_plan,
     cumulative_time_change,
-    fold_check_regions,
     multiplicity,
     simulate_dunkl,
 )
 from dunkl_lab import lift
-from dunkl_lab.root_systems import project_batch
+from dunkl_lab.root_systems import chamber_labels, project_batch, reflect
+
+
+def reachable_labels(system, plan, x0, stages):
+    """Labels of the chambers g·w₀(C), for g in the group generated by the
+    plan's first ``stages`` reflections and w₀ the label of ``x0``."""
+    x0 = np.asarray(x0, dtype=float)
+    found = {int(chamber_labels(system, x0)): x0}
+    frontier = [x0]
+    while frontier:
+        y = frontier.pop()
+        for position in plan.enumeration[:stages]:
+            image = reflect(system.positive_roots[position], y)
+            label = int(chamber_labels(system, image))
+            if label not in found:
+                found[label] = image
+                frontier.append(image)
+    return sorted(found)
 
 
 def small_cfg(n_paths=50, seed=3, horizon=0.5, dt=1e-3):
@@ -56,32 +72,6 @@ class TestPlans:
         assert doc == {"enumeration": [0, 1, 2, 3],
                        "modes": ["shortcut"] * 4,
                        "rates": [1.0] * 4}
-
-
-class TestFoldRegions:
-    def test_b2_chamber_sequence(self, b2, k_one):
-        plan = build_lift_plan(b2, k_one)
-        fr = fold_check_regions(plan)
-        sizes = [len(r.elements) for r in fr.regions]
-        assert sizes[0] == 1
-        assert sizes[-1] == len(b2.weyl_group)
-        assert fr.covers_space
-        assert fr.disjoint[0] is True
-
-    def test_region_membership(self, b2, k_one):
-        plan = build_lift_plan(b2, k_one)
-        fr = fold_check_regions(plan)
-        c0 = fr.regions[0]
-        assert c0.contains(b2, np.array([[2.0, 1.0]]))[0]
-        assert not c0.contains(b2, np.array([[1.0, 2.0]]))[0]
-        # FULL region contains everything
-        assert fr.regions[-1].contains(b2, np.array([[1.0, 2.0], [-3.0, 0.5]])).all()
-
-    def test_a2_regions(self, a2):
-        k = multiplicity(a2, 1.0)
-        fr = fold_check_regions(build_lift_plan(a2, k))
-        assert fr.covers_space
-        assert len(fr.regions[-1].elements) == 6
 
 
 class TestTimeChange:
@@ -232,23 +222,23 @@ class TestSimulateDunkl:
 
     def test_stage_confinement(self, b2, k_one):
         plan = build_lift_plan(b2, k_one)
-        run = simulate_dunkl(plan, [2.0, 1.0], small_cfg(n_paths=100, horizon=1.0),
-                             keep_stage_paths=True)
-        fr = fold_check_regions(plan)
-        for stage, trajs in run.stage_trajectories.items():
-            region = fr.regions[stage]
-            for traj in trajs:
-                assert region.contains(b2, traj.states).all()
-                for ev in traj.events:
-                    assert region.contains(b2, np.array([ev.post]))[0]
+        for stage in range(plan.n_stages + 1):
+            run = simulate_dunkl(plan, [2.0, 1.0], small_cfg(n_paths=100, horizon=1.0),
+                                 stages=stage)
+            allowed = reachable_labels(b2, plan, [2.0, 1.0], stage)
+            assert len(allowed) == (1, 2, 4, 8, 8)[stage]
+            states = np.concatenate([t.states for t in run.trajectories])
+            posts = np.array([ev.post for t in run.trajectories for ev in t.events])
+            assert np.isin(chamber_labels(b2, states), allowed).all()
+            if stage:
+                assert np.isin(chamber_labels(b2, posts), allowed).all()
 
     def test_norm_preserved_through_stages(self, b2, k_one):
         # jumps are reflections, so |Y| over stages matches the radial norm
-        run = simulate_dunkl(build_lift_plan(b2, k_one), [2.0, 1.0],
-                             small_cfg(n_paths=30), keep_stage_paths=True)
-        base = run.stage_trajectories[0]
-        last = run.stage_trajectories[4]
-        for a, b in zip(base, last):
+        plan = build_lift_plan(b2, k_one)
+        base = simulate_dunkl(plan, [2.0, 1.0], small_cfg(n_paths=30), stages=0)
+        last = simulate_dunkl(plan, [2.0, 1.0], small_cfg(n_paths=30), stages=4)
+        for a, b in zip(base.trajectories, last.trajectories):
             na = np.einsum("ij,ij->i", a.states, a.states)
             nb = np.einsum("ij,ij->i", b.states, b.states)
             assert np.max(np.abs(na - nb)) <= 1e-10 * np.max(na)
@@ -292,11 +282,10 @@ class TestChunking:
     def test_flip_stages_do_not_depend_on_blocks(self, monkeypatch, clock_block):
         from test_contract import STAGE_CONTRACT, _digest, _stage_digest
 
-        simulate, expected = STAGE_CONTRACT["b2_general_then_flips"]
+        simulate, stages, expected = STAGE_CONTRACT["b2_general_then_flips"]
         monkeypatch.setattr(lift, "CLOCK_BLOCK", clock_block)
-        run = simulate(keep_stage_paths=True)
-        assert _digest(run) == expected[:3]
-        assert _stage_digest(run) == expected[4]
+        assert _digest(simulate()) == expected[:3]
+        assert _stage_digest(simulate, stages) == expected[4]
 
 
 class TestLawInvariants:
@@ -311,7 +300,7 @@ class TestLawInvariants:
     def test_law_agrees_across_enumerations(self, b2, k_one):
         from scipy import stats as sps
 
-        from dunkl_lab.root_systems import project_batch
+        from dunkl_lab.root_systems import chamber_labels, project_batch, reflect
 
         base = build_lift_plan(b2, k_one, enumeration=(0, 1, 2, 3))
         other = build_lift_plan(b2, k_one, enumeration=(3, 2, 1, 0))

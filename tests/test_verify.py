@@ -1,10 +1,12 @@
 import dataclasses
 import json
+import types
 
 import numpy as np
 import pytest
 
-from dunkl_lab import SimulationConfig, build_lift_plan, multiplicity, run_radial
+from dunkl_lab import (SimulationConfig, SingularClockError, Trajectory, build_lift_plan,
+                       multiplicity, run_radial)
 from dunkl_lab.calculus import GeneratorSpec
 from dunkl_lab import verify
 from dunkl_lab.lift import simulate_dunkl
@@ -13,12 +15,10 @@ from dunkl_lab.verify import (
     bessel_em_oracle,
     calibrate_bias_coefficient,
     control_function,
-    default_rectangles,
     derived_seed,
-    folding_identity,
     harmonicity_check,
+    label_law,
     martingale_residual,
-    mode_equivalence,
     norm_is_bessel,
     projection_agreement,
     render_table,
@@ -29,6 +29,7 @@ from dunkl_lab.verify import (
     wall_hitting_profile,
 )
 from dunkl_lab.rng import stream
+from dunkl_lab.root_systems import chamber_labels
 
 
 class TestReportPlumbing:
@@ -147,54 +148,65 @@ class TestProjectionAgreement:
         assert not rep.passed
 
 
-class TestFolding:
-    def test_rectangles_inside_chamber(self, b2):
-        pos_t = b2.positive_roots.T
-        for rect in default_rectangles():
-            (x_lo, x_hi), (y_lo, y_hi) = rect
-            corners = np.array([[x, y] for x in (x_lo, x_hi)
-                                for y in (y_lo, y_hi)])
-            assert np.all(corners @ pos_t >= 0)
+class TestLabelLaw:
+    def test_rank_one_closed_form(self, rank1):
+        """On one fixed path the law's probability of the start label is the
+        flip parity (1 + e^{−2cΣh/(d₀d₁)})/2, with d = α·x on the grid."""
+        times = np.linspace(0.0, 1.0, 51)
+        x = 1.0 + 0.5 * np.sin(7.0 * times)
+        path = Trajectory(path_id=0, times=times, states=x[:, None])
+        run = types.SimpleNamespace(trajectories=[path])
+        k = multiplicity(rank1, 1.3)
+        d = np.sqrt(2.0) * x
+        exact = 0.5 * (1.0 + np.exp(-2.6 * np.sum(np.diff(times) / (d[:-1] * d[1:]))))
+        rep = label_law(run, build_lift_plan(rank1, k))
+        assert abs(rep.details["expected"][0] - exact) <= 1e-12
+        assert abs(rep.details["expected"][1] - (1.0 - exact)) <= 1e-12
 
-    def test_identity_holds_and_control_fails(self, b2):
-        k = multiplicity(b2, 1.0)
-        plan = build_lift_plan(b2, k)
-        cfg = SimulationConfig(horizon=1.0, dt=2e-3, n_paths=3000, seed=60)
-        rep = folding_identity(plan, 1, [2.0, 1.0], cfg)
-        assert rep.passed
-        ctrl = folding_identity(plan, 1, [2.0, 1.0], cfg,
-                                drop_reflected_mass=True)
-        assert not ctrl.passed
+    def test_zero_rates_give_a_point_mass(self, b2, k_one):
+        # from a start outside C, the mass sits on the start's label
+        plan = build_lift_plan(b2, k_one, rates=multiplicity(b2, 0.0))
+        cfg = SimulationConfig(horizon=0.5, dt=1e-2, n_paths=100, seed=61)
+        rep = label_law(simulate_dunkl(plan, [-1.0, 2.0], cfg), plan)
+        assert rep.passed and rep.estimate == 0.0
+        start = int(chamber_labels(b2, [-1.0, 2.0]))
+        assert start != 0
+        assert rep.details["expected"].tolist() == [100.0 * (w == start) for w in range(8)]
+        assert rep.details["observed"].tolist() == [100 * (w == start) for w in range(8)]
 
-    def test_skip_when_not_disjoint(self, b2):
-        k = multiplicity(b2, 1.0)
-        plan = build_lift_plan(b2, k)
-        rep = folding_identity(plan, 4, [2.0, 1.0],
-                               SimulationConfig(horizon=0.1, dt=0.01,
-                                                n_paths=10, seed=1))
-        assert rep.skipped
+    @pytest.mark.parametrize("mode", ["auto", "general"])
+    def test_b2_passes_and_half_rates_fail(self, b2, k_one, mode):
+        plan = build_lift_plan(b2, k_one, mode=mode)
+        cfg = SimulationConfig(horizon=1.0, dt=2e-3, n_paths=600, seed=70)
+        run = simulate_dunkl(plan, [2.0, 1.0], cfg)
+        rep = label_law(run, plan)
+        assert rep.passed, rep.details["z"]
+        assert rep.tolerance == pytest.approx(3.227, abs=1e-3)
+        half = build_lift_plan(b2, k_one, rates=multiplicity(b2, 0.5), mode=mode)
+        assert not label_law(run, half).passed
 
-    def test_zero_rate_lift_is_trivially_consistent(self, b2):
-        k = multiplicity(b2, 1.0)
-        plan = build_lift_plan(b2, k, rates=multiplicity(b2, 0.0))
-        cfg = SimulationConfig(horizon=0.5, dt=2e-3, n_paths=1000, seed=61)
-        rep = folding_identity(plan, 1, [2.0, 1.0], cfg)
-        assert rep.passed
+    def test_rates_follow_the_enumeration(self, b2, k_one):
+        # only the long roots jump, and they are the last two stages
+        plan = build_lift_plan(b2, k_one, rates=multiplicity(b2, [1.0, 0.0]),
+                               enumeration=(3, 2, 1, 0))
+        cfg = SimulationConfig(horizon=0.5, dt=1e-2, n_paths=300, seed=73)
+        rep = label_law(simulate_dunkl(plan, [2.0, 1.0], cfg), plan)
+        assert rep.passed, rep.details["z"]
 
+    def test_missing_stage_is_infinitely_unlikely(self, b2, k_one):
+        plan = build_lift_plan(b2, k_one)
+        cfg = SimulationConfig(horizon=0.5, dt=1e-2, n_paths=200, seed=72)
+        run = simulate_dunkl(plan, [2.0, 1.0], cfg, stages=1)
+        assert label_law(run, plan, stages=1).passed
+        rep = label_law(run, plan, stages=0)
+        assert not rep.passed and rep.estimate == np.inf
 
-class TestModeEquivalence:
-    def test_b2_first_stage(self, b2):
-        k = multiplicity(b2, 1.0)
-        cfg = SimulationConfig(horizon=1.0, dt=2e-3, n_paths=1200, seed=70)
-        rep = mode_equivalence(b2, k, [2.0, 1.0], 0, cfg)
-        assert rep.passed
-        assert len(rep.details["pvalues"]) == 3
-
-    def test_zero_rate_equivalence(self, b2):
-        k = multiplicity(b2, 1.0)
-        cfg = SimulationConfig(horizon=0.5, dt=2e-3, n_paths=500, seed=71)
-        rep = mode_equivalence(b2, k, [2.0, 1.0], 0, cfg, rate=0.0)
-        assert rep.passed
+    def test_path_on_a_wall_is_refused(self, rank1):
+        times = np.linspace(0.0, 1.0, 3)
+        path = Trajectory(path_id=0, times=times, states=np.array([[1.0], [0.0], [1.0]]))
+        with pytest.raises(SingularClockError):
+            label_law(types.SimpleNamespace(trajectories=[path]),
+                      build_lift_plan(rank1, multiplicity(rank1, 1.0)))
 
 
 class TestCallerSettings:
@@ -213,11 +225,9 @@ class TestCallerSettings:
         cfg = SimulationConfig(horizon=0.1, dt=0.01, n_paths=20, seed=5,
                                wall_policy="reject_halve", max_halvings=3,
                                eps_wall=1e-6)
-        folding_identity(build_lift_plan(b2, k), 1, [2.0, 1.0], cfg)
-        mode_equivalence(b2, k, [2.0, 1.0], 0, cfg)
         rotation_covariance_paths(b2, k, [2.0, 1.0], cfg)
-        assert len(received) == 6
-        assert len({c.seed for c in received}) == 6
+        assert len(received) == 2
+        assert len({c.seed for c in received}) == 2
         for got in received:
             assert dataclasses.replace(got, seed=cfg.seed) == cfg
 
