@@ -14,7 +14,9 @@ optional (λ, a) term is the single-root point-jump perturbation.
 
 Everything here is pure and vectorized: points may carry leading batch
 axes with coordinates on the last axis, and test functions must accept
-such arrays.
+such arrays.  A test function may return a view of its argument (say
+``lambda y: y[..., 0]``): every finite-difference stencil point is a fresh
+array, so no later evaluation overwrites an earlier value.
 """
 
 from __future__ import annotations
@@ -186,23 +188,30 @@ def _fd_scheme(u, x):
     u = as_test_function(u)
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
-    h = FD_BASE_STEP * (1.0 + np.linalg.norm(x, axis=-1))
-    if np.any(np.linalg.norm(x, axis=-1) + h > u.smooth_radius):
+    norm = np.linalg.norm(x, axis=-1)
+    h = FD_BASE_STEP * (1.0 + norm)
+    if np.any(norm + h > u.smooth_radius):
         raise DomainError("finite-difference stencil exits the smoothness region")
-    u0 = u(x)
+
+    def u_at(i, op, step):
+        # u(x ± step·e_i) on a fresh array (u may return a view of it);
+        # op(x, 0.0) rounds x_j as the vector sum x ± step·e does, −0.0 too
+        xs = op(x, 0.0)
+        op(x[..., i], step, out=xs[..., i])
+        return u(xs)
+
+    u0_2 = 2.0 * u(x)
+    half, h_2, h_sq, half_sq = 0.5 * h, 2.0 * h, h**2, (0.5 * h) ** 2
     grad = np.empty(x.shape)
     second = np.empty(x.shape)
     for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        step = h[..., None] * e
-        up1, um1 = u(x + step), u(x - step)
-        up2, um2 = u(x + 0.5 * step), u(x - 0.5 * step)
-        g1 = (up1 - um1) / (2.0 * h)
+        up1, um1 = u_at(i, np.add, h), u_at(i, np.subtract, h)
+        up2, um2 = u_at(i, np.add, half), u_at(i, np.subtract, half)
+        g1 = (up1 - um1) / h_2
         g2 = (up2 - um2) / h
         grad[..., i] = (4.0 * g2 - g1) / 3.0
-        s1 = (up1 - 2.0 * u0 + um1) / h**2
-        s2 = (up2 - 2.0 * u0 + um2) / (0.5 * h) ** 2
+        s1 = (up1 - u0_2 + um1) / h_sq
+        s2 = (up2 - u0_2 + um2) / half_sq
         second[..., i] = (4.0 * s2 - s1) / 3.0
     return grad, second
 

@@ -51,6 +51,7 @@ from .root_systems import (
 )
 
 DEFAULT_ALPHA = 0.01
+_RESIDUAL_POINTS = 1 << 14   # path points per generator call in _path_residuals
 
 
 @dataclass
@@ -204,10 +205,17 @@ def calibrate_bias_coefficient(system, t, n_paths, seed):
 
 
 def _path_residuals(states, times, spec, u):
-    """u(X_T) − u(X_0) − Σ A u(X_{t_j}) Δt_j per path (left Riemann sum)."""
-    au = apply_generator(spec, u, states[:, :-1, :])
-    integral = au @ np.diff(times)
-    return u(states[:, -1, :]) - u(states[:, 0, :]) - integral
+    """u(X_T) − u(X_0) − Σ A u(X_{t_j}) Δt_j per path (left Riemann sum).
+
+    The generator runs on blocks of about ``_RESIDUAL_POINTS`` points; the
+    sum over steps stays one product over all paths, since a BLAS product
+    may round a row differently when it gets fewer rows.
+    """
+    au = np.empty(states[:, :-1, 0].shape)
+    block = max(1, _RESIDUAL_POINTS // max(1, au.shape[1]))
+    for lo in range(0, len(au), block):
+        au[lo:lo + block] = apply_generator(spec, u, states[lo:lo + block, :-1, :])
+    return u(states[:, -1, :]) - u(states[:, 0, :]) - au @ np.diff(times)
 
 
 def martingale_residual(sample_paths, spec, u, *, bias_allowance=0.0,
@@ -253,17 +261,22 @@ def bessel_em_oracle(dim, x0, horizon, dt, n_paths, rng, absorb_eps=1e-8):
     alive = np.ones(n_paths, dtype=bool)
     coef = 0.5 * (dim - 1.0)
     sq = np.sqrt(dt)
+    idx = None  # the alive paths; None until the first absorption
     for _ in range(n_steps):
-        idx = np.nonzero(alive)[0]
-        if not len(idx):
-            break
-        xi = rng.standard_normal(len(idx))
-        prop = x[idx] + coef / x[idx] * dt + sq * xi
+        xa = x if idx is None else x[idx]
+        prop = xa + coef / xa * dt + sq * rng.standard_normal(len(xa))
         hit = prop <= absorb_eps
+        if idx is None and not hit.any():
+            x = prop
+            continue
+        idx = np.arange(n_paths) if idx is None else idx
         x[idx[~hit]] = prop[~hit]
         if hit.any():
             x[idx[hit]] = np.maximum(prop[hit], 0.0)
             alive[idx[hit]] = False
+            idx = np.nonzero(alive)[0]
+            if not len(idx):
+                break
     return x, ~alive
 
 

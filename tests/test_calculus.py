@@ -214,6 +214,16 @@ class TestGenerator:
             apply_generator(GeneratorSpec.radial(b2, k_one),
                             fn, np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("full", [False, True], ids=["radial", "full"])
+    def test_function_may_return_a_view(self, b2, k_one, rng, full):
+        # a stencil buffer shared by the evaluations would rewrite the values
+        # a view-returning u gave for the earlier stencil points
+        pts = sample_interior_points(b2, 12, rng).reshape(3, 4, 2)
+        spec = (GeneratorSpec.full if full else GeneratorSpec.radial)(b2, k_one)
+        view = apply_generator(spec, TestFunction(lambda y: y[..., 0]), pts)
+        copy = apply_generator(spec, TestFunction(lambda y: y[..., 0].copy()), pts)
+        assert view.tobytes() == copy.tobytes()
+
 
 class TestHarmonicity:
     def test_delta_harmonic(self, a2, b2, rng):

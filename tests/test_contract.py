@@ -13,7 +13,9 @@ import pytest
 
 from dunkl_lab import (SimulationConfig, _engine, build_type_a, build_type_b,
                        multiplicity, run_radial)
+from dunkl_lab.calculus import GeneratorSpec
 from dunkl_lab.lift import build_lift_plan, simulate_dunkl
+from dunkl_lab.verify import control_function, function_battery, martingale_residual
 
 
 def _digest(run):
@@ -199,3 +201,23 @@ def test_engine_outputs_match_contract(case, monkeypatch):
         failed = np.flatnonzero(res.termination == _engine.TERM_STEP_FAILURE)
         assert any(time > res.tgrid[res.stop_index[j]]
                    for j in failed for time, *_ in res.events[j])
+
+
+# Martingale residuals of 17 recorded B2 paths of 997 steps: one path more
+# than a generator block, so the last block holds a single path.  The
+# estimate and standard error of every function under the radial and a
+# two-parameter full generator are hashed.
+def test_martingale_residuals_match_contract():
+    b2 = build_type_b(2)
+    k = multiplicity(b2, 1.0)
+    cfg = SimulationConfig(horizon=0.997, dt=1e-3, n_paths=17, seed=12)
+    paths = run_radial(b2, k, [2.0, 1.0], cfg, record=True).trajectories
+    assert len(paths[0].times) == 998
+    h = hashlib.sha256()
+    for spec in (GeneratorSpec.radial(b2, k),
+                 GeneratorSpec.full(b2, k, jump_k=multiplicity(b2, [0.25, 2.0]))):
+        for u in function_battery(2) + [control_function(2)]:
+            rep = martingale_residual(lambda: paths, spec, u)
+            h.update(np.array([rep.estimate, rep.stderr]).tobytes())
+    assert h.hexdigest() == (
+        "7137b70b73920798adc641657cd42f4841ae6382522da524abdf71c05bcfc7f7")

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 import types
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from dunkl_lab import (SimulationConfig, SingularClockError, Trajectory, build_lift_plan,
                        multiplicity, run_radial)
-from dunkl_lab.calculus import GeneratorSpec
+from dunkl_lab.calculus import GeneratorSpec, apply_generator
 from dunkl_lab import verify
 from dunkl_lab.lift import simulate_dunkl
 from dunkl_lab.verify import (
@@ -72,6 +73,35 @@ class TestBesselOracle:
         _, hit = bessel_em_oracle(1.2, 0.2, 1.0, 1e-3, 500, rng)
         assert hit.mean() > 0.3
 
+    @pytest.mark.parametrize("dim, x0", [(10.0, np.sqrt(5.0)), (1.2, 0.2)],
+                             ids=["no-absorption", "absorption"])
+    def test_matches_the_indexed_loop(self, dim, x0):
+        # the oracle with a gather and a scatter of the alive paths per step
+        def indexed(n_paths, rng, dt=1e-3, absorb_eps=1e-8):
+            x = np.full(n_paths, float(x0))
+            alive = np.ones(n_paths, dtype=bool)
+            coef = 0.5 * (dim - 1.0)
+            for _ in range(int(round(1.0 / dt))):
+                idx = np.nonzero(alive)[0]
+                if not len(idx):
+                    break
+                xi = rng.standard_normal(len(idx))
+                prop = x[idx] + coef / x[idx] * dt + np.sqrt(dt) * xi
+                hit = prop <= absorb_eps
+                x[idx[~hit]] = prop[~hit]
+                if hit.any():
+                    x[idx[hit]] = np.maximum(prop[hit], 0.0)
+                    alive[idx[hit]] = False
+            return x, ~alive
+
+        rng, ref_rng = stream(3, 4, 99), stream(3, 4, 99)
+        finals, hit = bessel_em_oracle(dim, x0, 1.0, 1e-3, 500, rng)
+        ref_finals, ref_hit = indexed(500, ref_rng)
+        assert finals.tobytes() == ref_finals.tobytes()
+        assert np.array_equal(hit, ref_hit)
+        assert rng.standard_normal() == ref_rng.standard_normal()
+        assert (0 < hit.sum() < 500) if dim < 2 else not hit.any()
+
 
 @pytest.fixture(scope="module")
 def radial_norms(b2):
@@ -118,6 +148,44 @@ class TestMartingale:
         rep = martingale_residual(lambda: paths, GeneratorSpec.radial(b2, k),
                                   control_function(2), bias_allowance=0.001)
         assert not rep.passed
+
+    @pytest.mark.parametrize("spec_kind", ["radial", "full", "two-param"])
+    def test_blocks_change_no_bit(self, b2, spec_kind):
+        # 997 steps, uneven: path counts around and between generator blocks
+        k = multiplicity(b2, 1.0)
+        spec = {"radial": GeneratorSpec.radial(b2, k),
+                "full": GeneratorSpec.full(b2, k),
+                "two-param": GeneratorSpec.full(
+                    b2, k, jump_k=multiplicity(b2, [0.25, 2.0]))}[spec_kind]
+        steps = 997
+        block = verify._RESIDUAL_POINTS // steps
+        assert block > 2
+        rng = np.random.default_rng(46)
+        times = np.concatenate([[0.0], np.cumsum(rng.uniform(5e-4, 1.5e-3, steps))])
+        for n_paths in (1, block - 1, block + 1, 3 * block + 5):
+            states = np.stack([3.0 + rng.random((n_paths, steps + 1)),
+                               1.0 + 0.5 * rng.random((n_paths, steps + 1))], axis=-1)
+            for u in function_battery(2) + [control_function(2)]:
+                au = apply_generator(spec, u, states[:, :-1, :])
+                one_shot = (u(states[:, -1, :]) - u(states[:, 0, :])
+                            - au @ np.diff(times))
+                got = verify._path_residuals(states, times, spec, u)
+                assert got.tobytes() == one_shot.tobytes(), (n_paths, u.name)
+
+    def test_memory_stays_bounded(self, b2):
+        # 1,000 recorded paths of 1,000 steps: the stacked states take 16 MB,
+        # and the generator's temporaries over all 10⁶ points at once ~200 MB
+        k = multiplicity(b2, 1.0)
+        cfg = SimulationConfig(horizon=1.0, dt=1e-3, n_paths=1000, seed=45)
+        paths = run_radial(b2, k, [2.0, 1.0], cfg, record=True).trajectories
+        tracemalloc.start()
+        try:
+            martingale_residual(lambda: paths, GeneratorSpec.radial(b2, k),
+                                function_battery(2)[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64e6
 
     def test_constant_function_zero_residual(self, b2):
         k = multiplicity(b2, 1.0)
