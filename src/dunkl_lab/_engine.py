@@ -18,10 +18,11 @@ A vector step is one fused accept test.  The block carries A·x of every
 path from the proposal it accepted, so a step computes A·x once: the
 smallest signed distance (A·x)·sign both tests that the proposal keeps its
 chamber and is the wall distance of an accepted path.  Norms for the
-contact threshold are taken only for paths a cheap bound cannot clear, and
-per-path streams for retries and firings exist only for paths that needed
-them: a block derives their keys in one ``rng.keys`` call when a path first
-needs one, and a path's generator is built on its first draw.
+contact threshold are taken only for paths a cheap bound cannot clear.  A
+block derives its paths' ``DIFFUSION`` keys in one ``rng.keys`` call; the
+streams for retries and firings exist only for paths that needed them:
+their keys come from one call when a path first needs one, and a path's
+generator is built on its first draw.
 
 Proposals that would cross a reflecting hyperplane are never accepted:
 under the reject-and-halve policy the interval is bisected with fresh
@@ -34,6 +35,7 @@ wall-hitting time is a genuine feature.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -41,6 +43,7 @@ from typing import Optional
 import numpy as np
 
 from . import rng as rngmod
+from .errors import InvalidArgumentError
 
 TERM_HORIZON = 0
 TERM_T0 = 1
@@ -102,12 +105,12 @@ class _PathState:
 
     def retry_rng(self):
         if not isinstance(self._retry, np.random.Generator):
-            self._retry = rngmod.generator(self._retry)
+            self._retry = rngmod.stream(self._retry)
         return self._retry
 
     def clock_rng(self):
         if not isinstance(self._clock, np.random.Generator):
-            self._clock = rngmod.generator(self._clock)
+            self._clock = rngmod.stream(self._clock)
         return self._clock
 
 
@@ -194,6 +197,11 @@ def cover_interval(params, paths, x, signs, lam, thr, h, t_start, xi):
     return covered
 
 
+def _row_min(a):
+    """``a.min(axis=1)`` column-wise; numpy reduces a short last axis row by row."""
+    return np.ascontiguousarray(a.T).min(axis=0)
+
+
 def _run_block(params: EngineParams, first_path: int, n_paths: int) -> EngineResult:
     A = params.positive_roots
     m, nd = A.shape
@@ -203,8 +211,8 @@ def _run_block(params: EngineParams, first_path: int, n_paths: int) -> EngineRes
     n_steps = len(tgrid) - 1
     seed = params.seed
 
-    gens = [rngmod.stream(seed, rngmod.DIFFUSION, first_path + j)
-            for j in range(n_paths)]
+    paths = first_path + np.arange(n_paths)
+    gens = [rngmod.stream(key) for key in rngmod.keys(seed, rngmod.DIFFUSION, paths)]
     # Per-path streams are consumed one grid step at a time; buffering them
     # in segments keeps memory bounded without changing any draw.
     seg_len = max(1, min(n_steps, NOISE_BUFFER // max(1, n_paths * nd)))
@@ -226,9 +234,8 @@ def _run_block(params: EngineParams, first_path: int, n_paths: int) -> EngineRes
     signs_mat = np.tile(np.sign(A @ params.x0), (n_paths, 1))
     lam_mat = np.zeros((n_paths, g))
     thr_mat = np.zeros((n_paths, g))
-    paths = first_path + np.arange(n_paths)
     for row, key in zip(thr_mat, rngmod.keys(seed, rngmod.CLOCK, paths, 0) if g else ()):
-        rngmod.generator(key).standard_exponential(out=row)
+        rngmod.stream(key).standard_exponential(out=row)
     path_states = {}   # only paths that needed cover_interval
     retry_keys = None
 
@@ -265,7 +272,7 @@ def _run_block(params: EngineParams, first_path: int, n_paths: int) -> EngineRes
     # of rows give the same bits per row.
     d_cur = cur @ A.T
     inv_cur = d_cur[:, clock_cols]**-2.0
-    min_wd = (d_cur * signs_mat).min(axis=1)
+    min_wd = _row_min(d_cur * signs_mat)
 
     for step in range(n_steps):
         if not active.any():
@@ -284,7 +291,7 @@ def _run_block(params: EngineParams, first_path: int, n_paths: int) -> EngineRes
         pd = prop @ A.T
         # A proposal keeps its sign pattern iff every signed distance is > 0;
         # the smallest one is then its wall distance.
-        wd = (pd * signs_mat[sel]).min(axis=1)
+        wd = _row_min(pd * signs_mat[sel])
         ok = wd > 0
         plain = ok.copy()
         lam, inv = lam_mat[sel], pd[:, clock_cols]**-2.0
@@ -322,7 +329,7 @@ def _run_block(params: EngineParams, first_path: int, n_paths: int) -> EngineRes
             lam_mat[rows], thr_mat[rows] = lam_r[covered], thr_r[covered]
             d_cur[rows] = cur[rows] @ A.T
             inv_cur[rows] = d_cur[rows][:, clock_cols]**-2.0
-            wd[redo] = (d_cur[rows] * signs_mat[rows]).min(axis=1)
+            wd[redo] = _row_min(d_cur[rows] * signs_mat[rows])
 
         if full and active.all():
             np.minimum(min_wd, wd, out=min_wd)
@@ -385,14 +392,15 @@ def run_paths(params: EngineParams, n_paths: int, threads: int = 1,
     """Run ``n_paths`` independent paths, optionally across worker processes.
 
     Blocking is fixed by ``chunk_size`` and path randomness is path-keyed,
-    so the output is identical for any ``threads``.
+    so the output is identical for any ``threads`` (0 = one per CPU; at
+    most one worker per block).
     """
+    if threads < 0:
+        raise InvalidArgumentError(f"threads must be ≥ 0, got {threads}")
     ranges = [(start, min(chunk_size, n_paths - start))
               for start in range(0, n_paths, chunk_size)]
-    if threads == 0:
-        import os
-        threads = min(len(ranges), os.cpu_count() or 1)
-    if threads <= 1 or len(ranges) == 1:
+    threads = min(threads or os.cpu_count() or 1, len(ranges))
+    if threads <= 1:
         results = [_run_block(params, s, c) for s, c in ranges]
     else:
         with ProcessPoolExecutor(max_workers=threads) as pool:

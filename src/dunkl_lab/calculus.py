@@ -178,6 +178,16 @@ def drift(system, k, x):
     return (k.per_positive() / dots) @ system.positive_roots
 
 
+def _coordinate_sum(a):
+    """``a.sum(axis=-1)`` column-wise, as numpy adds ≤ 7 terms: in order from +0.0."""
+    if a.shape[-1] > 7:
+        return a.sum(axis=-1)
+    out = a[..., 0] + 0.0
+    for i in range(1, a.shape[-1]):
+        out += a[..., i]
+    return out
+
+
 def _fd_scheme(u, x):
     """Richardson-extrapolated central differences.
 
@@ -188,7 +198,7 @@ def _fd_scheme(u, x):
     u = as_test_function(u)
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
-    norm = np.linalg.norm(x, axis=-1)
+    norm = np.sqrt(_coordinate_sum(x * x))  # np.linalg.norm(x, axis=-1)
     h = FD_BASE_STEP * (1.0 + norm)
     if np.any(norm + h > u.smooth_radius):
         raise DomainError("finite-difference stencil exits the smoothness region")
@@ -221,7 +231,7 @@ def fd_gradient(u, x):
 
 
 def fd_laplacian(u, x):
-    return _fd_scheme(u, x)[1].sum(axis=-1)
+    return _coordinate_sum(_fd_scheme(u, x)[1])
 
 
 def generator_terms(spec, u, x):
@@ -237,7 +247,7 @@ def generator_terms(spec, u, x):
     if np.any(dots == 0.0):
         raise SingularDriftError("generator evaluated on a reflecting hyperplane")
     grad, second = _fd_scheme(u, x)
-    half_lap = 0.5 * second.sum(axis=-1)
+    half_lap = 0.5 * _coordinate_sum(second)
     drift_vec = (k.per_positive() / dots) @ system.positive_roots
     drift_term = np.einsum("...i,...i->...", drift_vec, grad)
     jumps = np.zeros(x.shape[:-1])
@@ -315,7 +325,7 @@ def harmonicity_residual(system, k, which, x):
         )
     if which == "pi":
         _, second = _fd_scheme(_pi_product(system), x)
-        return second.sum(axis=-1), np.abs(second).sum(axis=-1)
+        return _coordinate_sum(second), _coordinate_sum(np.abs(second))
     if which == "pi_power":
         kk = float(k) if np.isscalar(k) else k.by_orbit[0]
         pi = _pi_product(system)
@@ -328,7 +338,7 @@ def harmonicity_residual(system, k, which, x):
 
         grad_f, second_f = _fd_scheme(TestFunction(f), x)
         grad_g = fd_gradient(TestFunction(g), x)
-        lap_f = second_f.sum(axis=-1)
+        lap_f = _coordinate_sum(second_f)
         cross = 2.0 * np.einsum("...i,...i->...", grad_f, grad_g)
         return lap_f + cross, np.abs(lap_f) + np.abs(cross)
     raise InvalidArgumentError(f"unknown identity {which!r}")

@@ -19,6 +19,7 @@ import sys
 import numpy as np
 
 from . import verify as verify_mod
+from ._engine import DEFAULT_CHUNK
 from .config import load_run_config
 from .errors import DunklLabError, InvalidArgumentError
 from .lift import build_lift_plan, simulate_dunkl
@@ -200,6 +201,7 @@ def cmd_export_plot_data(args):
 
 
 def build_parser():
+    threads_help = f"worker processes, at most one per {DEFAULT_CHUNK} paths (0 = one per CPU)"
     parser = argparse.ArgumentParser(
         prog="dunkl-lab",
         description="Simulate and verify multidimensional Dunkl Markov processes.",
@@ -219,8 +221,7 @@ def build_parser():
         p.add_argument("--config", required=True)
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config entry (repeatable)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker processes for path batches (0 = auto)")
+        p.add_argument("--threads", type=int, default=1, help=threads_help)
         if extra:
             p.add_argument("--mode", default="auto",
                            choices=["auto", "shortcut", "general"],
@@ -240,7 +241,7 @@ def build_parser():
     p = sub.add_parser("verify-suite", help="run the full statistical battery")
     p.add_argument("--config", required=True)
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=threads_help)
     p.set_defaults(fn=cmd_verify_suite)
 
     p = sub.add_parser("export-plot-data",

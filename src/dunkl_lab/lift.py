@@ -48,7 +48,7 @@ from .radial import (
     _JumpTable,
     _trajectories_from_engine,
 )
-from .rng import FLIP, generator, keys
+from .rng import FLIP, keys, stream
 from .root_systems import (
     Multiplicity,
     RootSystem,
@@ -262,7 +262,7 @@ def _flip_stage(states, stop_index, jumps, times, system, root_position, rate,
         clocks *= rate
         paths, flip_times = [], []
         for p, total in enumerate(clocks[np.arange(len(stop)), stop].tolist()):
-            rng = generator(flip_keys[first + p])
+            rng = stream(flip_keys[first + p])
             arrival = rng.standard_exponential()
             if arrival < total:
                 end = int(stop[p]) + 1

@@ -4,9 +4,9 @@ Every consumer of randomness gets its own counter-based Philox stream,
 keyed by ``(master seed, purpose, *indices)``.  The Philox key is the one
 ``np.random.SeedSequence(seed, spawn_key=(purpose, *indices))`` generates;
 ``keys`` derives it with the same values, for one path or for a whole
-batch of paths at once, and ``generator`` builds a stream's generator
-from its key, so a batch's streams cost one key derivation.  A path's
-stream depends only on the master seed and the path index, never on
+batch of paths at once, and ``stream(keys(seed, purpose, i))`` opens
+stream i from its key, so a batch's streams cost one key derivation.  A
+path's stream depends only on the master seed and the path index, never on
 batching or scheduling, so any path can be regenerated in isolation and
 whole runs are reproducible bit for bit for a fixed configuration,
 regardless of worker count.
@@ -108,13 +108,8 @@ class _Key(np.random.bit_generator.ISeedSequence):
         return self.key
 
 
-def generator(key) -> np.random.Generator:
+def stream(key) -> np.random.Generator:
     """Generator at the start of the stream with Philox key ``key`` (one
     row of ``keys``).  Its ``seed_seq`` is not the stream's; do not
     ``spawn`` from it."""
     return np.random.Generator(np.random.Philox(_Key(key)))
-
-
-def stream(seed: int, *key: int) -> np.random.Generator:
-    """Independent generator for the given purpose/index key."""
-    return generator(keys(seed, *key))

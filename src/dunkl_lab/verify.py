@@ -190,7 +190,7 @@ def calibrate_bias_coefficient(system, t, n_paths, seed):
     bias at any step size.
     """
     n = system.dimension
-    rng = rngmod.stream(seed, rngmod.CHECK, 0)
+    rng = rngmod.stream(rngmod.keys(seed, rngmod.CHECK, 0))
     x0 = np.arange(2 * n, n, -1, dtype=float)  # generic off-wall start
     finals = x0 + np.sqrt(t) * rng.standard_normal((n_paths, n))
     k0 = multiplicity(system, 0.0)
@@ -286,7 +286,7 @@ def norm_is_bessel(norm_samples, dim, start_norm, horizon, *, n_oracle=None,
     norm_samples = np.asarray(norm_samples, dtype=float)
     if n_oracle is None:
         n_oracle = len(norm_samples)
-    rng = rngmod.stream(seed, rngmod.CHECK, 1)
+    rng = rngmod.stream(rngmod.keys(seed, rngmod.CHECK, 1))
     oracle, hit = bessel_em_oracle(dim, start_norm, horizon, dt_oracle,
                                    n_oracle, rng)
     res = sps.ks_2samp(norm_samples, oracle[~hit])
@@ -510,7 +510,7 @@ def rotation_covariance_generator(system, k, *, trials=50, seed=0, tol=1e-6,
     k_θ are rotated by one position (meaningful on multi-orbit systems):
     the negative control.
     """
-    rng = rngmod.stream(seed, rngmod.CHECK, 2)
+    rng = rngmod.stream(rngmod.keys(seed, rngmod.CHECK, 2))
     spec = GeneratorSpec.full(system, k)
     worst = 0.0
     for _ in range(trials):
@@ -547,7 +547,7 @@ def rotation_covariance_paths(system, k, x0, config: SimulationConfig, *,
                               name="rotate-paths", threads=1):
     """Statistical check: θ·paths(k, R, x0) vs paths(k_θ, θR, θx0) at T."""
     seed = config.seed if seed is None else seed
-    rng = rngmod.stream(seed, rngmod.CHECK, 3)
+    rng = rngmod.stream(rngmod.keys(seed, rngmod.CHECK, 3))
     theta = haar_orthogonal(system.dimension, rng)
     x0 = np.asarray(x0, dtype=float)
 
@@ -575,7 +575,7 @@ def harmonicity_check(system, k, *, n_points=100, seed=0, tol=1e-5,
     """Max relative residual of a harmonicity identity at random points."""
     if name is None:
         name = f"harmonic-{which}"
-    rng = rngmod.stream(seed, rngmod.CHECK, 4)
+    rng = rngmod.stream(rngmod.keys(seed, rngmod.CHECK, 4))
     pts = sample_interior_points(system, n_points, rng, margin=margin)
     res, scale = harmonicity_residual(system, k, which, pts)
     worst = float(np.max(np.abs(res) / scale))

@@ -24,7 +24,7 @@ from dunkl_lab import (
     simulate_dunkl,
 )
 from dunkl_lab.calculus import GeneratorSpec
-from dunkl_lab.rng import stream
+from dunkl_lab.rng import keys, stream
 from dunkl_lab.root_systems import reflect, validate_root_system
 from dunkl_lab.verify import (
     calibrate_bias_coefficient,
@@ -85,7 +85,7 @@ def test_criterion_01_reflection_algebra():
         validate_root_system(system.roots)
         ok &= len(system.weyl_group) == order
         # involution + isometry on random points, exhaustive over roots
-        rng = stream(ACC_SEED, 4, 10)
+        rng = stream(keys(ACC_SEED, 4, 10))
         x = rng.standard_normal((20, system.dimension))
         for alpha in system.roots:
             ok &= bool(np.max(np.abs(reflect(alpha, reflect(alpha, x)) - x)) <= 1e-14)
@@ -278,7 +278,7 @@ def test_criterion_09_invariance_tables():
     ok = all(check_invariance_condition(b2, i) for i in range(1, 5))
     a2_values = [check_invariance_condition(a2, i) for i in range(1, 4)]
     ok &= not all(a2_values)
-    rng = stream(ACC_SEED, 4, 30)
+    rng = stream(keys(ACC_SEED, 4, 30))
     for system in (b2, a3):
         m = system.n_positive
         for _ in range(20):

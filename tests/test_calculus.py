@@ -19,7 +19,12 @@ from dunkl_lab import (
     weight_omega,
     weight_varpi,
 )
-from dunkl_lab.calculus import generator_scale, generator_terms, sample_interior_points
+from dunkl_lab.calculus import (
+    _coordinate_sum,
+    generator_scale,
+    generator_terms,
+    sample_interior_points,
+)
 from dunkl_lab.root_systems import build_rank_one
 
 
@@ -306,3 +311,18 @@ class TestGeneratorTerms:
         fn = TestFunction(lambda x: np.sin(x[..., 0]) * x[..., 1])
         assert generator_scale(spec, fn, x21) >= abs(
             apply_generator(spec, fn, x21)) - 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_coordinate_sums_are_numpys(n, rng):
+    """The column-wise folds give numpy's bytes for every coordinate count
+    the package builds (and defer to numpy past 7 coordinates)."""
+    for shape in ((16, 100, n), (n,)):
+        a = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+        a[rng.random(shape) < 0.2] = 0.0
+        a[rng.random(shape) < 0.2] = -0.0
+        got = np.asarray(_coordinate_sum(a))
+        assert got.shape == shape[:-1]
+        assert got.tobytes() == np.asarray(a.sum(axis=-1)).tobytes()
+        norm = np.asarray(np.sqrt(_coordinate_sum(a * a)))
+        assert norm.tobytes() == np.asarray(np.linalg.norm(a, axis=-1)).tobytes()

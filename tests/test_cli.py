@@ -163,6 +163,13 @@ class TestCommands:
         assert rc == 2
         assert "bogus" in err
 
+    def test_negative_threads_exit_code(self, tmp_path, capsys):
+        rc = main(["simulate-radial", "--config", write_cfg(tmp_path, base_doc()),
+                   "--threads", "-1"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and "threads" in err
+
     def test_verify_harmonic(self, capsys):
         rc = main(["verify-harmonic", "--system", "B", "--n", "2",
                    "--k", "1.0,0.5", "--points", "25"])

@@ -1,5 +1,6 @@
 import io
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -56,7 +57,7 @@ class TestSimulateRadial:
         run = run_radial(rank1, multiplicity(rank1, 1.0), [0.5], cfg)
         assert run.n_rejected.sum() == 0
         for p, traj in enumerate(run.trajectories):
-            xi = rng.stream(7, rng.DIFFUSION, p).standard_normal(1)[0]
+            xi = rng.stream(rng.keys(7, rng.DIFFUSION, p)).standard_normal(1)[0]
             assert traj.states[1, 0] == pytest.approx(0.52 + math.sqrt(0.01) * xi,
                                                       rel=1e-12)
 
@@ -227,3 +228,60 @@ class TestCsv:
             write_trajectories_csv(run.trajectories, buf)
             out.append(buf.getvalue())
         assert out[0] == out[1]
+
+
+class TestEngineHelpers:
+    @pytest.mark.parametrize("rows", [0, 1, 4097])
+    @pytest.mark.parametrize("cols", [1, 2, 4, 16])
+    def test_row_min_is_numpys(self, rows, cols, rng):
+        a = rng.standard_normal((rows, cols))
+        a[rng.random(a.shape) < 0.3] = 0.0
+        a[rng.random(a.shape) < 0.3] = -0.0
+        a[rng.random(a.shape) < 0.05] = np.nan
+        assert _engine._row_min(a).tobytes() == a.min(axis=1).tobytes()
+
+
+class _RecordingPool:
+    """Stands in for ``ProcessPoolExecutor``: records ``max_workers`` and
+    runs each submitted block in this process."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class TestWorkers:
+    @staticmethod
+    def _params(b2, k_one):
+        return _engine.EngineParams(
+            positive_roots=b2.positive_roots, kvec=k_one.per_positive(),
+            x0=np.array([2.0, 1.0]), tgrid=np.arange(4) * 1e-3, seed=3,
+            eps_wall=1e-8, max_halvings=20)
+
+    @pytest.mark.parametrize("threads, chunk, workers", [
+        (500, 5, [3]), (2, 5, [2]), (1, 5, []), (4, 4096, []), (0, 4096, [])])
+    def test_at_most_one_worker_per_block(self, b2, k_one, monkeypatch, threads, chunk,
+                                          workers):
+        monkeypatch.setattr(_engine, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(_RecordingPool, "made", [])
+        params = self._params(b2, k_one)
+        res = _engine.run_paths(params, 12, threads=threads, chunk_size=chunk)
+        assert _RecordingPool.made == workers
+        assert res.final.tobytes() == _engine.run_paths(params, 12, chunk_size=5).final.tobytes()
+
+    def test_negative_threads_rejected(self, b2, k_one, monkeypatch):
+        monkeypatch.setattr(_engine, "ProcessPoolExecutor", _RecordingPool)
+        with pytest.raises(InvalidArgumentError, match="threads"):
+            _engine.run_paths(self._params(b2, k_one), 12, threads=-1)

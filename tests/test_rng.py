@@ -51,11 +51,11 @@ def test_keys_reject_out_of_range():
 def test_generator_from_a_batch_key_draws_the_stream():
     batch = rng.keys(5, rng.FLIP, 2, np.arange(8))
     for p in (7, 3):
-        assert np.array_equal(rng.generator(batch[p]).standard_exponential(9),
-                              rng.stream(5, rng.FLIP, 2, p).standard_exponential(9))
+        assert np.array_equal(rng.stream(batch[p]).standard_exponential(9),
+                              rng.stream(rng.keys(5, rng.FLIP, 2, p)).standard_exponential(9))
     old = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(5, spawn_key=(rng.FLIP, 2, 7))))
-    assert np.array_equal(rng.stream(5, rng.FLIP, 2, 7).standard_normal(6),
+    assert np.array_equal(rng.stream(rng.keys(5, rng.FLIP, 2, 7)).standard_normal(6),
                           old.standard_normal(6))
 
 
@@ -69,8 +69,8 @@ def test_engine_batch_keys_draw_the_streams(shape):
     first_path = 4096
     batch = rng.keys(11, purpose, first_path + np.arange(128), *rest)
     for j in (0, 1, 77, 127):
-        ours = rng.generator(batch[j])
-        ref = rng.stream(11, purpose, first_path + j, *rest)
+        ours = rng.stream(batch[j])
+        ref = rng.stream(rng.keys(11, purpose, first_path + j, *rest))
         assert np.array_equal(ours.standard_exponential(4), ref.standard_exponential(4))
         assert np.array_equal(ours.standard_normal(3), ref.standard_normal(3))
         assert ours.standard_exponential() == ref.standard_exponential()
@@ -92,9 +92,39 @@ def test_engine_noise_is_each_paths_stream(monkeypatch, buffer):
     res = _engine.run_paths(params, 7)
     assert res.n_rejected.sum() == 0
     for p in range(7):
-        xi = rng.stream(11, rng.DIFFUSION, p).standard_normal((10, 2))
+        xi = rng.stream(rng.keys(11, rng.DIFFUSION, p)).standard_normal((10, 2))
         x = params.x0
         for step in range(10):
             h = float(tgrid[step + 1]) - float(tgrid[step])
             x = x + np.zeros(2) * h + math.sqrt(h) * xi[step]
             assert np.array_equal(res.states[p, step + 1], x)
+
+
+def test_engine_keys_each_block_in_one_batch(monkeypatch):
+    """A run of two blocks derives each block's ``DIFFUSION`` keys in one
+    array-keyed ``rng.keys`` call and opens one ``rng.stream`` per path."""
+    key_calls, streams = [], []
+    keys, stream = rng.keys, rng.stream
+
+    def counting_keys(seed, purpose, *key):
+        key_calls.append((purpose, key))
+        return keys(seed, purpose, *key)
+
+    def counting_stream(key):
+        streams.append(key)
+        return stream(key)
+
+    monkeypatch.setattr(rng, "keys", counting_keys)
+    monkeypatch.setattr(rng, "stream", counting_stream)
+    system = build_type_b(2)
+    params = _engine.EngineParams(
+        positive_roots=system.positive_roots,
+        kvec=np.zeros(len(system.positive_roots)),
+        x0=np.array([40.0, 20.0]), tgrid=np.arange(3) * 0.01, seed=11,
+        eps_wall=1e-8, max_halvings=5)
+    res = _engine.run_paths(params, 4608)
+    assert res.n_rejected.sum() == 0
+    assert [purpose for purpose, _ in key_calls] == [rng.DIFFUSION] * 2
+    for (_, (paths,)), first, n in zip(key_calls, (0, 4096), (4096, 512)):
+        assert np.array_equal(paths, first + np.arange(n))
+    assert len(streams) == 4608

@@ -29,7 +29,7 @@ from dunkl_lab.verify import (
     function_battery,
     wall_hitting_profile,
 )
-from dunkl_lab.rng import stream
+from dunkl_lab.rng import keys, stream
 from dunkl_lab.root_systems import chamber_labels
 
 
@@ -61,7 +61,7 @@ class TestReportPlumbing:
 
 class TestBesselOracle:
     def test_moments(self):
-        rng = stream(1, 4, 99)
+        rng = stream(keys(1, 4, 99))
         finals, hit = bessel_em_oracle(10.0, np.sqrt(5.0), 1.0, 1e-3, 4000, rng)
         assert hit.sum() == 0
         sq = finals**2
@@ -69,7 +69,7 @@ class TestBesselOracle:
         assert abs(sq.mean() - 15.0) <= 3 * se
 
     def test_low_dimension_hits(self):
-        rng = stream(2, 4, 99)
+        rng = stream(keys(2, 4, 99))
         _, hit = bessel_em_oracle(1.2, 0.2, 1.0, 1e-3, 500, rng)
         assert hit.mean() > 0.3
 
@@ -94,7 +94,7 @@ class TestBesselOracle:
                     alive[idx[hit]] = False
             return x, ~alive
 
-        rng, ref_rng = stream(3, 4, 99), stream(3, 4, 99)
+        rng, ref_rng = stream(keys(3, 4, 99)), stream(keys(3, 4, 99))
         finals, hit = bessel_em_oracle(dim, x0, 1.0, 1e-3, 500, rng)
         ref_finals, ref_hit = indexed(500, ref_rng)
         assert finals.tobytes() == ref_finals.tobytes()
