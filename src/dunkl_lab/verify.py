@@ -2,10 +2,11 @@
 
 Every check returns a ``Report`` whose pass criterion is declared up
 front: |estimate − target| ≤ tolerance for moment/identity checks;
-p ≥ significance for two-sample distribution checks (Bonferroni across
-coordinates inside a check); and for the exact chamber-label law, max|z|
-over the |W| labels ≤ the two-sided normal quantile at α/|W|.  Checks
-draw their randomness from streams derived off a master seed, so a whole
+p ≥ significance for distribution checks, either one-sample against an
+exact law (the norm) or two-sample (Bonferroni across coordinates inside
+a check); and for the exact chamber-label law, max|z| over the |W|
+labels ≤ the two-sided normal quantile at α/|W|.  Checks draw their
+randomness from streams derived off a master seed, so a whole
 suite is reproducible bit for bit from (seed, configuration); only the
 recorded runtimes vary.
 
@@ -245,16 +246,16 @@ def martingale_residual(sample_paths, spec, u, *, bias_allowance=0.0,
 
 
 # ---------------------------------------------------------------------------
-# one-dimensional Bessel oracle (independent of the chamber engine)
+# one-dimensional Bessel Euler scheme (no check uses it)
 
 
 def bessel_em_oracle(dim, x0, horizon, dt, n_paths, rng, absorb_eps=1e-8):
     """Plain 1-D Euler scheme for dX = dβ + ((dim−1)/2)/X dt.
 
     Paths are absorbed when they propose a value ≤ ``absorb_eps``; returns
-    (final values, hit mask).  Written independently of the multi-
-    dimensional engine on purpose: it is the least-shared-code reference
-    for norm laws and hitting behavior.
+    (final values, hit mask).  No check calls it: ``norm_is_bessel`` tests
+    against the exact law.  It stays while perfbench's span tracer wraps
+    it, since a traced run reports a missing entry point as absent.
     """
     n_steps = int(round(horizon / dt))
     x = np.full(n_paths, float(x0))
@@ -280,31 +281,32 @@ def bessel_em_oracle(dim, x0, horizon, dt, n_paths, rng, absorb_eps=1e-8):
     return x, ~alive
 
 
-def norm_is_bessel(norm_samples, dim, start_norm, horizon, *, n_oracle=None,
-                   dt_oracle=1e-4, seed=0, alpha=DEFAULT_ALPHA, name="norm-bessel"):
-    """Two-sample KS of ‖X_T‖ against the 1-D Bessel oracle of ``dim``."""
-    norm_samples = np.asarray(norm_samples, dtype=float)
-    if n_oracle is None:
-        n_oracle = len(norm_samples)
-    rng = rngmod.stream(rngmod.keys(seed, rngmod.CHECK, 1))
-    oracle, hit = bessel_em_oracle(dim, start_norm, horizon, dt_oracle,
-                                   n_oracle, rng)
-    res = sps.ks_2samp(norm_samples, oracle[~hit])
-    mean_obs = float(np.mean(norm_samples**2))
+def norm_is_bessel(norm_samples, dim, start_norm, horizon, *, seed=0,
+                   alpha=DEFAULT_ALPHA, name="norm-bessel"):
+    """One-sample KS of ‖X_T‖²/T against its exact law ncx2(dim, ‖x₀‖²/T).
+
+    ‖X‖ is a Bessel process of dimension ``dim`` = n + 2γ, so ‖X_T‖²/T is
+    noncentral chi-squared (the BESQ transition law, Revuz–Yor ch. XI).
+    The check draws no random numbers; ``seed`` is accepted and unused.
+    """
+    sq = np.asarray(norm_samples, dtype=float)**2
+    noncentrality = start_norm**2 / horizon
+    res = sps.kstest(sq / horizon, sps.ncx2(df=dim, nc=noncentrality).cdf)
+    mean_obs = float(np.mean(sq))
     mean_target = start_norm**2 + dim * horizon
-    se = float(np.std(norm_samples**2, ddof=1) / np.sqrt(len(norm_samples)))
+    se = float(np.std(sq, ddof=1) / np.sqrt(len(sq)))
     return Report(
         name=name,
         estimate=float(res.pvalue),
         stderr=None,
         tolerance=None,
         alpha=alpha,
-        sample_size=len(norm_samples),
+        sample_size=len(sq),
         passed=bool(res.pvalue >= alpha),
         details={
             "ks_statistic": float(res.statistic),
-            "oracle_dim": dim,
-            "oracle_hits": int(hit.sum()),
+            "dim": dim,
+            "noncentrality": noncentrality,
             "mean_sq_norm": mean_obs,
             "mean_sq_target": mean_target,
             "mean_within_3se": bool(abs(mean_obs - mean_target) <= 3 * se),
@@ -650,13 +652,11 @@ def run_suite(system, k, x0, *, horizon=1.0, dt=1e-3, n_paths=2000,
     sq = np.einsum("ij,ij->i", radial.final_states, radial.final_states)
     add(moment_besq, sq, x0, k.gamma, n, horizon, name="moment-besq-radial")
     radial_norms = np.sqrt(sq)
-    add(norm_is_bessel, radial_norms, dim_besq, start, horizon,
-        seed=derived_seed(seed, "bessel-radial"), name="ks-norm-radial")
+    add(norm_is_bessel, radial_norms, dim_besq, start, horizon, name="ks-norm-radial")
     add(norm_is_bessel, np.linalg.norm(full.final_states, axis=1), dim_besq,
-        start, horizon, seed=derived_seed(seed, "bessel-full"), name="ks-norm-full")
+        start, horizon, name="ks-norm-full")
     add(norm_is_bessel, radial_norms, dim_besq - 1.0, start, horizon,
-        seed=derived_seed(seed, "bessel-ctrl"), name="ks-norm:control",
-        control="off-by-one dimension must be rejected")
+        name="ks-norm:control", control="off-by-one dimension must be rejected")
 
     # projection agreement
     add(projection_agreement, full.final_states, radial.final_states, system,

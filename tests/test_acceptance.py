@@ -147,13 +147,13 @@ def test_criterion_04_norm_ks(radial_5k, full_5k):
     radial_norms = np.linalg.norm(radial_5k.final_states, axis=1)
     full_norms = np.linalg.norm(full_5k.final_states, axis=1)
     rep_r = norm_is_bessel(radial_norms, 10.0, np.sqrt(5.0), 1.0,
-                           dt_oracle=1e-4, seed=derived_seed(ACC_SEED, "ks-r"),
+                           seed=derived_seed(ACC_SEED, "ks-r"),
                            name="radial")
     rep_f = norm_is_bessel(full_norms, 10.0, np.sqrt(5.0), 1.0,
-                           dt_oracle=1e-4, seed=derived_seed(ACC_SEED, "ks-f"),
+                           seed=derived_seed(ACC_SEED, "ks-f"),
                            name="full")
     ctrl = norm_is_bessel(radial_norms, 9.0, np.sqrt(5.0), 1.0,
-                          dt_oracle=1e-4, seed=derived_seed(ACC_SEED, "ks-c"),
+                          seed=derived_seed(ACC_SEED, "ks-c"),
                           name="control")
     elapsed = time.perf_counter() - t0
     ok = rep_r.passed and rep_f.passed and not ctrl.passed and elapsed < 180.0

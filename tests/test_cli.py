@@ -218,7 +218,7 @@ class TestCommands:
 class TestVerifySuiteCommand:
     # SHA-256 of the suite's reports, runtimes removed, as sorted-key JSON
     QUICK_SUITE_SHA256 = (
-        "55c3c703bb708190c4a3ec1682c15b41a2f624fc9ca2111e0eccbc5d320ddf0c")
+        "a05931b1a77364eaf13e0e2b673c1cbf0226f002850b5571bda431214f2e9078")
 
     def test_quick_suite(self, tmp_path, capsys):
         """Very small sizes: the wiring, not the statistics.

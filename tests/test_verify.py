@@ -29,7 +29,7 @@ from dunkl_lab.verify import (
     function_battery,
     wall_hitting_profile,
 )
-from dunkl_lab.rng import keys, stream
+from dunkl_lab.rng import CHECK, keys, stream
 from dunkl_lab.root_systems import chamber_labels
 
 
@@ -111,18 +111,47 @@ def radial_norms(b2):
     return np.linalg.norm(run.final_states, axis=1)
 
 
+# (dim, ‖x₀‖, T): rank one at k = 0.3, B2 at k ≡ 1, B4 at k ≡ 1
+EXACT_NORM_CASES = [(1.6, 0.5, 1.0), (10.0, np.sqrt(5.0), 1.0),
+                    (36.0, np.sqrt(30.0), 0.2)]
+
+
+def exact_norms(dim, start, horizon, n=2000):
+    """‖X_T‖ drawn from its exact law, √(T·ncx2(dim, ‖x₀‖²/T))."""
+    rng = stream(keys(1, CHECK, 20))
+    return np.sqrt(horizon * rng.noncentral_chisquare(dim, start**2 / horizon, n))
+
+
 class TestNormBessel:
 
     def test_correct_dimension_passes(self, radial_norms):
-        rep = norm_is_bessel(radial_norms, 10.0, np.sqrt(5.0), 1.0,
-                             seed=4, dt_oracle=1e-3)
+        rep = norm_is_bessel(radial_norms, 10.0, np.sqrt(5.0), 1.0, seed=4)
         assert rep.passed
         assert rep.details["mean_within_3se"]
 
     def test_off_by_one_fails(self, radial_norms):
-        rep = norm_is_bessel(radial_norms, 9.0, np.sqrt(5.0), 1.0,
-                             seed=4, dt_oracle=1e-3)
+        rep = norm_is_bessel(radial_norms, 9.0, np.sqrt(5.0), 1.0, seed=4)
         assert not rep.passed
+
+    @pytest.mark.parametrize("dim, start, horizon", EXACT_NORM_CASES,
+                             ids=["rank-one", "B2", "dim-36"])
+    def test_exact_samples_pass_and_shifted_dimension_fails(self, dim, start, horizon):
+        norms = exact_norms(dim, start, horizon)
+        rep = norm_is_bessel(norms, dim, start, horizon)
+        assert rep.passed
+        assert rep.details["mean_within_3se"]
+        assert rep.details["dim"] == dim
+        assert rep.details["noncentrality"] == start**2 / horizon
+        shift = max(1.0, dim / 10)
+        for wrong in (dim - shift, dim + shift):
+            assert not norm_is_bessel(norms, wrong, start, horizon).passed
+
+    def test_seed_is_unused(self):
+        reps = [norm_is_bessel(exact_norms(10.0, np.sqrt(5.0), 1.0), 10.0,
+                               np.sqrt(5.0), 1.0, seed=s) for s in (0, 7)]
+        a, b = (r.to_dict() for r in reps)
+        a.pop("runtime"), b.pop("runtime")
+        assert a == b
 
 
 class TestMartingale:
@@ -331,8 +360,8 @@ class TestHarmonicityCheck:
 
 class TestReproducibility:
     def test_reports_bitwise_reproducible(self, radial_norms):
-        reps = [norm_is_bessel(radial_norms, 10.0, np.sqrt(5.0), 1.0,
-                               seed=4, dt_oracle=1e-3) for _ in range(2)]
+        reps = [norm_is_bessel(radial_norms, 10.0, np.sqrt(5.0), 1.0, seed=4)
+                for _ in range(2)]
         a, b = (r.to_dict() for r in reps)
         a.pop("runtime"), b.pop("runtime")  # wall time is the one free field
         assert a == b
