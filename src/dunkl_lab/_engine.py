@@ -24,12 +24,14 @@ streams for retries and firings exist only for paths that needed them:
 their keys come from one call when a path first needs one, and a path's
 generator is built on its first draw.
 
-Proposals that would cross a reflecting hyperplane are never accepted:
-under the reject-and-halve policy the interval is bisected with fresh
-noise (walls repel the continuous part, so crossings are discretization
-error); under the stop-at-T0 policy the path terminates, which is the
-faithful reading when some multiplicity sits below 1/2 and the first
-wall-hitting time is a genuine feature.
+Proposals that would cross a reflecting hyperplane are never accepted.
+Without ``stop_at_t0`` the interval is bisected with fresh noise, at most
+``MAX_HALVINGS`` times (walls repel the continuous part, so crossings are
+discretization error).  With ``stop_at_t0`` the path terminates at the
+crossing or when its wall distance drops below ``EPS_WALL``·(1 + ‖x‖),
+which is the faithful reading when some multiplicity sits below 1/2 and
+the first wall-hitting time is a genuine feature.  The jump log of a run
+is one ``JumpTable`` sorted by (path, time).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -53,6 +55,8 @@ TERMINATION_LABELS = {TERM_HORIZON: "horizon", TERM_T0: "T0",
                       TERM_STEP_FAILURE: "step_failure"}
 
 LAMBDA_CAP = 50.0          # max clock increment per accepted sub-step
+MAX_HALVINGS = 20          # bisections of a grid interval before a step failure
+EPS_WALL = 1e-8            # wall contact: distance below EPS_WALL·(1 + ‖x‖)
 PROPOSAL_BUDGET = 100_000  # hard cap on sub-step proposals per grid interval
 DEFAULT_CHUNK = 4096
 NOISE_BUFFER = 8_000_000   # doubles of buffered noise per block segment
@@ -65,15 +69,21 @@ class EngineParams:
     x0: np.ndarray                  # (n,) common start point
     tgrid: np.ndarray               # (M+1,)
     seed: int
-    eps_wall: float
-    max_halvings: int
-    policy: str = "reject_halve"    # or "stop_at_t0"
-    t0_detect: bool = False         # terminate when wall distance < ε_wall·(1+‖x‖)
+    stop_at_t0: bool = False        # terminate at a wall crossing or contact
     clock_positions: tuple = ()     # positions (into positive order) with live clocks
     clock_rates: np.ndarray = field(default_factory=lambda: np.zeros(0))  # (g,)
-    lambda_cap: float = LAMBDA_CAP
     record: bool = False
     noise_transform: Optional[np.ndarray] = None  # orthogonal map applied to dW
+
+
+class JumpTable(NamedTuple):
+    """A jump log as flat arrays, sorted by (path, time)."""
+
+    path: np.ndarray    # (E,)
+    time: np.ndarray    # (E,)
+    root: np.ndarray    # (E,) position in the positive enumeration
+    pre: np.ndarray     # (E, n)
+    post: np.ndarray    # (E, n)
 
 
 @dataclass
@@ -86,7 +96,7 @@ class EngineResult:
     wall_contact: np.ndarray        # (N,) wall distance dipped below threshold
     min_wall_distance: np.ndarray   # (N,)
     n_rejected: np.ndarray          # (N,) rejected proposals (diagnostics)
-    events: list                    # per path: [(time, root_position, pre, post)]
+    jumps: JumpTable
     states: Optional[np.ndarray]    # (N, M+1, n) when recording, frozen after stop
 
 
@@ -133,7 +143,7 @@ def cover_interval(params, paths, x, signs, lam, thr, h, t_start, xi):
     """
     A = params.positive_roots
     cols = np.asarray(params.clock_positions, dtype=np.int64)
-    stacks = [[(h, t_start, params.max_halvings)] for _ in paths]
+    stacks = [[(h, t_start, MAX_HALVINGS)] for _ in paths]
     proposals = np.zeros(len(paths), dtype=np.int64)
     covered = np.ones(len(paths), dtype=bool)
     rows = np.arange(len(paths))
@@ -156,7 +166,7 @@ def cover_interval(params, paths, x, signs, lam, thr, h, t_start, xi):
                                                          + pd[:, cols]**-2.0)
         total = lam[rows] + dlam
         bad = (np.sign(pd) != signs[rows]).any(axis=1) \
-            | (dlam > params.lambda_cap).any(axis=1)
+            | (dlam > LAMBDA_CAP).any(axis=1)
         cross = ~bad & (total >= thr[rows]).any(axis=1)
         calm = ~bad & ~cross
         x[rows[calm]], lam[rows[calm]] = prop[calm], total[calm]
@@ -298,8 +308,8 @@ def _run_block(params: EngineParams, first_path: int, n_paths: int) -> EngineRes
         if g:
             dlam = rates * h * 0.5 * (inv_cur[sel] + inv)
             lam = lam + dlam
-            if not dlam.max() <= params.lambda_cap:
-                plain &= np.all(dlam <= params.lambda_cap, axis=1)
+            if not dlam.max() <= LAMBDA_CAP:
+                plain &= np.all(dlam <= LAMBDA_CAP, axis=1)
             plain[np.flatnonzero(lam >= thr_mat[sel]) // g] = False
 
         if full and plain.all():
@@ -313,7 +323,7 @@ def _run_block(params: EngineParams, first_path: int, n_paths: int) -> EngineRes
             lam_mat[rows], inv_cur[rows] = lam[plain], inv[plain]
 
         redo = np.flatnonzero(~plain)
-        if params.policy == "stop_at_t0":
+        if params.stop_at_t0:
             for j in act[redo[~ok[redo]]]:
                 _terminate(j, TERM_T0, t1s, step)
             redo = redo[ok[redo]]
@@ -339,24 +349,25 @@ def _run_block(params: EngineParams, first_path: int, n_paths: int) -> EngineRes
             min_wd[act] = np.minimum(min_wd[act], wd)
         # ‖x‖ ≤ n·max|x_i| bounds every path's contact threshold from above,
         # so only paths below that bound need their own norm.
-        near = wd < params.eps_wall * (1.0 + 2.0 * nd * np.abs(cur).max())
+        near = wd < EPS_WALL * (1.0 + 2.0 * nd * np.abs(cur).max())
         if near.any():
             rows = act[near]
-            eps = params.eps_wall * (1.0 + np.linalg.norm(cur[rows], axis=1))
+            eps = EPS_WALL * (1.0 + np.linalg.norm(cur[rows], axis=1))
             hit = rows[wd[near] < eps]
             wall_contact[hit] = True
-            if params.t0_detect:
+            if params.stop_at_t0:
                 for j in hit:
                     _terminate(int(j), TERM_T0, t1s, step + 1)
 
         if params.record:
             states[:, step + 1] = cur
 
-    events = [[] for _ in range(n_paths)]
     rejected = np.zeros(n_paths, dtype=np.int64)
-    for j, ps in path_states.items():
-        events[j] = ps.events
+    logged = []
+    for j, ps in sorted(path_states.items()):
         rejected[j] = ps.rejected
+        logged += [(paths[j], *event) for event in ps.events]
+    path, time, root, pre, post = zip(*logged) if logged else ((),) * 5
     return EngineResult(
         tgrid=tgrid,
         final=cur,
@@ -366,7 +377,10 @@ def _run_block(params: EngineParams, first_path: int, n_paths: int) -> EngineRes
         wall_contact=wall_contact,
         min_wall_distance=min_wd,
         n_rejected=rejected,
-        events=events,
+        jumps=JumpTable(np.array(path, dtype=np.int64), np.array(time, dtype=float),
+                        np.array(root, dtype=np.int64),
+                        np.array(pre, dtype=float).reshape(-1, nd),
+                        np.array(post, dtype=float).reshape(-1, nd)),
         states=states,
     )
 
@@ -381,7 +395,7 @@ def _merge(results, tgrid):
         wall_contact=np.concatenate([r.wall_contact for r in results]),
         min_wall_distance=np.concatenate([r.min_wall_distance for r in results]),
         n_rejected=np.concatenate([r.n_rejected for r in results]),
-        events=[e for r in results for e in r.events],
+        jumps=JumpTable(*map(np.concatenate, zip(*(r.jumps for r in results)))),
         states=(np.concatenate([r.states for r in results])
                 if results[0].states is not None else None),
     )

@@ -4,13 +4,11 @@ The central object is the integro-differential generator
 
     A u(x) = ½Δu(x) + Σ_{α∈R₊} k(α) (∇u(x)·α)/(x·α)
              + Σ_{α active} c(α) (u(σ_α x) − u(x))/(x·α)²
-             [+ λ(u(σ_a x) − u(x))]
 
 evaluated on user test functions through Richardson-extrapolated central
 differences.  With no active jump roots this is the radial generator; with
 all of R₊ active and c = k it is the full Dunkl generator; c = k′ (or any
-nonnegative per-orbit family) gives the two-parameter variants; the
-optional (λ, a) term is the single-root point-jump perturbation.
+nonnegative per-orbit family) gives the two-parameter variants.
 
 Everything here is pure and vectorized: points may carry leading batch
 axes with coordinates on the last axis, and test functions must accept
@@ -63,15 +61,13 @@ class GeneratorSpec:
 
     ``active`` lists positions into the positive enumeration whose jump
     terms are switched on; the jump coefficient of an active root is taken
-    from ``jump_k`` when given, else from ``k``.  ``point_jump`` adds the
-    extra term λ(u(σ_a x) − u(x)).
+    from ``jump_k`` when given, else from ``k``.
     """
 
     system: RootSystem
     k: Multiplicity
     jump_k: Optional[Multiplicity] = None
     active: tuple = ()
-    point_jump: Optional[tuple] = None
 
     def __post_init__(self):
         m = self.system.n_positive
@@ -79,10 +75,6 @@ class GeneratorSpec:
             raise InvalidArgumentError("active entries must index positive roots")
         if len(set(self.active)) != len(self.active):
             raise InvalidArgumentError("active roots repeat")
-        if self.point_jump is not None:
-            lam, _alpha = self.point_jump
-            if lam < 0:
-                raise InvalidArgumentError("point-jump intensity must be ≥ 0")
 
     @classmethod
     def radial(cls, system, k):
@@ -237,8 +229,8 @@ def fd_laplacian(u, x):
 def generator_terms(spec, u, x):
     """The generator split into its named pieces, each shaped like (...).
 
-    Returns a dict with "half_laplacian", "drift", "jumps" (signed sum),
-    "jump_abs" (sum of |term|), and "point" (the λ-term, 0 when absent).
+    Returns a dict with "half_laplacian", "drift", "jumps" (signed sum)
+    and "jump_abs" (sum of |term|).
     """
     u = as_test_function(u)
     x = np.asarray(x, dtype=float)
@@ -260,34 +252,24 @@ def generator_terms(spec, u, x):
             term = c * (u(reflect(alpha, x)) - u0) / dots[..., pos_index] ** 2
             jumps = jumps + term
             jump_abs = jump_abs + np.abs(term)
-    point = np.zeros(x.shape[:-1])
-    if spec.point_jump is not None:
-        lam, alpha = spec.point_jump
-        point = lam * (u(reflect(alpha, x)) - u(x))
     return {
         "half_laplacian": half_lap,
         "drift": drift_term,
         "jumps": jumps,
         "jump_abs": jump_abs,
-        "point": point,
     }
 
 
 def apply_generator(spec, u, x):
     """Evaluate the generator described by ``spec`` on ``u`` at ``x``."""
     t = generator_terms(spec, u, x)
-    return t["half_laplacian"] + t["drift"] + t["jumps"] + t["point"]
+    return t["half_laplacian"] + t["drift"] + t["jumps"]
 
 
 def generator_scale(spec, u, x):
     """Σ of absolute term magnitudes, the reference for relative residuals."""
     t = generator_terms(spec, u, x)
-    return (
-        np.abs(t["half_laplacian"])
-        + np.abs(t["drift"])
-        + t["jump_abs"]
-        + np.abs(t["point"])
-    )
+    return np.abs(t["half_laplacian"]) + np.abs(t["drift"]) + t["jump_abs"]
 
 
 def _pi_product(system):
@@ -370,13 +352,7 @@ def rotate_spec(spec, theta):
         if spec.jump_k is None
         else Multiplicity(system=rotated, by_orbit=spec.jump_k.by_orbit)
     )
-    point = None
-    if spec.point_jump is not None:
-        lam, alpha = spec.point_jump
-        point = (lam, np.asarray(theta, dtype=float) @ np.asarray(alpha, dtype=float))
-    return GeneratorSpec(
-        system=rotated, k=k_rot, jump_k=jump_rot, active=spec.active, point_jump=point
-    )
+    return GeneratorSpec(system=rotated, k=k_rot, jump_k=jump_rot, active=spec.active)
 
 
 def sample_interior_points(system, count, rng, margin=0.3, radius=3.0, max_tries=100000):

@@ -72,9 +72,6 @@ SCHEMA = {
                 "dt": {"type": "number", "exclusiveMinimum": 0},
                 "paths": {"type": "integer", "minimum": 1},
                 "seed": {"type": "integer", "minimum": 0},
-                "wall_policy": {"enum": ["auto", "reject_halve", "stop_at_t0"]},
-                "max_halvings": {"type": "integer", "minimum": 1},
-                "eps_wall": {"type": "number", "exclusiveMinimum": 0},
             },
         },
         "output": {
@@ -88,9 +85,6 @@ SCHEMA = {
         },
     },
 }
-
-
-_SIM_OPTIONAL = {"wall_policy": str, "max_halvings": int, "eps_wall": float}
 
 
 @dataclass
@@ -196,16 +190,12 @@ def assemble(doc, seed_override=None):
                 "/enumeration")
     sim_doc = doc["sim"]
     seed = int(sim_doc["seed"]) if seed_override is None else int(seed_override)
-    # keys the document leaves out take SimulationConfig's defaults
-    optional = {key: cast(sim_doc[key]) for key, cast in _SIM_OPTIONAL.items()
-                if key in sim_doc}
     try:
         sim = SimulationConfig(
             horizon=float(sim_doc["T"]),
             dt=float(sim_doc["dt"]),
             n_paths=int(sim_doc["paths"]),
             seed=seed,
-            **optional,
         )
     except Exception as exc:
         raise ConfigError(str(exc), "/sim") from exc

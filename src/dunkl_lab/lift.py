@@ -42,12 +42,7 @@ from .errors import (
     SingularClockError,
     UnsupportedRegimeError,
 )
-from .radial import (
-    SimulationConfig,
-    _jump_table,
-    _JumpTable,
-    _trajectories_from_engine,
-)
+from .radial import SimulationConfig, _run_engine, _trajectories_from_engine
 from .rng import FLIP, keys, stream
 from .root_systems import (
     Multiplicity,
@@ -286,7 +281,7 @@ def _flip_stage(states, stop_index, jumps, times, system, root_position, rate,
     columns = [np.concatenate(c)
                for c in zip((jumps.path, jumps.time, root, pre, post), *new)]
     order = np.lexsort((columns[1], columns[0]))  # path, then time; stable
-    return _JumpTable(*(c[order] for c in columns))
+    return _engine.JumpTable(*(c[order] for c in columns))
 
 
 @dataclass
@@ -332,21 +327,11 @@ def simulate_dunkl(plan, x0, config: SimulationConfig, *, stages=None, threads=1
     g = max((i for i, md in enumerate(plan.modes[:n_stages], start=1)
              if md == "general"), default=0)
 
-    params = _engine.EngineParams(
-        positive_roots=system.positive_roots,
-        kvec=plan.k.per_positive(),
-        clock_positions=tuple(plan.enumeration[:g]),
-        clock_rates=np.asarray(plan.rates[:g], dtype=float),
-        x0=x0,
-        tgrid=config.time_grid(),
-        seed=config.seed,
-        eps_wall=config.eps_wall,
-        max_halvings=config.max_halvings,
-        record=True,
-        noise_transform=noise_transform,
-    )
-    res = _engine.run_paths(params, config.n_paths, threads=threads)
-    states, jumps = res.states, _jump_table(res)
+    res = _run_engine(system, plan.k, x0, config, record=True, threads=threads,
+                      clock_positions=tuple(plan.enumeration[:g]),
+                      clock_rates=np.asarray(plan.rates[:g], dtype=float),
+                      noise_transform=noise_transform)
+    states, jumps = res.states, res.jumps
     for s in range(g + 1, n_stages + 1):
         jumps = _flip_stage(states, res.stop_index, jumps, res.tgrid, system,
                             plan.enumeration[s - 1], plan.rates[s - 1], config.seed, s)

@@ -6,7 +6,8 @@ least 1/2 the solution never reaches ∂C and proposals that cross a wall
 are pure discretization error (rejected and bisected).  When some
 multiplicity is below 1/2 the process genuinely hits the wall in finite
 time; paths then terminate at the first time the wall distance drops
-below ε_wall·(1 + ‖x‖), reported as the hitting time T₀.
+below ``_engine.EPS_WALL``·(1 + ‖x‖), reported as the hitting time T₀.
+The multiplicity alone decides which of the two holds.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -25,20 +26,16 @@ from .root_systems import Multiplicity, RootSystem, chamber_contains
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Horizon, grid, path count, seed, and wall policy for one run.
+    """Horizon, grid, path count and seed for one run.
 
-    ``wall_policy``: "reject_halve" rejects and bisects wall-crossing
-    proposals; "stop_at_t0" terminates the path instead; "auto" picks
-    reject_halve when min k ≥ 1/2 and stop_at_t0 otherwise.
+    How a path meets the walls is not a setting: it follows from the
+    multiplicity (see ``run_radial``).
     """
 
     horizon: float
     dt: float
     n_paths: int
     seed: int
-    wall_policy: str = "auto"
-    max_halvings: int = 20
-    eps_wall: float = 1e-8
 
     def __post_init__(self):
         if not (self.horizon > 0 and self.dt > 0 and self.dt <= self.horizon):
@@ -47,21 +44,12 @@ class SimulationConfig:
             raise InvalidArgumentError("need at least one path")
         if self.seed < 0:
             raise InvalidArgumentError("seed must be a nonnegative integer")
-        if self.wall_policy not in ("auto", "reject_halve", "stop_at_t0"):
-            raise InvalidArgumentError(f"unknown wall policy {self.wall_policy!r}")
-        if self.max_halvings < 1:
-            raise InvalidArgumentError("max_halvings must be ≥ 1")
 
     def time_grid(self):
         n_steps = int(math.ceil(self.horizon / self.dt - 1e-12))
         grid = np.minimum(np.arange(n_steps + 1) * self.dt, self.horizon)
         grid[-1] = self.horizon
         return grid
-
-    def resolve_policy(self, k: Multiplicity) -> str:
-        if self.wall_policy != "auto":
-            return self.wall_policy
-        return "reject_halve" if k.min_value >= 0.5 else "stop_at_t0"
 
 
 @dataclass(frozen=True)
@@ -105,29 +93,28 @@ class RadialRun:
         return float(np.mean(self.wall_contact | (self.termination == "T0")))
 
 
-class _JumpTable(NamedTuple):
-    """The jump log of a batch as flat arrays, sorted by (path, time)."""
+def _run_engine(system: RootSystem, k: Multiplicity, x0, config: SimulationConfig, *,
+                record, threads, **clocks) -> _engine.EngineResult:
+    """Run ``config``'s paths of drift k from ``x0``; ``clocks`` holds the
+    optional ``EngineParams`` fields (jump clocks, a noise transform).
 
-    path: np.ndarray    # (E,)
-    time: np.ndarray    # (E,)
-    root: np.ndarray    # (E,) position in the positive enumeration
-    pre: np.ndarray     # (E, n)
-    post: np.ndarray    # (E, n)
-
-
-def _jump_table(res: _engine.EngineResult):
-    rows = [ev for path_events in res.events for ev in path_events]
-    n = res.final.shape[1]
-    return _JumpTable(
-        path=np.repeat(np.arange(len(res.events)), [len(e) for e in res.events]),
-        time=np.array([ev[0] for ev in rows], dtype=float),
-        root=np.array([ev[1] for ev in rows], dtype=np.int64),
-        pre=np.array([ev[2] for ev in rows], dtype=float).reshape(-1, n),
-        post=np.array([ev[3] for ev in rows], dtype=float).reshape(-1, n),
+    Paths stop at T₀ exactly when min k < 1/2.
+    """
+    params = _engine.EngineParams(
+        positive_roots=system.positive_roots,
+        kvec=k.per_positive(),
+        x0=x0,
+        tgrid=config.time_grid(),
+        seed=config.seed,
+        stop_at_t0=k.min_value < 0.5,
+        record=record,
+        **clocks,
     )
+    return _engine.run_paths(params, config.n_paths, threads=threads)
 
 
-def _trajectories_from_engine(res: _engine.EngineResult, states, jumps: _JumpTable):
+def _trajectories_from_engine(res: _engine.EngineResult, states,
+                              jumps: _engine.JumpTable):
     """One ``Trajectory`` per path; freezes the batch arrays it views."""
     for a in (res.tgrid, states, jumps.pre, jumps.post):
         a.flags.writeable = False
@@ -163,19 +150,7 @@ def run_radial(system: RootSystem, k: Multiplicity, x0, config: SimulationConfig
     x0 = np.asarray(x0, dtype=float)
     if chamber_contains(system.positive_roots, x0) != "interior":
         raise InvalidArgumentError("x0 must lie in the open chamber")
-    params = _engine.EngineParams(
-        positive_roots=system.positive_roots,
-        kvec=k.per_positive(),
-        x0=x0,
-        tgrid=config.time_grid(),
-        seed=config.seed,
-        policy=config.resolve_policy(k),
-        t0_detect=k.min_value < 0.5,
-        eps_wall=config.eps_wall,
-        max_halvings=config.max_halvings,
-        record=record,
-    )
-    res = _engine.run_paths(params, config.n_paths, threads=threads)
+    res = _run_engine(system, k, x0, config, record=record, threads=threads)
     return RadialRun(
         tgrid=res.tgrid,
         final_states=res.final,
@@ -185,7 +160,7 @@ def run_radial(system: RootSystem, k: Multiplicity, x0, config: SimulationConfig
         wall_contact=res.wall_contact,
         min_wall_distance=res.min_wall_distance,
         n_rejected=res.n_rejected,
-        trajectories=(_trajectories_from_engine(res, res.states, _jump_table(res))
+        trajectories=(_trajectories_from_engine(res, res.states, res.jumps)
                       if record else None),
     )
 

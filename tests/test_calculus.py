@@ -150,10 +150,7 @@ class TestFiniteDifferences:
 class TestGenerator:
     def test_constant_function_is_killed(self, b2, k_one, x21):
         fn = TestFunction(lambda x: np.full(x.shape[:-1], 3.5))
-        for spec in (GeneratorSpec.radial(b2, k_one),
-                     GeneratorSpec.full(b2, k_one),
-                     GeneratorSpec(system=b2, k=k_one,
-                                   point_jump=(2.0, b2.positive_roots[0]))):
+        for spec in (GeneratorSpec.radial(b2, k_one), GeneratorSpec.full(b2, k_one)):
             assert apply_generator(spec, fn, x21) == pytest.approx(0.0, abs=1e-9)
 
     def test_squared_norm_radial(self, b2, k_one, x21):
@@ -191,17 +188,6 @@ class TestGenerator:
         rhs = a * apply_generator(spec, u, pts) + b * apply_generator(spec, v, pts)
         scale = generator_scale(spec, combo, pts)
         assert np.max(np.abs(lhs - rhs)) <= 1e-10 * np.max(scale)
-
-    def test_point_jump_term(self, b2, k_one, x21):
-        alpha = b2.positive_roots[0]
-        fn = TestFunction(lambda x: x[..., 0])
-        lam = 3.0
-        with_jump = apply_generator(
-            GeneratorSpec(system=b2, k=k_one, point_jump=(lam, alpha)), fn, x21)
-        without = apply_generator(GeneratorSpec.radial(b2, k_one), fn, x21)
-        sigma_x = x21 - (x21 @ alpha) * alpha
-        assert with_jump - without == pytest.approx(
-            lam * (sigma_x[0] - x21[0]), rel=1e-9)
 
     def test_prefix_spec_active_set(self, b2, k_one):
         spec = GeneratorSpec.prefix(b2, k_one, 2)
@@ -303,7 +289,7 @@ class TestGeneratorTerms:
         spec = GeneratorSpec.full(b2, k_one)
         fn = TestFunction(lambda x: np.sin(x[..., 0]) * x[..., 1])
         t = generator_terms(spec, fn, x21)
-        total = t["half_laplacian"] + t["drift"] + t["jumps"] + t["point"]
+        total = t["half_laplacian"] + t["drift"] + t["jumps"]
         assert total == pytest.approx(apply_generator(spec, fn, x21), rel=1e-14)
 
     def test_scale_dominates_value(self, b2, k_one, x21):

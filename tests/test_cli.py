@@ -41,6 +41,14 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             validate_document(base_doc(bogus=1))
         assert "bogus" in str(err.value)
+        # the wall rule and the engine's tolerances are not settings
+        for key, value in (("wall_policy", "stop_at_t0"), ("max_halvings", 3),
+                           ("eps_wall", 1e-6)):
+            doc = base_doc()
+            doc["sim"][key] = value
+            with pytest.raises(ConfigError) as err:
+                validate_document(doc)
+            assert key in str(err.value) and err.value.pointer == "/sim"
 
     def test_nested_pointer(self):
         doc = base_doc()

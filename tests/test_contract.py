@@ -101,8 +101,10 @@ def _b2_general_then_flips(**kwargs):
     b2 = build_type_b(2)
     plan = build_lift_plan(b2, multiplicity(b2, 1.0),
                            mode=("general", "shortcut", "shortcut", "shortcut"))
-    cfg = SimulationConfig(horizon=0.5, dt=0.05, n_paths=300, seed=8, max_halvings=1)
-    return simulate_dunkl(plan, [0.6, 0.2], cfg, **kwargs)
+    cfg = SimulationConfig(horizon=0.5, dt=0.05, n_paths=300, seed=8)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_engine, "MAX_HALVINGS", 1)
+        return simulate_dunkl(plan, [0.6, 0.2], cfg, **kwargs)
 
 
 # case -> (stages hashed by stage, (SHA-256, jumps, rejected proposals, paths
@@ -129,7 +131,7 @@ def test_flip_stages_match_contract(case, keep):
 
 
 # The engine's own branches, on B2 clocks at all four roots from near the
-# walls: every ``EngineResult`` field is hashed, the event log included.
+# walls: every ``EngineResult`` field is hashed, the jump table included.
 ENGINE_FIELDS = ("tgrid", "final", "stop_index", "termination", "t0_time",
                  "wall_contact", "min_wall_distance", "n_rejected", "states")
 
@@ -138,10 +140,9 @@ def _engine_digest(res):
     h = hashlib.sha256()
     for name in ENGINE_FIELDS:
         h.update(np.ascontiguousarray(getattr(res, name)).tobytes())
-    for p, path in enumerate(res.events):
-        for time, root, pre, post in path:
-            h.update(np.array([p, root], dtype=np.int64).tobytes())
-            h.update(np.array([time, *pre, *post], dtype=float).tobytes())
+    for p, time, root, pre, post in zip(*res.jumps):
+        h.update(np.array([p, root], dtype=np.int64).tobytes())
+        h.update(np.array([time, *pre, *post], dtype=float).tobytes())
     return h.hexdigest()
 
 
@@ -151,7 +152,7 @@ def _engine_params(k=1.0, dt=1e-2, **overrides):
         positive_roots=b2.positive_roots, kvec=multiplicity(b2, k).per_positive(),
         x0=np.array([0.6, 0.2]),
         tgrid=SimulationConfig(horizon=0.5, dt=dt, n_paths=300, seed=11).time_grid(),
-        seed=11, eps_wall=1e-8, max_halvings=20, record=True,
+        seed=11, record=True,
         clock_positions=(0, 1, 2, 3),
         clock_rates=multiplicity(b2, 1.0).per_positive())
     params.update(overrides)
@@ -162,27 +163,27 @@ _ANGLE = 0.3
 _ROTATION = np.array([[np.cos(_ANGLE), -np.sin(_ANGLE)],
                       [np.sin(_ANGLE), np.cos(_ANGLE)]])
 
-# case -> (params, PROPOSAL_BUDGET, (SHA-256, jumps, rejected proposals,
+# case -> (params, engine constants, (SHA-256, jumps, rejected proposals,
 # paths per termination code (horizon, T0, step failure)))
 ENGINE_CONTRACT = {
     # clock increments above the cap subdivide the interval
-    "lambda_cap": (dict(lambda_cap=0.05), _engine.PROPOSAL_BUDGET, (
+    "lambda_cap": (dict(), dict(LAMBDA_CAP=0.05), (
         "cb5fc2c581aee5fbbeb44ae1812452b0b0d63be10417886cbde39ef2cae9e2a6",
         783, 5181, (300, 0, 0))),
     # one halving allowed: some paths fail in an interval where a clock fired
-    "max_halvings": (dict(dt=0.05, max_halvings=1), _engine.PROPOSAL_BUDGET, (
+    "max_halvings": (dict(dt=0.05), dict(MAX_HALVINGS=1), (
         "adaee407aeaded0d301569d13100219b699932a344911f9204bf187a2fb97e4b",
         1121, 138, (291, 0, 9))),
     # three proposals per interval: paths fail on the proposal budget
-    "budget": (dict(), 3, (
+    "budget": (dict(), dict(PROPOSAL_BUDGET=3), (
         "d76822d0689201001d17d45fcb75004a053779d175d296fe3ad04c386bcd566e",
         1217, 51, (271, 0, 29))),
     # k below 1/2: wall crossings stop paths at T0, while clocks still fire
-    "stop_at_t0": (dict(k=0.3, policy="stop_at_t0"), _engine.PROPOSAL_BUDGET, (
+    "stop_at_t0": (dict(k=0.3, stop_at_t0=True), dict(), (
         "75a628773975789a3b97953a6f3aec211dad2a99b452f1ef9028e57e1388922e",
         1973, 100, (118, 182, 0))),
     # the retry noise is rotated like the grid noise
-    "noise_transform": (dict(noise_transform=_ROTATION), _engine.PROPOSAL_BUDGET, (
+    "noise_transform": (dict(noise_transform=_ROTATION), dict(), (
         "c1c59ffc7f896268efdf8a41eec0764df62014234a09488aa921d06d3679a8f7",
         1309, 42, (300, 0, 0))),
 }
@@ -190,17 +191,18 @@ ENGINE_CONTRACT = {
 
 @pytest.mark.parametrize("case", sorted(ENGINE_CONTRACT))
 def test_engine_outputs_match_contract(case, monkeypatch):
-    overrides, budget, expected = ENGINE_CONTRACT[case]
-    monkeypatch.setattr(_engine, "PROPOSAL_BUDGET", budget)
+    overrides, constants, expected = ENGINE_CONTRACT[case]
+    for name, value in constants.items():
+        monkeypatch.setattr(_engine, name, value)
     res = _engine.run_paths(_engine_params(**overrides), 300, chunk_size=128)
-    got = (_engine_digest(res), sum(map(len, res.events)), int(res.n_rejected.sum()),
+    got = (_engine_digest(res), len(res.jumps.time), int(res.n_rejected.sum()),
            tuple(np.bincount(res.termination, minlength=3).tolist()))
     assert got == expected
     if case in ("max_halvings", "budget"):
         # some paths fail in an interval after a clock fired in it
         failed = np.flatnonzero(res.termination == _engine.TERM_STEP_FAILURE)
-        assert any(time > res.tgrid[res.stop_index[j]]
-                   for j in failed for time, *_ in res.events[j])
+        after = res.jumps.time > res.tgrid[res.stop_index[res.jumps.path]]
+        assert np.any(after & np.isin(res.jumps.path, failed))
 
 
 # Martingale residuals of 17 recorded B2 paths of 997 steps: one path more

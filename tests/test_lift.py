@@ -11,7 +11,7 @@ from dunkl_lab import (
     multiplicity,
     simulate_dunkl,
 )
-from dunkl_lab import lift
+from dunkl_lab import _engine, lift
 from dunkl_lab.root_systems import chamber_labels, project_batch, reflect
 
 
@@ -185,9 +185,9 @@ class TestSimulateDunkl:
         assert total > 50
         assert bad == 0
 
-    def test_no_jump_after_step_failure(self, b2, k_one):
-        cfg = SimulationConfig(horizon=2.0, dt=0.05, n_paths=200, seed=5,
-                               max_halvings=1)
+    def test_no_jump_after_step_failure(self, b2, k_one, monkeypatch):
+        monkeypatch.setattr(_engine, "MAX_HALVINGS", 1)
+        cfg = SimulationConfig(horizon=2.0, dt=0.05, n_paths=200, seed=5)
         run = simulate_dunkl(build_lift_plan(b2, k_one), [2.0, 1.0], cfg)
         grid = cfg.time_grid()
         failed = [t for t in run.trajectories if t.termination == "step_failure"]

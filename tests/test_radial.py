@@ -25,9 +25,6 @@ class TestConfig:
             SimulationConfig(horizon=1.0, dt=2.0, n_paths=1, seed=0)
         with pytest.raises(InvalidArgumentError):
             SimulationConfig(horizon=1.0, dt=0.1, n_paths=0, seed=0)
-        with pytest.raises(InvalidArgumentError):
-            SimulationConfig(horizon=1.0, dt=0.1, n_paths=1, seed=0,
-                             wall_policy="bounce")
 
     def test_time_grid_hits_horizon(self):
         cfg = SimulationConfig(horizon=1.0, dt=0.3, n_paths=1, seed=0)
@@ -35,11 +32,6 @@ class TestConfig:
         assert grid[0] == 0.0
         assert grid[-1] == 1.0
         assert np.all(np.diff(grid) > 0)
-
-    def test_policy_resolution(self, rank1):
-        cfg = SimulationConfig(horizon=1.0, dt=0.1, n_paths=1, seed=0)
-        assert cfg.resolve_policy(multiplicity(rank1, 1.0)) == "reject_halve"
-        assert cfg.resolve_policy(multiplicity(rank1, 0.3)) == "stop_at_t0"
 
 
 class TestSimulateRadial:
@@ -105,6 +97,20 @@ class TestSimulateRadial:
         se = sq.std(ddof=1) / np.sqrt(len(sq))
         assert abs(sq.mean() - target) <= 3 * se
 
+    def test_radial_run_is_the_zero_stage_lift(self, b2, k_one):
+        """``run_radial`` and ``simulate_dunkl(stages=0)`` reach the engine
+        through one front end: the same paths, byte for byte, rejected
+        proposals included."""
+        cfg = SimulationConfig(horizon=1.0, dt=0.05, n_paths=200, seed=3)
+        radial = run_radial(b2, k_one, [2.0, 1.0], cfg)
+        lifted = simulate_dunkl(build_lift_plan(b2, k_one), [2.0, 1.0], cfg, stages=0)
+        assert radial.n_rejected.sum() > 0
+        for name in ("final_states", "termination", "n_rejected"):
+            a, b = getattr(radial, name), getattr(lifted, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        for a, b in zip(radial.trajectories, lifted.trajectories, strict=True):
+            assert a.states.tobytes() == b.states.tobytes()
+
     def test_equivariance_under_weyl(self, b2, k_one):
         w = b2.weyl_group[1]
         cfg = SimulationConfig(horizon=0.25, dt=1e-3, n_paths=32, seed=9)
@@ -137,14 +143,14 @@ class TestSimulateRadial:
             x0=np.array([0.6, 0.2]) if clocks else np.array([2.0, 1.0]),
             tgrid=SimulationConfig(horizon=0.2, dt=1e-2 if clocks else 1e-3,
                                    n_paths=150, seed=17).time_grid(),
-            seed=17, eps_wall=1e-8, max_halvings=20, record=True,
+            seed=17, record=True,
             clock_positions=(0, 1, 2, 3) if clocks else (),
             clock_rates=kvec if clocks else np.zeros(0))
 
     @staticmethod
     def _assert_blocking_invariant(params):
         """Blocks of 64 paths across one and two workers, and one block of
-        4096, give the same engine output, events included."""
+        4096, give the same engine output, jump table included."""
         runs = [_engine.run_paths(params, 150, threads=t, chunk_size=c)
                 for t, c in ((1, 64), (2, 64), (1, 4096))]
         for other in runs[1:]:
@@ -152,12 +158,8 @@ class TestSimulateRadial:
                          "wall_contact", "min_wall_distance", "n_rejected", "states"):
                 assert np.array_equal(getattr(runs[0], name), getattr(other, name),
                                       equal_nan=name == "t0_time"), name
-            assert len(other.events) == 150
-            for a, b in zip(runs[0].events, other.events):
-                assert len(a) == len(b)
-                for ea, eb in zip(a, b):
-                    assert ea[:2] == eb[:2]
-                    assert np.array_equal(ea[2], eb[2]) and np.array_equal(ea[3], eb[3])
+            for a, b in zip(runs[0].jumps, other.jumps):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
         return runs[0]
 
     def test_worker_count_independent(self, b2, k_one):
@@ -167,8 +169,22 @@ class TestSimulateRadial:
         """General-mode clocks from near the walls: clocks fire and steps
         reject, so the per-path retry and clock streams are exercised."""
         run = self._assert_blocking_invariant(self._engine_params(b2, k_one, clocks=True))
-        assert sum(map(len, run.events)) > 0
+        assert len(run.jumps.time) > 0
         assert run.n_rejected.sum() > 0
+
+    def test_jump_table_of_blocks_is_one_sorted_log(self, b2, k_one):
+        """Blocks of 64 paths merge into one table sorted by (path, time)
+        with run-wide path numbers; every row reflects pre across its root
+        and falls inside the horizon."""
+        res = _engine.run_paths(self._engine_params(b2, k_one, clocks=True), 150,
+                                chunk_size=64)
+        path, time, root, pre, post = res.jumps
+        assert path.dtype == root.dtype == np.int64 and pre.shape == post.shape
+        assert path[-1] >= 128
+        assert np.array_equal(np.lexsort((time, path)), np.arange(len(path)))
+        alpha = b2.positive_roots[root]
+        assert np.array_equal(post, pre - np.vecdot(pre, alpha)[:, None] * alpha)
+        assert np.all((time > 0) & (time <= res.tgrid[-1]))
 
 
 class TestWallHitting:
@@ -267,8 +283,7 @@ class TestWorkers:
     def _params(b2, k_one):
         return _engine.EngineParams(
             positive_roots=b2.positive_roots, kvec=k_one.per_positive(),
-            x0=np.array([2.0, 1.0]), tgrid=np.arange(4) * 1e-3, seed=3,
-            eps_wall=1e-8, max_halvings=20)
+            x0=np.array([2.0, 1.0]), tgrid=np.arange(4) * 1e-3, seed=3)
 
     @pytest.mark.parametrize("threads, chunk, workers", [
         (500, 5, [3]), (2, 5, [2]), (1, 5, []), (4, 4096, []), (0, 4096, [])])

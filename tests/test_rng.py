@@ -87,8 +87,7 @@ def test_engine_noise_is_each_paths_stream(monkeypatch, buffer):
     params = _engine.EngineParams(
         positive_roots=system.positive_roots,
         kvec=np.zeros(len(system.positive_roots)),
-        x0=np.array([40.0, 20.0]), tgrid=tgrid, seed=11,
-        eps_wall=1e-8, max_halvings=5, record=True)
+        x0=np.array([40.0, 20.0]), tgrid=tgrid, seed=11, record=True)
     res = _engine.run_paths(params, 7)
     assert res.n_rejected.sum() == 0
     for p in range(7):
@@ -120,8 +119,7 @@ def test_engine_keys_each_block_in_one_batch(monkeypatch):
     params = _engine.EngineParams(
         positive_roots=system.positive_roots,
         kvec=np.zeros(len(system.positive_roots)),
-        x0=np.array([40.0, 20.0]), tgrid=np.arange(3) * 0.01, seed=11,
-        eps_wall=1e-8, max_halvings=5)
+        x0=np.array([40.0, 20.0]), tgrid=np.arange(3) * 0.01, seed=11)
     res = _engine.run_paths(params, 4608)
     assert res.n_rejected.sum() == 0
     assert [purpose for purpose, _ in key_calls] == [rng.DIFFUSION] * 2

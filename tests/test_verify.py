@@ -309,8 +309,8 @@ class TestLabelLaw:
 class TestCallerSettings:
     def test_simulations_keep_the_callers_wall_settings(self, b2, monkeypatch):
         """Checks that run their own lifts change only the seed of the
-        caller's config: its wall policy, halving budget and wall epsilon
-        reach ``simulate_dunkl`` unchanged."""
+        caller's config: its horizon, step and path count reach
+        ``simulate_dunkl`` unchanged."""
         received = []
 
         def recording(plan, x0, config, **kwargs):
@@ -319,9 +319,7 @@ class TestCallerSettings:
 
         monkeypatch.setattr(verify, "simulate_dunkl", recording)
         k = multiplicity(b2, 1.0)
-        cfg = SimulationConfig(horizon=0.1, dt=0.01, n_paths=20, seed=5,
-                               wall_policy="reject_halve", max_halvings=3,
-                               eps_wall=1e-6)
+        cfg = SimulationConfig(horizon=0.1, dt=0.01, n_paths=20, seed=5)
         rotation_covariance_paths(b2, k, [2.0, 1.0], cfg)
         assert len(received) == 2
         assert len({c.seed for c in received}) == 2
