@@ -5,10 +5,12 @@ The central object is the integro-differential generator
     A u(x) = ½Δu(x) + Σ_{α∈R₊} k(α) (∇u(x)·α)/(x·α)
              + Σ_{α active} c(α) (u(σ_α x) − u(x))/(x·α)²
 
-evaluated on user test functions through Richardson-extrapolated central
-differences.  With no active jump roots this is the radial generator; with
-all of R₊ active and c = k it is the full Dunkl generator; c = k′ (or any
-nonnegative per-orbit family) gives the two-parameter variants.
+evaluated with a test function's own closed-form gradient and Laplacian
+when it supplies them, and through Richardson-extrapolated central
+differences otherwise; the jump terms need only values of u.  With no
+active jump roots this is the radial generator; with all of R₊ active and
+c = k it is the full Dunkl generator; c = k′ (or any nonnegative
+per-orbit family) gives the two-parameter variants.
 
 Everything here is pure and vectorized: points may carry leading batch
 axes with coordinates on the last axis, and test functions must accept
@@ -35,15 +37,19 @@ ORTHOGONALITY_TOL = 1e-12
 class TestFunction:
     """A smooth scalar test function with a declared trust region.
 
-    ``fn`` maps arrays of shape (..., n) to shape (...).  Finite
-    differences are trusted on the centered ball of radius
-    ``smooth_radius``; evaluations whose stencil leaves it raise
-    ``DomainError``.
+    ``fn`` maps arrays of shape (..., n) to shape (...).  When both
+    ``grad`` (to shape (..., n)) and ``laplacian`` (to shape (...)) are
+    given, the generator uses these closed forms; otherwise it takes
+    Richardson differences of ``fn``.  Those are trusted on the centered
+    ball of radius ``smooth_radius``; evaluations whose stencil leaves it
+    raise ``DomainError``.  The closed forms are not checked against it.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     smooth_radius: float = np.inf
     name: str = ""
+    grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    laplacian: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     __test__ = False  # not a pytest class despite the name
 
@@ -238,8 +244,12 @@ def generator_terms(spec, u, x):
     dots = _positive_dots(system, x)
     if np.any(dots == 0.0):
         raise SingularDriftError("generator evaluated on a reflecting hyperplane")
-    grad, second = _fd_scheme(u, x)
-    half_lap = 0.5 * _coordinate_sum(second)
+    if u.grad is not None and u.laplacian is not None:
+        grad, lap = u.grad(x), u.laplacian(x)
+    else:
+        grad, second = _fd_scheme(u, x)
+        lap = _coordinate_sum(second)
+    half_lap = 0.5 * lap
     drift_vec = (k.per_positive() / dots) @ system.positive_roots
     drift_term = np.einsum("...i,...i->...", drift_vec, grad)
     jumps = np.zeros(x.shape[:-1])
@@ -287,7 +297,7 @@ def harmonicity_residual(system, k, which, x):
     which = "delta":     L_k^W δ        (should vanish on C)
     which = "delta_bar": L_k^W δ̄        (needs a k = 1/2 orbit)
     which = "pi":        Δπ for π = Π(α·x)   (k ignored)
-    which = "pi_power":  Δπ^{1−2k} + 2(∇π^{1−2k}·∇ log π^k), scalar k
+    which = "pi_power":  Δπ^{1−2k} + 2(∇π^{1−2k}·∇ log π^k), one k on every orbit
 
     The scale is the sum of the absolute magnitudes of the cancelling
     terms, so residual/scale is the meaningful relative error.
@@ -309,6 +319,8 @@ def harmonicity_residual(system, k, which, x):
         _, second = _fd_scheme(_pi_product(system), x)
         return _coordinate_sum(second), _coordinate_sum(np.abs(second))
     if which == "pi_power":
+        if not np.isscalar(k) and len(set(k.by_orbit)) > 1:
+            raise InvalidArgumentError("pi_power needs one value of k on every orbit")
         kk = float(k) if np.isscalar(k) else k.by_orbit[0]
         pi = _pi_product(system)
 

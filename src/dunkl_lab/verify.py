@@ -30,6 +30,7 @@ from scipy import stats as sps
 
 from . import rng as rngmod
 from .calculus import (
+    _coordinate_sum,
     GeneratorSpec,
     TestFunction,
     apply_generator,
@@ -152,6 +153,31 @@ def stack_paths(trajectories):
 # test-function battery
 
 
+def _times(c, x):
+    """c[..., None]·x by columns: numpy broadcasts slowly over a short last axis."""
+    out = np.empty(c.shape + x.shape[-1:])
+    for i in range(x.shape[-1]):
+        np.multiply(c, x[..., i], out=out[..., i])
+    return out
+
+
+def _radial_function(f, df, d2f, name):
+    """u(x) = f(‖x‖²): ∇u = 2f′x and Δu = 2n·f′ + 4‖x‖²·f″."""
+    def laplacian(x):
+        s = _coordinate_sum(x * x)
+        return 2.0 * x.shape[-1] * df(s) + 4.0 * s * d2f(s)
+
+    return TestFunction(lambda x: f(_coordinate_sum(x * x)), name=name, laplacian=laplacian,
+                        grad=lambda x: _times(2.0 * df(_coordinate_sum(x * x)), x))
+
+
+def _ridge_function(v, g, dg, d2g, name):
+    """u(x) = g(x·v): ∇u = g′·v and Δu = ‖v‖²·g″."""
+    v_sq = float(v @ v)
+    return TestFunction(lambda x: g(x @ v), name=name, grad=lambda x: _times(dg(x @ v), v),
+                        laplacian=lambda x: v_sq * d2g(x @ v))
+
+
 def function_battery(dim):
     """Five smooth functions with distinct symmetry and growth profiles."""
     v = np.arange(1, dim + 1, dtype=float)
@@ -159,13 +185,15 @@ def function_battery(dim):
     w = np.array([(-1.0) ** i * (0.8 + 0.1 * i) for i in range(dim)])
 
     return [
-        TestFunction(lambda x: np.einsum("...i,...i->...", x, x), name="sq_norm"),
-        TestFunction(lambda x: np.exp(-0.25 * np.einsum("...i,...i->...", x, x)),
-                     name="gauss"),
-        TestFunction(lambda x: x @ v, name="linear"),
-        TestFunction(lambda x: np.sin(x @ w), name="sine"),
-        TestFunction(lambda x: 1.0 / (1.0 + np.einsum("...i,...i->...", x, x)),
-                     name="inv_quad"),
+        _radial_function(lambda s: s, np.ones_like, np.zeros_like, "sq_norm"),
+        _radial_function(lambda s: np.exp(-0.25 * s),
+                         lambda s: -0.25 * np.exp(-0.25 * s),
+                         lambda s: 0.0625 * np.exp(-0.25 * s), "gauss"),
+        _ridge_function(v, lambda t: t, np.ones_like, np.zeros_like, "linear"),
+        _ridge_function(w, np.sin, np.cos, lambda t: -np.sin(t), "sine"),
+        _radial_function(lambda s: 1.0 / (1.0 + s),
+                         lambda s: -1.0 / (1.0 + s) ** 2,
+                         lambda s: 2.0 / (1.0 + s) ** 3, "inv_quad"),
     ]
 
 
@@ -173,7 +201,7 @@ def control_function(dim):
     """A deliberately non-symmetric function: sensitive to missing jump terms."""
     v = np.zeros(dim)
     v[0] = 1.0
-    return TestFunction(lambda x: x @ v, name="first_coord")
+    return _ridge_function(v, lambda t: t, np.ones_like, np.zeros_like, "first_coord")
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,16 @@ class TestHarmonicity:
         res, scale = harmonicity_residual(b2, 0.8, "pi_power", pts)
         assert np.max(np.abs(res) / scale) <= 1e-6
 
+    def test_power_log_identity_needs_one_k(self, b2, rng):
+        # a multiplicity equal on every orbit is the scalar; unequal orbit
+        # values have no single power π^{1−2k}, and used to read as k.by_orbit[0]
+        pts = sample_interior_points(b2, 5, rng)
+        scalar = harmonicity_residual(b2, 0.8, "pi_power", pts)
+        const = harmonicity_residual(b2, multiplicity(b2, 0.8), "pi_power", pts)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(scalar, const))
+        with pytest.raises(InvalidArgumentError):
+            harmonicity_residual(b2, multiplicity(b2, [1.0, 0.5]), "pi_power", pts)
+
     def test_unknown_identity(self, b2, k_one):
         with pytest.raises(InvalidArgumentError):
             harmonicity_residual(b2, k_one, "nope", np.array([2.0, 1.0]))

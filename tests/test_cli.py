@@ -226,7 +226,7 @@ class TestCommands:
 class TestVerifySuiteCommand:
     # SHA-256 of the suite's reports, runtimes removed, as sorted-key JSON
     QUICK_SUITE_SHA256 = (
-        "a05931b1a77364eaf13e0e2b673c1cbf0226f002850b5571bda431214f2e9078")
+        "744b5f3f2504da4000fe99c3ceaebbd0771f7d0ece71bf6b42910ca570cf6a5f")
 
     def test_quick_suite(self, tmp_path, capsys):
         """Very small sizes: the wiring, not the statistics.

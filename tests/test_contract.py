@@ -222,4 +222,4 @@ def test_martingale_residuals_match_contract():
             rep = martingale_residual(lambda: paths, spec, u)
             h.update(np.array([rep.estimate, rep.stderr]).tobytes())
     assert h.hexdigest() == (
-        "7137b70b73920798adc641657cd42f4841ae6382522da524abdf71c05bcfc7f7")
+        "c5ab1a4a3e78650b98fe9c6610710deef14391ba64c62992e5b2cd8d161dc85d")

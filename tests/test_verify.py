@@ -8,7 +8,8 @@ import pytest
 
 from dunkl_lab import (SimulationConfig, SingularClockError, Trajectory, build_lift_plan,
                        multiplicity, run_radial)
-from dunkl_lab.calculus import GeneratorSpec, apply_generator
+from dunkl_lab.calculus import (GeneratorSpec, _coordinate_sum, _fd_scheme, apply_generator,
+                                generator_terms, sample_interior_points)
 from dunkl_lab import verify
 from dunkl_lab.lift import simulate_dunkl
 from dunkl_lab.verify import (
@@ -225,6 +226,42 @@ class TestMartingale:
         rep = martingale_residual(lambda: paths, GeneratorSpec.radial(b2, k),
                                   const, bias_allowance=1e-9)
         assert abs(rep.estimate) <= 1e-8
+
+
+def _matches_differences(u, pts):
+    """u's closed-form gradient and Laplacian agree with Richardson differences."""
+    grad, second = _fd_scheme(u, pts)
+    return (np.allclose(u.grad(pts), grad, rtol=1e-8, atol=1e-8)
+            and np.allclose(u.laplacian(pts), _coordinate_sum(second),
+                            rtol=1e-8, atol=1e-8))
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("system", ["rank1", "b2", "b3"])
+    def test_battery_matches_differences(self, system, request, rng):
+        system = request.getfixturevalue(system)
+        n = system.dimension
+        pts = sample_interior_points(system, 50, rng)
+        for u in function_battery(n) + [control_function(n)]:
+            assert _matches_differences(u, pts), u.name
+            assert u.grad(pts[0]).shape == (n,) and np.shape(u.laplacian(pts[0])) == ()
+
+    def test_laplacian_off_by_a_constant_fails(self, b2, rng):
+        pts = sample_interior_points(b2, 50, rng)
+        for u in function_battery(2) + [control_function(2)]:
+            off = dataclasses.replace(u, laplacian=lambda x, lap=u.laplacian: lap(x) + 1e-6)
+            assert not _matches_differences(off, pts), u.name
+
+    @pytest.mark.parametrize("full", [False, True], ids=["radial", "full"])
+    def test_generator_evaluates_no_stencil(self, b2, k_one, rng, full):
+        spec = (GeneratorSpec.full if full else GeneratorSpec.radial)(b2, k_one)
+        pts = sample_interior_points(b2, 6, rng).reshape(2, 3, 2)
+        for u in function_battery(2) + [control_function(2)]:
+            calls = []
+            counted = dataclasses.replace(
+                u, fn=lambda x, fn=u.fn: calls.append(x.shape) or fn(x))
+            generator_terms(spec, counted, pts)
+            assert len(calls) == (1 + len(spec.active) if full else 0), u.name
 
 
 class TestProjectionAgreement:
