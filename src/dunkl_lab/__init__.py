@@ -35,14 +35,13 @@ from .errors import (
 )
 from .lift import (
     LiftPlan,
-    LiftRun,
     build_lift_plan,
     cumulative_time_change,
     simulate_dunkl,
 )
 from .radial import (
     JumpEvent,
-    RadialRun,
+    Run,
     SimulationConfig,
     Trajectory,
     read_trajectories_csv,

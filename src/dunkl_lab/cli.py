@@ -80,28 +80,31 @@ def _summary_json(payload):
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _report_run(cfg, run, **fields):
+    """Write the run's CSV if the config asks for one and print its summary."""
+    if cfg.output:
+        write_trajectories_csv(run.trajectories, cfg.output["path"])
+    sq = np.einsum("ij,ij->i", run.final_states, run.final_states)
+    print(_summary_json({
+        "paths": cfg.sim.n_paths,
+        "horizon": cfg.sim.horizon,
+        "mean_sq_norm_T": float(sq.mean()),
+        "step_failure_fraction": float(np.mean(run.termination == "step_failure")),
+        "output": cfg.output["path"] if cfg.output else None,
+        **fields,
+    }))
+    return 0
+
+
 def cmd_radial(args):
     cfg = load_run_config(args.config, args.set or (), seed_override=_env_seed())
     run = run_radial(cfg.system, cfg.k, cfg.x0, cfg.sim, record=True,
                      threads=args.threads)
-    if cfg.output:
-        write_trajectories_csv(run.trajectories, cfg.output["path"])
-    sq = np.einsum("ij,ij->i", run.final_states, run.final_states)
-    gamma = cfg.k.gamma
-    n = cfg.system.dimension
-    summary = {
-        "paths": cfg.sim.n_paths,
-        "horizon": cfg.sim.horizon,
-        "mean_sq_norm_T": float(sq.mean()),
-        "mean_sq_norm_target": float(cfg.x0 @ cfg.x0 + (n + 2 * gamma) * cfg.sim.horizon),
-        "hit_fraction": run.hit_fraction,
-        "t0_fraction": float(np.mean(run.termination == "T0")),
-        "step_failure_fraction": float(np.mean(run.termination == "step_failure")),
-        "rejected_proposals": int(run.n_rejected.sum()),
-        "output": cfg.output["path"] if cfg.output else None,
-    }
-    print(_summary_json(summary))
-    return 0
+    target = cfg.x0 @ cfg.x0 + (cfg.system.dimension + 2 * cfg.k.gamma) * cfg.sim.horizon
+    return _report_run(cfg, run, mean_sq_norm_target=float(target),
+                       hit_fraction=run.hit_fraction,
+                       t0_fraction=float(np.mean(run.termination == "T0")),
+                       rejected_proposals=int(run.n_rejected.sum()))
 
 
 def cmd_simulate_dunkl(args):
@@ -109,22 +112,10 @@ def cmd_simulate_dunkl(args):
     plan = build_lift_plan(cfg.system, cfg.k, rates=cfg.k_prime,
                            enumeration=cfg.enumeration, mode=args.mode)
     run = simulate_dunkl(plan, cfg.x0, cfg.sim, threads=args.threads)
-    if cfg.output:
-        write_trajectories_csv(run.trajectories, cfg.output["path"])
-    sq = np.einsum("ij,ij->i", run.final_states, run.final_states)
-    summary = {
-        "paths": cfg.sim.n_paths,
-        "horizon": cfg.sim.horizon,
-        "modes": list(plan.modes),
-        "rates": list(plan.rates),
-        "mean_sq_norm_T": float(sq.mean()),
-        "mean_jumps_per_path": float(run.n_jumps.mean()),
-        "total_jumps": int(run.n_jumps.sum()),
-        "step_failure_fraction": float(np.mean(run.termination == "step_failure")),
-        "output": cfg.output["path"] if cfg.output else None,
-    }
-    print(_summary_json(summary))
-    return 0
+    jumps = run.n_jumps
+    return _report_run(cfg, run, modes=list(plan.modes), rates=list(plan.rates),
+                       mean_jumps_per_path=float(jumps.mean()),
+                       total_jumps=int(jumps.sum()), max_jumps_path=int(jumps.max()))
 
 
 def cmd_verify_harmonic(args):

@@ -42,7 +42,7 @@ from .errors import (
     SingularClockError,
     UnsupportedRegimeError,
 )
-from .radial import SimulationConfig, _run_engine, _trajectories_from_engine
+from .radial import Run, SimulationConfig, _run, _run_engine
 from .rng import FLIP, keys, stream
 from .root_systems import (
     Multiplicity,
@@ -284,35 +284,17 @@ def _flip_stage(states, stop_index, jumps, times, system, root_position, rate,
     return _engine.JumpTable(*(c[order] for c in columns))
 
 
-@dataclass
-class LiftRun:
-    """Output of a lift simulation: final-stage paths plus diagnostics."""
-
-    trajectories: list
-    final_states: np.ndarray
-    termination: np.ndarray
-    wall_contact: np.ndarray
-    min_wall_distance: np.ndarray
-    n_rejected: np.ndarray
-
-    @property
-    def n_jumps(self):
-        return np.array([len(t.events) for t in self.trajectories])
-
-
 def simulate_dunkl(plan, x0, config: SimulationConfig, *, stages=None, threads=1,
-                   noise_transform=None) -> LiftRun:
+                   noise_transform=None) -> Run:
     """Simulate Y^i for i = ``stages`` (default: all m) under a lift plan.
 
     The start point may sit in any chamber; the recipe starts from the
     extended radial dynamics at x0 and adds jumps stage by stage.  All
     drift multiplicities must be ≥ 1/2 (below that the radial part can
-    reach the walls and the construction does not apply).
+    reach the walls and the construction does not apply).  The run's
+    ``jumps`` log every stage's jumps.
     """
     system = plan.system
-    x0 = np.asarray(x0, dtype=float)
-    if np.any(system.positive_roots @ x0 == 0.0):
-        raise InvalidArgumentError("x0 lies on a reflecting hyperplane")
     if plan.k.min_value < 0.5:
         raise UnsupportedRegimeError(
             "the jump reconstruction requires every k(α) ≥ 1/2"
@@ -328,6 +310,7 @@ def simulate_dunkl(plan, x0, config: SimulationConfig, *, stages=None, threads=1
              if md == "general"), default=0)
 
     res = _run_engine(system, plan.k, x0, config, record=True, threads=threads,
+                      any_chamber=True,
                       clock_positions=tuple(plan.enumeration[:g]),
                       clock_rates=np.asarray(plan.rates[:g], dtype=float),
                       noise_transform=noise_transform)
@@ -335,12 +318,4 @@ def simulate_dunkl(plan, x0, config: SimulationConfig, *, stages=None, threads=1
     for s in range(g + 1, n_stages + 1):
         jumps = _flip_stage(states, res.stop_index, jumps, res.tgrid, system,
                             plan.enumeration[s - 1], plan.rates[s - 1], config.seed, s)
-    return LiftRun(
-        trajectories=_trajectories_from_engine(res, states, jumps),
-        final_states=states[np.arange(len(states)), res.stop_index],
-        termination=np.array([_engine.TERMINATION_LABELS[int(c)]
-                              for c in res.termination]),
-        wall_contact=res.wall_contact,
-        min_wall_distance=res.min_wall_distance,
-        n_rejected=res.n_rejected,
-    )
+    return _run(res, states, jumps)

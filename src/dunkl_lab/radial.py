@@ -13,6 +13,7 @@ The multiplicity alone decides which of the two holds.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -74,32 +75,59 @@ class Trajectory:
     t0_time: Optional[float] = None
 
 
-@dataclass
-class RadialRun:
-    """Batch output: summary arrays always, trajectories when recorded."""
+@dataclass(frozen=True, eq=False)
+class Run:
+    """A batch of paths, radial or lifted, as the engine's arrays.
 
-    tgrid: np.ndarray
+    ``states`` (N, M+1, n) and the flat jump table ``jumps``, sorted by
+    (path, time), are read-only, and both are None for an unrecorded run.
+    A path's grid states are valid up to ``stop_index``.
+    """
+
+    times: np.ndarray
     final_states: np.ndarray
+    stop_index: np.ndarray
     termination: np.ndarray      # label per path
     t0_times: np.ndarray         # NaN unless the path hit the wall
     wall_contact: np.ndarray
     min_wall_distance: np.ndarray
     n_rejected: np.ndarray
-    trajectories: Optional[list] = None
+    states: Optional[np.ndarray]
+    jumps: Optional[_engine.JumpTable]
 
     @property
     def hit_fraction(self):
         """Fraction of paths whose wall distance dipped below threshold."""
         return float(np.mean(self.wall_contact | (self.termination == "T0")))
 
+    @property
+    def n_jumps(self):
+        """Jumps per path; an unrecorded run has no jump table."""
+        return np.bincount(self.jumps.path, minlength=len(self.stop_index))
+
+    @functools.cached_property
+    def trajectories(self):
+        """One ``Trajectory`` per path, built on first read; None unrecorded."""
+        return None if self.states is None else _trajectories_from_engine(self)
+
 
 def _run_engine(system: RootSystem, k: Multiplicity, x0, config: SimulationConfig, *,
-                record, threads, **clocks) -> _engine.EngineResult:
+                record, threads, any_chamber=False, **clocks) -> _engine.EngineResult:
     """Run ``config``'s paths of drift k from ``x0``; ``clocks`` holds the
     optional ``EngineParams`` fields (jump clocks, a noise transform).
 
-    Paths stop at T₀ exactly when min k < 1/2.
+    ``x0`` must be finite and lie in the open chamber, or with
+    ``any_chamber`` off every reflecting hyperplane.  Paths stop at T₀
+    exactly when min k < 1/2.
     """
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (system.dimension,) or not np.isfinite(x0).all():
+        raise InvalidArgumentError(f"x0 must be {system.dimension} finite coordinates")
+    if any_chamber:
+        if np.any(system.positive_roots @ x0 == 0.0):
+            raise InvalidArgumentError("x0 lies on a reflecting hyperplane")
+    elif chamber_contains(system.positive_roots, x0) != "interior":
+        raise InvalidArgumentError("x0 must lie in the open chamber")
     params = _engine.EngineParams(
         positive_roots=system.positive_roots,
         kvec=k.per_positive(),
@@ -113,56 +141,57 @@ def _run_engine(system: RootSystem, k: Multiplicity, x0, config: SimulationConfi
     return _engine.run_paths(params, config.n_paths, threads=threads)
 
 
-def _trajectories_from_engine(res: _engine.EngineResult, states,
-                              jumps: _engine.JumpTable):
-    """One ``Trajectory`` per path; freezes the batch arrays it views."""
-    for a in (res.tgrid, states, jumps.pre, jumps.post):
-        a.flags.writeable = False
+def _run(res: _engine.EngineResult, states, jumps) -> Run:
+    """The run of ``res`` whose paths end as ``states`` with jump log
+    ``jumps`` (both None when not recorded); freezes the arrays it holds."""
+    if states is not None:
+        for a in (res.tgrid, states, *jumps):
+            a.flags.writeable = False
+    return Run(
+        times=res.tgrid, stop_index=res.stop_index, t0_times=res.t0_time,
+        final_states=(res.final if states is None
+                      else states[np.arange(len(states)), res.stop_index]),
+        termination=np.array([_engine.TERMINATION_LABELS[int(c)]
+                              for c in res.termination]),
+        wall_contact=res.wall_contact, min_wall_distance=res.min_wall_distance,
+        n_rejected=res.n_rejected, states=states, jumps=jumps)
+
+
+def _trajectories_from_engine(run: Run):
+    """One ``Trajectory`` per path of a recorded run, viewing its arrays."""
+    jumps = run.jumps
     events = [
         JumpEvent(time=t, root=r, pre=pre, post=post)
         for t, r, pre, post in zip(jumps.time.tolist(), jumps.root.tolist(),
                                    jumps.pre, jumps.post)
     ]
-    bounds = np.searchsorted(jumps.path, np.arange(len(states) + 1)).tolist()
+    bounds = np.searchsorted(jumps.path, np.arange(len(run.states) + 1)).tolist()
     return [
         Trajectory(
             path_id=j,
-            times=res.tgrid[: stop + 1],
-            states=states[j, : stop + 1],
+            times=run.times[: stop + 1],
+            states=run.states[j, : stop + 1],
             events=tuple(events[bounds[j]:bounds[j + 1]]),
-            termination=_engine.TERMINATION_LABELS[int(res.termination[j])],
-            t0_time=(float(res.t0_time[j])
-                     if np.isfinite(res.t0_time[j]) else None),
+            termination=label,
+            t0_time=t0 if math.isfinite(t0) else None,
         )
-        for j, stop in enumerate(res.stop_index.tolist())
+        for j, (stop, label, t0) in enumerate(zip(
+            run.stop_index.tolist(), run.termination.tolist(), run.t0_times.tolist()))
     ]
 
 
 def run_radial(system: RootSystem, k: Multiplicity, x0, config: SimulationConfig,
-               *, record=True, threads=1) -> RadialRun:
+               *, record=True, threads=1) -> Run:
     """Euler–Maruyama paths of the radial process on [0, horizon].
 
     Paths with min k < 1/2 terminate at the first wall contact (T₀); with
     min k ≥ 1/2 early termination can only be a discretization artifact
     (termination "step_failure", and ``wall_contact`` marks near misses).
-    With ``record`` the run also holds one ``Trajectory`` per path.
+    With ``record`` the run also holds the grid states and an empty jump
+    table.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if chamber_contains(system.positive_roots, x0) != "interior":
-        raise InvalidArgumentError("x0 must lie in the open chamber")
     res = _run_engine(system, k, x0, config, record=record, threads=threads)
-    return RadialRun(
-        tgrid=res.tgrid,
-        final_states=res.final,
-        termination=np.array([_engine.TERMINATION_LABELS[int(c)]
-                              for c in res.termination]),
-        t0_times=res.t0_time,
-        wall_contact=res.wall_contact,
-        min_wall_distance=res.min_wall_distance,
-        n_rejected=res.n_rejected,
-        trajectories=(_trajectories_from_engine(res, res.states, res.jumps)
-                      if record else None),
-    )
+    return _run(res, res.states, res.jumps if record else None)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -140,6 +141,9 @@ class TestCommands:
         assert summary["total_jumps"] > 0
         text = out_path.read_text()
         assert "jump:" in text
+        per_path = Counter(row.split(",")[0] for row in text.splitlines()
+                           if ",jump:" in row)
+        assert summary["max_jumps_path"] == max(per_path.values())
 
     def test_byte_identical_replay(self, tmp_path, capsys):
         outputs = []

@@ -7,12 +7,13 @@ import pytest
 
 from dunkl_lab import (
     InvalidArgumentError,
+    Run,
     SimulationConfig,
     multiplicity,
     run_radial,
     write_trajectories_csv,
 )
-from dunkl_lab import _engine, rng
+from dunkl_lab import _engine, radial, rng
 from dunkl_lab.lift import build_lift_plan, simulate_dunkl
 from dunkl_lab.radial import read_trajectories_csv
 
@@ -185,6 +186,57 @@ class TestSimulateRadial:
         alpha = b2.positive_roots[root]
         assert np.array_equal(post, pre - np.vecdot(pre, alpha)[:, None] * alpha)
         assert np.all((time > 0) & (time <= res.tgrid[-1]))
+
+
+def _simulate(system, k, x0, cfg):
+    return simulate_dunkl(build_lift_plan(system, k), x0, cfg)
+
+
+ENTRY_POINTS = {"run_radial": run_radial, "simulate_dunkl": _simulate}
+
+
+class TestRun:
+    """Radial and lifted paths come back as one ``Run`` of engine arrays."""
+
+    CFG = SimulationConfig(horizon=0.5, dt=0.01, n_paths=40, seed=2)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_trajectories_built_on_first_read(self, b2, k_one, monkeypatch, entry):
+        calls = []
+        build = radial._trajectories_from_engine
+        monkeypatch.setattr(radial, "_trajectories_from_engine",
+                            lambda run: calls.append(run) or build(run))
+        run = ENTRY_POINTS[entry](b2, k_one, [2.0, 1.0], self.CFG)
+        assert isinstance(run, Run) and calls == []
+        first = run.trajectories
+        assert calls == [run] and len(first) == 40
+        assert run.trajectories is first and len(calls) == 1
+
+    def test_n_jumps_counts_the_jump_table(self, b2, k_one):
+        run = _simulate(b2, k_one, [2.0, 1.0], self.CFG)
+        assert run.n_jumps.sum() > 0
+        assert run.n_jumps.tolist() == [len(t.events) for t in run.trajectories]
+        assert np.array_equal(run.n_jumps, np.bincount(run.jumps.path, minlength=40))
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_recorded_arrays_are_read_only(self, b2, k_one, entry):
+        run = ENTRY_POINTS[entry](b2, k_one, [2.0, 1.0], self.CFG)
+        for a in (run.states, *run.jumps):
+            assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            run.states[0, 0, 0] = 0.0
+
+    def test_unrecorded_run_holds_no_paths(self, b2, k_one):
+        run = run_radial(b2, k_one, [2.0, 1.0], self.CFG, record=False)
+        assert run.states is None and run.jumps is None and run.trajectories is None
+        assert not hasattr(run, "n_jumps")
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("x0", [[2.0], [2.0, 1.0, 0.5], [2.0, np.nan],
+                                    [2.0, np.inf], [np.inf, 1.0]])
+    def test_x0_must_be_finite_and_of_the_system_dimension(self, b2, k_one, entry, x0):
+        with pytest.raises(InvalidArgumentError):
+            ENTRY_POINTS[entry](b2, k_one, x0, self.CFG)
 
 
 class TestWallHitting:
