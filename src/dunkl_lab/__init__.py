@@ -63,7 +63,7 @@ from .root_systems import (
     normalize_roots,
     orbit_decomposition,
     positive_subsystem,
-    project_to_chamber,
+    project_batch,
     reflect,
     system_from_json,
     system_to_json,

@@ -73,7 +73,6 @@ class EngineParams:
     clock_positions: tuple = ()     # positions (into positive order) with live clocks
     clock_rates: np.ndarray = field(default_factory=lambda: np.zeros(0))  # (g,)
     record: bool = False
-    noise_transform: Optional[np.ndarray] = None  # orthogonal map applied to dW
 
 
 class JumpTable(NamedTuple):
@@ -152,8 +151,6 @@ def cover_interval(params, paths, x, signs, lam, thr, h, t_start, xi):
         proposals[rows] += 1
         if xi is None:
             xi = np.array([paths[r].retry_rng().standard_normal(x.shape[1]) for r in rows])
-            if params.noise_transform is not None:
-                xi = np.matmul(params.noise_transform, xi[:, :, None])[:, :, 0]
         xr = x[rows]
         d = xr @ A.T
         # A stacked matmul runs the 1-D product's gemv on each row; one
@@ -236,8 +233,6 @@ def _run_block(params: EngineParams, first_path: int, n_paths: int) -> EngineRes
             xi_buf = np.empty((n_paths, min(seg_len, n_steps - step), nd))
             for gen, buf in zip(gens, xi_buf):
                 gen.standard_normal(out=buf)
-            if params.noise_transform is not None:
-                xi_buf = xi_buf @ params.noise_transform.T
         return xi_buf[:, step - seg_start]
 
     cur = np.tile(np.asarray(params.x0, dtype=float), (n_paths, 1))

@@ -31,6 +31,9 @@ from .root_systems import Multiplicity, RootSystem, reflect
 
 FD_BASE_STEP = 1e-3            # h = FD_BASE_STEP · (1 + ‖x‖)
 ORTHOGONALITY_TOL = 1e-12
+INTERIOR_MARGIN = 0.3          # sampled points keep every wall product above this
+INTERIOR_RADIUS = 3.0          # sampled points are drawn from N(0, radius²·I)
+INTERIOR_MAX_TRIES = 100_000
 
 
 @dataclass(frozen=True)
@@ -367,20 +370,21 @@ def rotate_spec(spec, theta):
     return GeneratorSpec(system=rotated, k=k_rot, jump_k=jump_rot, active=spec.active)
 
 
-def sample_interior_points(system, count, rng, margin=0.3, radius=3.0, max_tries=100000):
+def sample_interior_points(system, count, rng):
     """Deterministic rejection sample of chamber points with wall margin.
 
-    Points are drawn from N(0, radius²·I) and kept when every wall product
-    exceeds ``margin``; useful for harmonicity spot checks.
+    Points are drawn from N(0, ``INTERIOR_RADIUS``²·I) and kept when every
+    wall product exceeds ``INTERIOR_MARGIN``; useful for harmonicity spot
+    checks.
     """
     pos_t = system.positive_roots.T
     out = []
     tries = 0
     while len(out) < count:
         tries += 1
-        if tries > max_tries:
-            raise RuntimeError("interior sampling did not converge; reduce margin")
-        x = radius * rng.standard_normal(system.dimension)
-        if np.all(x @ pos_t > margin):
+        if tries > INTERIOR_MAX_TRIES:
+            raise RuntimeError("interior sampling did not converge")
+        x = INTERIOR_RADIUS * rng.standard_normal(system.dimension)
+        if np.all(x @ pos_t > INTERIOR_MARGIN):
             out.append(x)
     return np.array(out)

@@ -154,7 +154,10 @@ def cmd_verify_suite(args):
 def cmd_export_plot_data(args):
     if args.bins < 1:
         raise InvalidArgumentError(f"--bins must be at least 1, got {args.bins}")
-    paths = read_trajectories_csv(getattr(args, "in"))
+    try:
+        paths = read_trajectories_csv(getattr(args, "in"))
+    except OSError as exc:
+        raise DunklLabError(f"cannot read trajectory CSV: {exc}") from exc
     all_t = np.concatenate([rec["t"] for rec in paths.values()])
     t_max = float(all_t.max())
     edges = np.linspace(0.0, t_max, args.bins + 1)

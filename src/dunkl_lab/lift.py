@@ -284,8 +284,7 @@ def _flip_stage(states, stop_index, jumps, times, system, root_position, rate,
     return _engine.JumpTable(*(c[order] for c in columns))
 
 
-def simulate_dunkl(plan, x0, config: SimulationConfig, *, stages=None, threads=1,
-                   noise_transform=None) -> Run:
+def simulate_dunkl(plan, x0, config: SimulationConfig, *, stages=None, threads=1) -> Run:
     """Simulate Y^i for i = ``stages`` (default: all m) under a lift plan.
 
     The start point may sit in any chamber; the recipe starts from the
@@ -312,8 +311,7 @@ def simulate_dunkl(plan, x0, config: SimulationConfig, *, stages=None, threads=1
     res = _run_engine(system, plan.k, x0, config, record=True, threads=threads,
                       any_chamber=True,
                       clock_positions=tuple(plan.enumeration[:g]),
-                      clock_rates=np.asarray(plan.rates[:g], dtype=float),
-                      noise_transform=noise_transform)
+                      clock_rates=np.asarray(plan.rates[:g], dtype=float))
     states, jumps = res.states, res.jumps
     for s in range(g + 1, n_stages + 1):
         jumps = _flip_stage(states, res.stop_index, jumps, res.tgrid, system,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,11 +40,11 @@ class SimulationConfig:
     seed: int
 
     def __post_init__(self):
-        if not (self.horizon > 0 and self.dt > 0 and self.dt <= self.horizon):
-            raise InvalidArgumentError("need 0 < dt ≤ horizon")
-        if self.n_paths < 1:
-            raise InvalidArgumentError("need at least one path")
-        if self.seed < 0:
+        if not (self.dt > 0 and self.dt <= self.horizon < math.inf):
+            raise InvalidArgumentError("need 0 < dt ≤ horizon < ∞")
+        if not isinstance(self.n_paths, numbers.Integral) or self.n_paths < 1:
+            raise InvalidArgumentError("need an integral number of paths, at least one")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise InvalidArgumentError("seed must be a nonnegative integer")
 
     def time_grid(self):
@@ -114,7 +115,7 @@ class Run:
 def _run_engine(system: RootSystem, k: Multiplicity, x0, config: SimulationConfig, *,
                 record, threads, any_chamber=False, **clocks) -> _engine.EngineResult:
     """Run ``config``'s paths of drift k from ``x0``; ``clocks`` holds the
-    optional ``EngineParams`` fields (jump clocks, a noise transform).
+    optional jump-clock fields of ``EngineParams``.
 
     ``x0`` must be finite and lie in the open chamber, or with
     ``any_chamber`` off every reflecting hyperplane.  Paths stop at T₀
@@ -243,7 +244,7 @@ def read_trajectories_csv(fileobj_or_path):
 
 def _read_csv(f):
     reader = csv.reader(f)
-    header = next(reader)
+    header = next(reader, [])
     if header[:2] != ["path_id", "t"] or header[-1] != "event":
         raise InvalidArgumentError("not a trajectory CSV (bad header)")
     n = len(header) - 3
@@ -254,6 +255,8 @@ def _read_csv(f):
         rec["t"].append(float(row[1]))
         rec["x"].append([float(v) for v in row[2:2 + n]])
         rec["event"].append(row[-1])
+    if not paths:
+        raise InvalidArgumentError("trajectory CSV has no rows")
     for rec in paths.values():
         rec["t"] = np.array(rec["t"])
         rec["x"] = np.array(rec["x"])

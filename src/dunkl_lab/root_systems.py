@@ -62,16 +62,16 @@ def normalize_roots(raw_roots):
     return roots * (np.sqrt(2.0) / norms)[:, None]
 
 
-def _match_root(roots, v, tol=ROOT_MATCH_TOL):
-    """Index of ``v`` in ``roots`` up to entrywise tolerance, or -1."""
+def _match_root(roots, v):
+    """Index of ``v`` in ``roots`` up to ``ROOT_MATCH_TOL`` entrywise, or -1."""
     dist = np.max(np.abs(roots - v), axis=1)
     i = int(np.argmin(dist))
-    return i if dist[i] <= tol else -1
+    return i if dist[i] <= ROOT_MATCH_TOL else -1
 
 
-def _dedup_key(mat, tol=GROUP_DEDUP_TOL):
+def _dedup_key(mat):
     # adding 0.0 maps -0.0 to +0.0 so keys are sign-of-zero stable
-    decimals = int(round(-np.log10(tol)))
+    decimals = int(round(-np.log10(GROUP_DEDUP_TOL)))
     return (np.round(np.asarray(mat), decimals) + 0.0).tobytes()
 
 
@@ -103,36 +103,31 @@ class RootSystem:
     def n_positive(self):
         return len(self.positive)
 
-    def orbit_of_root(self, root_index):
-        for i, orbit in enumerate(self.orbits):
-            if root_index in orbit:
-                return i
-        raise InvalidArgumentError(f"no orbit contains root {root_index}")
-
     def positive_orbit_index(self):
         """Orbit index of each positive root, aligned with ``positive``."""
-        return np.array([self.orbit_of_root(int(r)) for r in self.positive])
+        orbit_of = {r: i for i, orbit in enumerate(self.orbits) for r in orbit}
+        return np.array([orbit_of[int(r)] for r in self.positive])
 
 
-def validate_root_system(roots, norm_tol=NORM_TOL, match_tol=ROOT_MATCH_TOL):
+def validate_root_system(roots):
     """Check the root-system axioms; raise ``InvalidArgumentError`` on failure."""
     roots = np.atleast_2d(np.asarray(roots, dtype=float))
     if roots.size == 0:
         raise InvalidArgumentError("empty root set")
     sq = np.einsum("ij,ij->i", roots, roots)
-    if np.any(np.abs(sq - 2.0) > norm_tol):
+    if np.any(np.abs(sq - 2.0) > NORM_TOL):
         raise InvalidArgumentError("roots must satisfy α·α = 2; run normalize_roots first")
     for i, alpha in enumerate(roots):
-        dup = np.max(np.abs(roots - alpha), axis=1) <= match_tol
+        dup = np.max(np.abs(roots - alpha), axis=1) <= ROOT_MATCH_TOL
         if dup.sum() != 1:
             raise InvalidArgumentError("duplicate root detected")
-        if _match_root(roots, -alpha, match_tol) < 0:
+        if _match_root(roots, -alpha) < 0:
             raise InvalidArgumentError(f"root {i}: −α missing (R ∩ ℝα = {{±α}} fails)")
     # closure under its own reflections
     for alpha in roots:
         images = reflect(alpha, roots)
         for j, im in enumerate(images):
-            if _match_root(roots, im, match_tol) < 0:
+            if _match_root(roots, im) < 0:
                 raise InvalidArgumentError(
                     f"reflection closure fails: σ_α({roots[j]}) not in R"
                 )
@@ -152,13 +147,13 @@ def positive_subsystem(roots, beta):
     return np.nonzero(dots > 0.0)[0]
 
 
-def generate_weyl_group(roots, cap=WEYL_GROUP_CAP):
+def generate_weyl_group(roots):
     """Breadth-first closure of the reflections σ_α under composition.
 
     Deterministic element order: identity, then discovery order when
     multiplying by the generators in root order.  Raises
-    ``GroupCapExceededError`` if the closure exceeds ``cap`` elements,
-    which guards against accidental non-root input.
+    ``GroupCapExceededError`` if the closure exceeds ``WEYL_GROUP_CAP``
+    elements, which guards against accidental non-root input.
     """
     roots = np.atleast_2d(np.asarray(roots, dtype=float))
     n = roots.shape[1]
@@ -177,15 +172,15 @@ def generate_weyl_group(roots, cap=WEYL_GROUP_CAP):
                     seen.add(key)
                     elements.append(cand)
                     new_frontier.append(cand)
-                    if len(elements) > cap:
+                    if len(elements) > WEYL_GROUP_CAP:
                         raise GroupCapExceededError(
-                            f"reflection closure exceeded {cap} elements"
+                            f"reflection closure exceeded {WEYL_GROUP_CAP} elements"
                         )
         frontier = new_frontier
     return np.stack(elements)
 
 
-def orbit_decomposition(roots, weyl_group, match_tol=ROOT_MATCH_TOL):
+def orbit_decomposition(roots, weyl_group):
     """Partition root indices into Weyl orbits (sorted, smallest index first)."""
     roots = np.atleast_2d(np.asarray(roots, dtype=float))
     unassigned = set(range(len(roots)))
@@ -194,7 +189,7 @@ def orbit_decomposition(roots, weyl_group, match_tol=ROOT_MATCH_TOL):
         start = min(unassigned)
         members = set()
         for w in weyl_group:
-            j = _match_root(roots, w @ roots[start], match_tol)
+            j = _match_root(roots, w @ roots[start])
             if j < 0:
                 raise InvalidArgumentError("Weyl group does not map R onto R")
             members.add(j)
@@ -203,46 +198,31 @@ def orbit_decomposition(roots, weyl_group, match_tol=ROOT_MATCH_TOL):
     return tuple(orbits)
 
 
-def build_root_system(raw_roots, beta=None, cap=WEYL_GROUP_CAP):
+def _system(roots, positive=None, beta=None):
+    """The one constructor: validate ``roots``, then W, then its orbits.
+
+    ``positive`` indexes the positive roots in ``roots``; when it is None
+    the roots are reordered positives first along ``beta`` (default: the
+    generic vector (n, n−1, …, 1)).
+    """
+    validate_root_system(roots)
+    if positive is None:
+        beta = np.arange(roots.shape[1], 0, -1, dtype=float) if beta is None else beta
+        pos = positive_subsystem(roots, beta)
+        neg = [_match_root(roots, -roots[i]) for i in pos]
+        roots, positive = np.concatenate([roots[pos], roots[neg]]), np.arange(len(pos))
+    weyl = generate_weyl_group(roots)
+    return RootSystem(dimension=roots.shape[1], roots=roots, positive=positive,
+                      weyl_group=weyl, orbits=orbit_decomposition(roots, weyl))
+
+
+def build_root_system(raw_roots, beta=None):
     """Assemble a validated ``RootSystem`` from a full set of raw roots.
 
     Roots are rescaled to α·α = 2 and reordered positives-first using the
     direction ``beta`` (default: the generic vector (n, n−1, …, 1)).
     """
-    roots = normalize_roots(raw_roots)
-    validate_root_system(roots)
-    n = roots.shape[1]
-    if beta is None:
-        beta = np.arange(n, 0, -1, dtype=float)
-    pos = positive_subsystem(roots, beta)
-    neg = np.array([_match_root(roots, -roots[i]) for i in pos])
-    ordered = np.concatenate([roots[pos], roots[neg]])
-    m = len(pos)
-    weyl = generate_weyl_group(ordered, cap=cap)
-    orbits = orbit_decomposition(ordered, weyl)
-    return RootSystem(
-        dimension=n,
-        roots=ordered,
-        positive=np.arange(m),
-        weyl_group=weyl,
-        orbits=orbits,
-    )
-
-
-def _from_ordered(positive_roots, cap=WEYL_GROUP_CAP):
-    """System from an explicitly ordered positive list (negatives appended)."""
-    pos = np.asarray(positive_roots, dtype=float)
-    ordered = np.concatenate([pos, -pos])
-    validate_root_system(ordered)
-    weyl = generate_weyl_group(ordered, cap=cap)
-    orbits = orbit_decomposition(ordered, weyl)
-    return RootSystem(
-        dimension=pos.shape[1],
-        roots=ordered,
-        positive=np.arange(len(pos)),
-        weyl_group=weyl,
-        orbits=orbits,
-    )
+    return _system(normalize_roots(raw_roots), beta=beta)
 
 
 def build_type_a(n):
@@ -253,8 +233,8 @@ def build_type_a(n):
     if n < 2:
         raise InvalidArgumentError("type A needs n ≥ 2")
     eye = np.eye(n)
-    pos = [eye[i] - eye[j] for i in range(n) for j in range(i + 1, n)]
-    return _from_ordered(np.array(pos))
+    pos = np.array([eye[i] - eye[j] for i in range(n) for j in range(i + 1, n)])
+    return _system(np.concatenate([pos, -pos]), np.arange(len(pos)))
 
 
 def build_type_b(n):
@@ -272,47 +252,38 @@ def build_type_b(n):
     eye = np.eye(n)
     pos = [eye[i] - eye[j] for i in range(n) for j in range(i + 1, n)]
     pos += [eye[i] + eye[j] for i in range(n) for j in range(i + 1, n)]
-    pos += [np.sqrt(2.0) * eye[i] for i in range(n)]
-    return _from_ordered(np.array(pos))
+    pos = np.array(pos + [np.sqrt(2.0) * eye[i] for i in range(n)])
+    return _system(np.concatenate([pos, -pos]), np.arange(len(pos)))
 
 
 def build_rank_one():
     """The rank-1 system {±√2 e₁} on the line; chamber x > 0."""
-    return _from_ordered(np.array([[np.sqrt(2.0)]]))
+    return _system(np.array([[np.sqrt(2.0)], [-np.sqrt(2.0)]]), np.arange(1))
 
 
-def chamber_contains(positive_roots, x, tol=DEFAULT_BOUNDARY_TOL):
+def chamber_contains(positive_roots, x):
     """Classify ``x`` against C = {y : y·α > 0 ∀α ∈ R₊}.
 
     Returns "interior", "boundary", or "exterior".  Boundary means at
-    least one wall product within ``tol`` of zero and none below −tol.
+    least one wall product within ``DEFAULT_BOUNDARY_TOL`` of zero and
+    none below its negative.
     """
     dots = np.asarray(positive_roots, dtype=float) @ np.asarray(x, dtype=float)
-    if np.all(dots > tol):
+    if np.all(dots > DEFAULT_BOUNDARY_TOL):
         return "interior"
-    if np.all(dots >= -tol):
+    if np.all(dots >= -DEFAULT_BOUNDARY_TOL):
         return "boundary"
     return "exterior"
 
 
-def project_to_chamber(system, x, tol=DEFAULT_BOUNDARY_TOL):
-    """Chamber representative of the W-orbit of ``x``.
+def project_batch(system, states):
+    """Chamber representative of the W-orbit of each row of ``states`` (N, n).
 
-    Returns ``(w·x, w)`` for the first group element (in the canonical
-    closure order) with w·x in the closed chamber; the fixed order makes
-    boundary ties deterministic.
+    A row's image is w·x for the first group element (in the canonical
+    closure order) with w·x in the closed chamber, up to
+    ``DEFAULT_BOUNDARY_TOL``; the fixed order makes boundary ties
+    deterministic.
     """
-    x = np.asarray(x, dtype=float)
-    pos = system.positive_roots
-    for w in system.weyl_group:
-        y = w @ x
-        if np.all(pos @ y >= -tol):
-            return y, w
-    raise RuntimeError("no chamber representative found; corrupt Weyl group")
-
-
-def project_batch(system, states, tol=DEFAULT_BOUNDARY_TOL):
-    """Vectorized ``project_to_chamber`` over rows of ``states`` (N, n)."""
     states = np.asarray(states, dtype=float)
     out = np.empty_like(states)
     pending = np.ones(len(states), dtype=bool)
@@ -321,7 +292,7 @@ def project_batch(system, states, tol=DEFAULT_BOUNDARY_TOL):
         if not pending.any():
             break
         cand = states[pending] @ w.T
-        ok = np.all(cand @ pos_t >= -tol, axis=1)
+        ok = np.all(cand @ pos_t >= -DEFAULT_BOUNDARY_TOL, axis=1)
         idx = np.nonzero(pending)[0][ok]
         out[idx] = cand[ok]
         pending[idx] = False
@@ -345,7 +316,7 @@ def chamber_labels(system, states):
     return order[np.minimum(np.searchsorted(codes[order], got), len(codes) - 1)]
 
 
-def check_invariance_condition(system, i, enumeration=None, tol=ROOT_MATCH_TOL):
+def check_invariance_condition(system, i, enumeration=None):
     """Whether σ_{α_i} maps {±α_1, …, ±α_{i−1}} onto itself.
 
     ``i`` is 1-based (1 ≤ i ≤ m) to match the usual enumeration of R₊;
@@ -363,7 +334,7 @@ def check_invariance_condition(system, i, enumeration=None, tol=ROOT_MATCH_TOL):
         return True
     prev_full = np.concatenate([prev, -prev])
     images = reflect(alpha_i, prev_full)
-    return all(_match_root(prev_full, im, tol) >= 0 for im in images)
+    return all(_match_root(prev_full, im) >= 0 for im in images)
 
 
 def _as_enumeration(system, enumeration):
@@ -396,9 +367,6 @@ class Multiplicity:
             )
         if any(not np.isfinite(v) or v < 0 for v in self.by_orbit):
             raise InvalidArgumentError("multiplicity values must be finite and ≥ 0")
-
-    def of_root(self, root_index):
-        return self.by_orbit[self.system.orbit_of_root(root_index)]
 
     def per_positive(self):
         """Values aligned with the positive enumeration, shape (m,)."""
@@ -445,10 +413,10 @@ def system_to_dict(system):
     }
 
 
-def system_from_dict(doc, cap=WEYL_GROUP_CAP):
+def system_from_dict(doc):
     roots = np.asarray(doc["roots"], dtype=float)
-    validate_root_system(roots)
     positive = np.asarray(doc["positive"], dtype=int)
+    system = _system(roots, positive)
     if roots.shape[1] != int(doc["dimension"]):
         raise InvalidArgumentError("dimension does not match root coordinates")
     if len(set(int(i) for i in positive)) != len(positive):
@@ -461,18 +429,10 @@ def system_from_dict(doc, cap=WEYL_GROUP_CAP):
         seen.add(int(i))
     if 2 * len(positive) != len(roots):
         raise InvalidArgumentError("positive must select exactly half of the roots")
-    weyl = generate_weyl_group(roots, cap=cap)
-    orbits = orbit_decomposition(roots, weyl)
     declared = tuple(tuple(sorted(int(i) for i in orbit)) for orbit in doc["orbits"])
-    if tuple(sorted(declared)) != tuple(sorted(orbits)):
+    if tuple(sorted(declared)) != tuple(sorted(system.orbits)):
         raise InvalidArgumentError("declared orbits disagree with the Weyl action")
-    return RootSystem(
-        dimension=roots.shape[1],
-        roots=roots,
-        positive=positive,
-        weyl_group=weyl,
-        orbits=orbits,
-    )
+    return system
 
 
 def system_to_json(system, **kwargs):

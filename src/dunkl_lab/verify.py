@@ -52,8 +52,12 @@ from .root_systems import (
     reflect,
 )
 
-DEFAULT_ALPHA = 0.01
+DEFAULT_ALPHA = 0.01         # significance level of every statistical check
 _RESIDUAL_POINTS = 1 << 14   # path points per generator call in _path_residuals
+ROTATION_TOL = 1e-6          # relative residual bound of rotate-generator
+MIN_WALL_DOT = 0.2           # rotate-generator's points keep |x·α| above this
+WALL_KS = (0.1, 0.3, 0.45, 0.5, 0.6, 1.0)  # wall-profile's k values, across k = 1/2
+WALL_X0, WALL_HORIZON, WALL_DT = 0.2, 1.0, 1e-4   # its rank-one start point and grid
 
 
 @dataclass
@@ -310,7 +314,7 @@ def bessel_em_oracle(dim, x0, horizon, dt, n_paths, rng, absorb_eps=1e-8):
 
 
 def norm_is_bessel(norm_samples, dim, start_norm, horizon, *, seed=0,
-                   alpha=DEFAULT_ALPHA, name="norm-bessel"):
+                   name="norm-bessel"):
     """One-sample KS of ‖X_T‖²/T against its exact law ncx2(dim, ‖x₀‖²/T).
 
     ‖X‖ is a Bessel process of dimension ``dim`` = n + 2γ, so ‖X_T‖²/T is
@@ -328,9 +332,9 @@ def norm_is_bessel(norm_samples, dim, start_norm, horizon, *, seed=0,
         estimate=float(res.pvalue),
         stderr=None,
         tolerance=None,
-        alpha=alpha,
+        alpha=DEFAULT_ALPHA,
         sample_size=len(sq),
-        passed=bool(res.pvalue >= alpha),
+        passed=bool(res.pvalue >= DEFAULT_ALPHA),
         details={
             "ks_statistic": float(res.statistic),
             "dim": dim,
@@ -364,12 +368,12 @@ def moment_besq(sq_norm_samples, x0, gamma, dim, horizon, name="moment-besq"):
 # projection agreement
 
 
-def _coordinate_ks(a, b, alpha, name, sample_size, **details):
-    """Two-sample KS of each coordinate of ``a`` against ``b``, Bonferroni
-    across the coordinates."""
+def _coordinate_ks(a, b, name, sample_size, **details):
+    """Two-sample KS of each coordinate of ``a`` against ``b`` at level
+    ``DEFAULT_ALPHA``, Bonferroni across the coordinates."""
     n = a.shape[1]
     pvals = [float(sps.ks_2samp(a[:, i], b[:, i]).pvalue) for i in range(n)]
-    threshold = alpha / n
+    threshold = DEFAULT_ALPHA / n
     return Report(
         name=name,
         estimate=float(min(pvals)),
@@ -382,11 +386,10 @@ def _coordinate_ks(a, b, alpha, name, sample_size, **details):
     )
 
 
-def projection_agreement(full_states, radial_states, system, *,
-                         alpha=DEFAULT_ALPHA, name="projection"):
+def projection_agreement(full_states, radial_states, system, *, name="projection"):
     """Coordinatewise KS between π(Y_T) and the radial X_T (Bonferroni)."""
     projected = project_batch(system, np.asarray(full_states, dtype=float))
-    return _coordinate_ks(projected, np.asarray(radial_states, dtype=float), alpha,
+    return _coordinate_ks(projected, np.asarray(radial_states, dtype=float),
                           name, len(projected), bonferroni_m=system.dimension)
 
 
@@ -394,7 +397,7 @@ def projection_agreement(full_states, radial_states, system, *,
 # the chamber label given the radial path
 
 
-def label_law(run, plan, *, stages=None, alpha=DEFAULT_ALPHA, name="label-law"):
+def label_law(run, plan, *, stages=None, name="label-law"):
     """Each path's final chamber label against its exact law given the
     path's own radial part Y: the skew product X = w·Y read as a law.
 
@@ -405,9 +408,9 @@ def label_law(run, plan, *, stages=None, alpha=DEFAULT_ALPHA, name="label-law"):
     a = (1 + e^{−2Λ})/2 and Λ = c·h/(d₀·d₁) exact along the straight
     segment, d = β·Y.  Per label, z = Σ(1{w_i = w} − p_i(w)) / √Σ p_i(w)(1 −
     p_i(w)), ±∞ where the variance is zero and the count is off; pass iff
-    max|z| ≤ the normal quantile at α/(2|W|).  The cost is about |W|·m
-    operations per grid step and path.  Raises ``SingularClockError`` if a
-    path touches a wall on the grid.
+    max|z| ≤ the normal quantile at α/(2|W|), α = ``DEFAULT_ALPHA``.  The
+    cost is about |W|·m operations per grid step and path.  Raises
+    ``SingularClockError`` if a path touches a wall on the grid.
     """
     system, m = plan.system, plan.n_stages
     stages = m if stages is None else int(stages)
@@ -445,8 +448,8 @@ def label_law(run, plan, *, stages=None, alpha=DEFAULT_ALPHA, name="label-law"):
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(diff == 0.0, 0.0, diff / np.sqrt(var))
     worst = float(np.max(np.abs(z)))
-    bound = float(sps.norm.isf(alpha / (2 * len(group))))
-    return Report(name=name, estimate=worst, stderr=None, tolerance=bound, alpha=alpha,
+    bound = float(sps.norm.isf(DEFAULT_ALPHA / (2 * len(group))))
+    return Report(name=name, estimate=worst, stderr=None, tolerance=bound, alpha=DEFAULT_ALPHA,
                   sample_size=int(kept.sum()), passed=worst <= bound,
                   details={"z": z, "expected": expected, "observed": observed,
                            "stages": stages, "dropped_paths": int((~kept).sum())})
@@ -456,31 +459,32 @@ def label_law(run, plan, *, stages=None, alpha=DEFAULT_ALPHA, name="label-law"):
 # wall-hitting profile
 
 
-def wall_hitting_profile(n_paths, seed, *, ks=(0.1, 0.3, 0.45, 0.5, 0.6, 1.0),
-                         x0=0.2, horizon=1.0, dt=1e-4,
-                         name="wall-profile", threads=1, mislabel_shift=0):
+def wall_hitting_profile(n_paths, seed, *, name="wall-profile", threads=1,
+                         mislabel_shift=0):
     """Hit fractions of the rank-1 process across the k = 1/2 boundary.
 
-    Pass: fractions nonincreasing in k, ≥ 50% at k = 0.1, ≤ 1% for
-    k ≥ 0.6.  ``mislabel_shift`` rotates the simulated samples against the
-    k labels — the negative control (simulating k = 1 data into the
-    k = 0.1 slot must break the profile).
+    The paths start at ``WALL_X0`` and run to ``WALL_HORIZON`` in steps of
+    ``WALL_DT``, once for each k in ``WALL_KS``.  Pass: fractions
+    nonincreasing in k, ≥ 50% at k = 0.1, ≤ 1% for k ≥ 0.6.
+    ``mislabel_shift`` rotates the simulated samples against the k labels —
+    the negative control (simulating k = 1 data into the k = 0.1 slot must
+    break the profile).
     """
     system = build_rank_one()
     fractions = []
     stepfail = []
-    for i, kval in enumerate(ks):
-        k_sim = ks[(i + mislabel_shift) % len(ks)]
-        cfg = SimulationConfig(horizon=horizon, dt=dt, n_paths=n_paths,
+    for i, kval in enumerate(WALL_KS):
+        k_sim = WALL_KS[(i + mislabel_shift) % len(WALL_KS)]
+        cfg = SimulationConfig(horizon=WALL_HORIZON, dt=WALL_DT, n_paths=n_paths,
                                seed=derived_seed(seed, f"{name}:{i}"))
-        run = run_radial(system, multiplicity(system, k_sim), [x0], cfg,
+        run = run_radial(system, multiplicity(system, k_sim), [WALL_X0], cfg,
                          record=False, threads=threads)
         fractions.append(run.hit_fraction)
         stepfail.append(float(np.mean(run.termination == "step_failure")))
     fractions = np.array(fractions)
     nonincreasing = bool(np.all(np.diff(fractions) <= 0))
     low_k_ok = bool(fractions[0] >= 0.5)
-    high_k_ok = bool(np.all(fractions[np.asarray(ks) >= 0.6] <= 0.01))
+    high_k_ok = bool(np.all(fractions[np.asarray(WALL_KS) >= 0.6] <= 0.01))
     return Report(
         name=name,
         estimate=float(fractions[0]),
@@ -490,7 +494,7 @@ def wall_hitting_profile(n_paths, seed, *, ks=(0.1, 0.3, 0.45, 0.5, 0.6, 1.0),
         sample_size=n_paths,
         passed=nonincreasing and low_k_ok and high_k_ok,
         details={
-            "k_values": list(ks),
+            "k_values": list(WALL_KS),
             "hit_fractions": fractions.tolist(),
             "step_failure_fractions": stepfail,
             "nonincreasing": nonincreasing,
@@ -524,18 +528,18 @@ def _random_smooth_function(rng, n):
     return TestFunction(fn=fn, name="random_smooth")
 
 
-def _random_offwall_point(rng, system, min_dot=0.2):
+def _random_offwall_point(rng, system):
     while True:
         x = 1.5 * rng.standard_normal(system.dimension)
-        if np.min(np.abs(system.positive_roots @ x)) > min_dot:
+        if np.min(np.abs(system.positive_roots @ x)) > MIN_WALL_DOT:
             return x
 
 
-def rotation_covariance_generator(system, k, *, trials=50, seed=0, tol=1e-6,
+def rotation_covariance_generator(system, k, *, trials=50, seed=0,
                                   wrong_transport=False, name="rotate-generator"):
     """Deterministic identity L^{θR}_{k_θ} u(θx) = L^R_k (u∘θ)(x).
 
-    The residual is compared against ``tol`` times the generator's own
+    The residual is compared against ``ROTATION_TOL`` times the generator's own
     term-magnitude scale.  With ``wrong_transport`` the orbit values of
     k_θ are rotated by one position (meaningful on multi-orbit systems):
     the negative control.
@@ -564,19 +568,18 @@ def rotation_covariance_generator(system, k, *, trials=50, seed=0, tol=1e-6,
         name=name,
         estimate=worst,
         stderr=None,
-        tolerance=tol,
+        tolerance=ROTATION_TOL,
         alpha=None,
         sample_size=trials,
-        passed=worst <= tol,
+        passed=worst <= ROTATION_TOL,
         details={"wrong_transport": wrong_transport},
     )
 
 
 def rotation_covariance_paths(system, k, x0, config: SimulationConfig, *,
-                              seed=None, alpha=DEFAULT_ALPHA,
                               name="rotate-paths", threads=1):
     """Statistical check: θ·paths(k, R, x0) vs paths(k_θ, θR, θx0) at T."""
-    seed = config.seed if seed is None else seed
+    seed = config.seed
     rng = rngmod.stream(rngmod.keys(seed, rngmod.CHECK, 3))
     theta = haar_orthogonal(system.dimension, rng)
     x0 = np.asarray(x0, dtype=float)
@@ -592,8 +595,7 @@ def rotation_covariance_paths(system, k, x0, config: SimulationConfig, *,
     cfg_rotated = replace(config, seed=derived_seed(seed, f"{name}:rotated"))
     other = simulate_dunkl(rot_plan, theta @ x0, cfg_rotated, threads=threads)
 
-    return _coordinate_ks(rotated_states, other.final_states, alpha, name,
-                          config.n_paths)
+    return _coordinate_ks(rotated_states, other.final_states, name, config.n_paths)
 
 
 # ---------------------------------------------------------------------------
@@ -601,12 +603,12 @@ def rotation_covariance_paths(system, k, x0, config: SimulationConfig, *,
 
 
 def harmonicity_check(system, k, *, n_points=100, seed=0, tol=1e-5,
-                      which="delta", name=None, margin=0.3):
+                      which="delta", name=None):
     """Max relative residual of a harmonicity identity at random points."""
     if name is None:
         name = f"harmonic-{which}"
     rng = rngmod.stream(rngmod.keys(seed, rngmod.CHECK, 4))
-    pts = sample_interior_points(system, n_points, rng, margin=margin)
+    pts = sample_interior_points(system, n_points, rng)
     res, scale = harmonicity_residual(system, k, which, pts)
     worst = float(np.max(np.abs(res) / scale))
     return Report(

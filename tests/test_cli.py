@@ -182,6 +182,13 @@ class TestCommands:
         assert rc == 2
         assert err.startswith("error:") and "threads" in err
 
+    def test_infinite_horizon_exit_code(self, tmp_path, capsys):
+        rc = main(["simulate-radial", "--config", write_cfg(tmp_path, base_doc()),
+                   "--set", "sim.T=Infinity"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: /sim: ")
+
     def test_verify_harmonic(self, capsys):
         rc = main(["verify-harmonic", "--system", "B", "--n", "2",
                    "--k", "1.0,0.5", "--points", "25"])
@@ -217,6 +224,20 @@ class TestCommands:
         assert rc == 2
         assert err.startswith("error:") and "--bins" in err
         assert not summary_path.exists()
+
+    def test_export_plot_data_reports_unreadable_input(self, tmp_path, capsys):
+        empty, header_only = tmp_path / "empty.csv", tmp_path / "header.csv"
+        empty.write_text("")
+        header_only.write_text("path_id,t,x_1,x_2,event\n")
+        for path, words in ((tmp_path / "missing.csv", "cannot read"),
+                            (empty, "bad header"), (header_only, "no rows")):
+            summary_path = tmp_path / "summary.csv"
+            rc = main(["export-plot-data", "--in", str(path),
+                       "--out", str(summary_path)])
+            err = capsys.readouterr().err
+            assert rc == 2
+            assert err.startswith("error:") and words in err
+            assert not summary_path.exists()
 
     def test_entry_point_runs(self):
         proc = subprocess.run(

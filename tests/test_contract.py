@@ -158,11 +158,6 @@ def _engine_params(k=1.0, dt=1e-2, **overrides):
     params.update(overrides)
     return _engine.EngineParams(**params)
 
-
-_ANGLE = 0.3
-_ROTATION = np.array([[np.cos(_ANGLE), -np.sin(_ANGLE)],
-                      [np.sin(_ANGLE), np.cos(_ANGLE)]])
-
 # case -> (params, engine constants, (SHA-256, jumps, rejected proposals,
 # paths per termination code (horizon, T0, step failure)))
 ENGINE_CONTRACT = {
@@ -182,10 +177,6 @@ ENGINE_CONTRACT = {
     "stop_at_t0": (dict(k=0.3, stop_at_t0=True), dict(), (
         "75a628773975789a3b97953a6f3aec211dad2a99b452f1ef9028e57e1388922e",
         1973, 100, (118, 182, 0))),
-    # the retry noise is rotated like the grid noise
-    "noise_transform": (dict(noise_transform=_ROTATION), dict(), (
-        "c1c59ffc7f896268efdf8a41eec0764df62014234a09488aa921d06d3679a8f7",
-        1309, 42, (300, 0, 0))),
 }
 
 

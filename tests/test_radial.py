@@ -13,7 +13,7 @@ from dunkl_lab import (
     run_radial,
     write_trajectories_csv,
 )
-from dunkl_lab import _engine, radial, rng
+from dunkl_lab import _engine, radial, rng, verify
 from dunkl_lab.lift import build_lift_plan, simulate_dunkl
 from dunkl_lab.radial import read_trajectories_csv
 
@@ -26,6 +26,13 @@ class TestConfig:
             SimulationConfig(horizon=1.0, dt=2.0, n_paths=1, seed=0)
         with pytest.raises(InvalidArgumentError):
             SimulationConfig(horizon=1.0, dt=0.1, n_paths=0, seed=0)
+        for bad in (dict(horizon=math.inf), dict(dt=math.inf), dict(horizon=math.nan),
+                    dict(dt=math.nan), dict(n_paths=2.5), dict(n_paths=2.0),
+                    dict(seed=1.5), dict(seed=-1)):
+            with pytest.raises(InvalidArgumentError):
+                SimulationConfig(**{**dict(horizon=1.0, dt=0.1, n_paths=1, seed=0), **bad})
+        cfg = SimulationConfig(horizon=1.0, dt=0.1, n_paths=np.int64(3), seed=np.uint32(7))
+        assert cfg.n_paths == 3 and cfg.seed == 7
 
     def test_time_grid_hits_horizon(self):
         cfg = SimulationConfig(horizon=1.0, dt=0.3, n_paths=1, seed=0)
@@ -113,17 +120,19 @@ class TestSimulateRadial:
             assert a.states.tobytes() == b.states.tobytes()
 
     def test_equivariance_under_weyl(self, b2, k_one):
-        w = b2.weyl_group[1]
-        cfg = SimulationConfig(horizon=0.25, dt=1e-3, n_paths=32, seed=9)
-        base = simulate_dunkl(build_lift_plan(b2, k_one), [2.0, 1.0], cfg,
-                              stages=0)
-        moved = simulate_dunkl(build_lift_plan(b2, k_one),
-                               w @ np.array([2.0, 1.0]), cfg, stages=0,
-                               noise_transform=w)
-        worst = max(
-            np.max(np.abs(tm.states - tb.states @ w.T))
-            for tb, tm in zip(base.trajectories, moved.trajectories))
-        assert worst <= 1e-10
+        """The law of X_T from w·x₀ is w·(the law from x₀), for the
+        extended radial dynamics (stages=0) and for the full lift, by
+        per-coordinate KS on independent seeds; the unrotated states fail."""
+        x0 = np.array([2.0, 1.0])
+        plan = build_lift_plan(b2, k_one, mode="general")
+        for w in b2.weyl_group[1:]:
+            for stages in (0, None):
+                def finals(start, seed):
+                    cfg = SimulationConfig(horizon=0.5, dt=1e-2, n_paths=1000, seed=seed)
+                    return simulate_dunkl(plan, start, cfg, stages=stages).final_states
+                moved, base = finals(w @ x0, 21), finals(x0, 22)
+                assert verify._coordinate_ks(moved, base @ w.T, "equivariance", 1000).passed
+                assert not verify._coordinate_ks(moved, base, "control", 1000).passed
 
     def test_interior_preservation_diagnostics(self, b2, k_one):
         cfg = SimulationConfig(horizon=1.0, dt=1e-3, n_paths=500, seed=13)

@@ -5,6 +5,7 @@ import pytest
 
 from dunkl_lab import (
     DegenerateDirectionError,
+    GroupCapExceededError,
     InvalidArgumentError,
     build_root_system,
     build_type_a,
@@ -15,13 +16,14 @@ from dunkl_lab import (
     normalize_roots,
     orbit_decomposition,
     positive_subsystem,
-    project_to_chamber,
+    project_batch,
     reflect,
     system_from_json,
     system_to_json,
     validate_root_system,
 )
-from dunkl_lab.root_systems import Multiplicity, project_batch
+from dunkl_lab import root_systems
+from dunkl_lab.root_systems import Multiplicity
 
 
 class TestReflect:
@@ -136,6 +138,14 @@ class TestAxioms:
                 prod = np.round(w1 @ w2, 9) + 0.0
                 assert prod.tobytes() in keys
 
+    def test_weyl_group_cap(self, monkeypatch):
+        """The closure raises past ``WEYL_GROUP_CAP`` elements, read at call time."""
+        monkeypatch.setattr(root_systems, "WEYL_GROUP_CAP", 5)
+        with pytest.raises(GroupCapExceededError):
+            build_type_b(2)
+        monkeypatch.setattr(root_systems, "WEYL_GROUP_CAP", 8)
+        assert len(build_type_b(2).weyl_group) == 8
+
     def test_reflections_in_group_match_roots(self, b2):
         # order-2 elements with a fixed hyperplane are exactly the σ_α
         found = 0
@@ -218,34 +228,29 @@ class TestChamber:
         assert chamber_contains(b2.positive_roots, [1.0, 2.0]) == "exterior"
 
     def test_projection_examples(self, a2, b2):
-        y, w = project_to_chamber(a2, np.array([1.0, 3.0, 2.0]))
+        x = np.array([1.0, 3.0, 2.0])
+        (y,) = project_batch(a2, [x])
         assert np.allclose(y, [3.0, 2.0, 1.0])
-        assert np.allclose(w @ np.array([1.0, 3.0, 2.0]), y)
-        y, _ = project_to_chamber(b2, np.array([-1.0, 3.0]))
-        assert np.allclose(y, [3.0, 1.0])
+        assert any(np.allclose(w @ x, y) for w in a2.weyl_group)
+        assert np.allclose(project_batch(b2, [[-1.0, 3.0]]), [[3.0, 1.0]])
 
     def test_projection_fixes_chamber_points(self, b2):
-        x = np.array([2.0, 1.0])
-        y, w = project_to_chamber(b2, x)
-        assert np.array_equal(y, x)
-        assert np.array_equal(w, np.eye(2))
+        x = np.array([[2.0, 1.0]])
+        assert np.array_equal(project_batch(b2, x), x)
 
     def test_projection_idempotent_and_invariant(self, b2, rng):
-        for _ in range(25):
-            x = rng.standard_normal(2) * 3
-            y, _ = project_to_chamber(b2, x)
-            y2, _ = project_to_chamber(b2, y)
-            assert np.allclose(y, y2, atol=1e-12)
-            for w in b2.weyl_group:
-                yw, _ = project_to_chamber(b2, w @ x)
-                assert np.allclose(yw, y, atol=1e-9)
+        xs = rng.standard_normal((25, 2)) * 3
+        y = project_batch(b2, xs)
+        assert np.allclose(project_batch(b2, y), y, atol=1e-12)
+        for w in b2.weyl_group:
+            assert np.allclose(project_batch(b2, xs @ w.T), y, atol=1e-9)
 
     def test_project_batch_matches_scalar(self, b2, rng):
+        """Projecting the batch at once and one row at a time agree bit for bit."""
         xs = rng.standard_normal((40, 2)) * 2
         batch = project_batch(b2, xs)
         for x, y in zip(xs, batch):
-            y_ref, _ = project_to_chamber(b2, x)
-            assert np.allclose(y, y_ref, atol=1e-12)
+            assert np.array_equal(project_batch(b2, x[None]), y[None])
 
 
 class TestInvarianceCondition:
@@ -281,12 +286,15 @@ class TestMultiplicity:
         assert k2.min_value == 0.75
 
     def test_w_invariance_structural(self, b2):
-        k = multiplicity(b2, [0.5, 2.0])
+        k = multiplicity(b2, [0.5, 2.0]).per_positive()
+        pos = b2.positive_roots
         for w in b2.weyl_group:
-            for i, alpha in enumerate(b2.roots):
+            for i, alpha in enumerate(pos):
                 image = w @ alpha
-                j = int(np.argmin(np.max(np.abs(b2.roots - image), axis=1)))
-                assert k.of_root(i) == k.of_root(j)
+                # the positive root ±w·α
+                j = int(np.argmin(np.minimum(np.max(np.abs(pos - image), axis=1),
+                                             np.max(np.abs(pos + image), axis=1))))
+                assert k[i] == k[j]
 
     def test_negative_rejected(self, b2):
         with pytest.raises(InvalidArgumentError):
