@@ -80,6 +80,17 @@ def _summary_json(payload):
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _load_simulation(args):
+    """The run config of a simulate command; an output path in a missing
+    directory is refused before anything is simulated."""
+    cfg = load_run_config(args.config, args.set or (), seed_override=_env_seed())
+    if cfg.output:
+        folder = os.path.dirname(cfg.output["path"]) or os.curdir
+        if not os.path.isdir(folder):
+            raise InvalidArgumentError(f"output directory {folder!r} does not exist")
+    return cfg
+
+
 def _report_run(cfg, run, **fields):
     """Write the run's CSV if the config asks for one and print its summary."""
     if cfg.output:
@@ -97,7 +108,7 @@ def _report_run(cfg, run, **fields):
 
 
 def cmd_radial(args):
-    cfg = load_run_config(args.config, args.set or (), seed_override=_env_seed())
+    cfg = _load_simulation(args)
     run = run_radial(cfg.system, cfg.k, cfg.x0, cfg.sim, record=True,
                      threads=args.threads)
     target = cfg.x0 @ cfg.x0 + (cfg.system.dimension + 2 * cfg.k.gamma) * cfg.sim.horizon
@@ -108,7 +119,7 @@ def cmd_radial(args):
 
 
 def cmd_simulate_dunkl(args):
-    cfg = load_run_config(args.config, args.set or (), seed_override=_env_seed())
+    cfg = _load_simulation(args)
     plan = build_lift_plan(cfg.system, cfg.k, rates=cfg.k_prime,
                            enumeration=cfg.enumeration, mode=args.mode)
     run = simulate_dunkl(plan, cfg.x0, cfg.sim, threads=args.threads)

@@ -26,7 +26,7 @@ class SingularDriftError(DomainError):
 
 
 class SingularClockError(DomainError):
-    """A jump clock integrand hit a zero denominator on the grid."""
+    """A jump clock is singular: a path meets a wall, or its total is absurd."""
 
 
 class InvalidPlanError(InvalidArgumentError):

@@ -1,59 +1,57 @@
 """Reconstruction of the full jump process from its radial part.
 
-Jumps are added one positive root at a time.  For the enumeration
-(α_1, …, α_m) the i-th lift turns a process Y^{i−1} into Y^i whose
-generator gains the term k(α_i)(u(σ_{α_i}x) − u(x))/(x·α_i)².  Two
-equivalent-in-law realizations are provided:
+The full process is the skew product X = v·Z: Z is the radial path in x₀'s
+chamber, as the engine records it, and the chamber label v ∈ W starts at 1.
+For the enumeration (α_1, …, α_m), stage i adds the jumps across α_i at rate
+c_i/(X·α_i)².  Seen from Z, a jump across α = ±v·β moves v to v·σ_β at rate
+c(β)/(β·Z)² (the rates are W-invariant).  Z stays in its open chamber, so
+each positive root β has a radial clock Λ_β(t) = c(β)∫ds/(β·Z_s)², exact
+along each straight segment of the recorded path: c·h/(d₀·d₁), d = β·Z at
+its ends.  The lift is one pass over Z, in blocks of paths, in two phases:
 
-* general-clock: the process is simulated stepwise while the integrated
-  intensity Λ_i(t) = c_i ∫ ds/(Y_s·α_i)² accumulates; when Λ_i crosses an
-  independent Exp(1) threshold the state reflects across α_i and the same
-  dynamics continue from the reflected point.
+* stages 1..g, up to the last general-mode one, run jointly as competing
+  clocks: each β carries a unit Poisson process on Λ_β, and an arrival at τ
+  is a jump iff ±v(τ−)·β is among α_1..α_g (thinning by a predictable
+  indicator, exact given the straight segments);
+* each later (shortcut) stage i flips at the arrivals of a unit Poisson
+  process on its additive clock Ã_t = c_i∫ds/(Y^{i−1}_s·α_i)², which along
+  Y^{i−1} = v·Z is the radial clock of the β with ±v·β = α_i, piece by
+  piece of the label path.  The flips are lawful only under the invariance
+  condition σ_{α_i}({±α_1..±α_{i−1}}) = {±α_1..±α_{i−1}}, which the plan
+  builder enforces: general mode cannot be realized by flipping a frozen
+  Y^{i−1}, but it can on Z read together with its label, as above.
 
-* shortcut: when σ_{α_i} maps {±α_1, …, ±α_{i−1}} onto itself, the lift
-  is an independent unit-rate Poisson flip evaluated along the additive
-  clock, Y^i_t = σ_{α_i}^{N(c_i·Ã_t)} Y^{i−1}_t with
-  Ã_t = ∫_0^t ds/(Y^{i−1}_s·α_i)².
-
-A plan mixing modes is realized in two phases: every stage up to the last
-general-mode stage runs inside one stepwise engine as a clock (legal for
-the shortcut-marked stages among them because their invariance condition
-makes the two realizations agree in law), and the remaining shortcut
-stages are applied as Poisson flips over the recorded paths.  Flipping a
-recorded path is only lawful under the invariance condition, which is why
-general mode can never be realized on top of a frozen path.
-
-A flipped path's inherited jumps change direction: a jump across α_j seen
-through σ_{α_i} is a jump across ±σ_{α_i}(α_j), which the invariance
-condition keeps inside the already-lifted roots.  The jump log re-labels
-such events accordingly, so every logged event satisfies
-post = pre − (α·pre)α for its recorded root exactly.
+X on the grid is v·Z, written over the recorded states.  A jump is logged
+with pre = v·Z(τ), Z interpolated along its segment, and post = σ_α·pre,
+so post = pre − (α·pre)α exactly.  Each path draws from one ``FLIP``
+stream, so neither blocking nor the engine's workers change the output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
 import numpy as np
 
-from . import _engine
 from .errors import (
     InvalidArgumentError,
     InvalidPlanError,
     SingularClockError,
     UnsupportedRegimeError,
 )
-from .radial import Run, SimulationConfig, _run, _run_engine
+from .radial import JumpTable, Run, SimulationConfig, _run, _run_engine
 from .rng import FLIP, keys, stream
 from .root_systems import (
     Multiplicity,
     RootSystem,
     _as_enumeration,
-    _match_root,
+    chamber_labels,
     check_invariance_condition,
     reflect,
 )
 
-CLOCK_BLOCK = 1 << 18  # grid points per batch of clocks; bounds flip-stage temporaries
+MAX_CLOCK = 1e5        # a path's clock total above this is refused as absurd
+LIFT_BLOCK = 1 << 20   # root-clock grid values per block of paths; bounds the pass's memory
 
 
 @dataclass(frozen=True)
@@ -119,179 +117,233 @@ def build_lift_plan(system, k, *, rates=None, enumeration=None, mode="auto"):
                     rates=stage_rates, modes=modes)
 
 
+def label_table(plan, stages):
+    """The label chain's moves at stage prefix ``stages``, over group
+    elements w (indices into ``weyl_group``) and positive roots β_b:
+    ``root[w, b]`` is the position in R₊ of ±w·β_b, and ``flip[w, b]`` is
+    the index of w·σ_b where that root is active, one of the first
+    ``stages`` of the plan's enumeration, and w elsewhere."""
+    pos, group = plan.system.positive_roots, plan.system.weyl_group
+    root = np.abs(pos @ group @ pos.T).argmax(axis=1)
+    flip = np.stack([chamber_labels(plan.system, group @ reflect(beta, pos.sum(axis=0)))
+                     for beta in pos], axis=1)
+    active = np.argsort(plan.enumeration)[root] < stages
+    return root, np.where(active, flip, np.arange(len(group))[:, None])
+
+
+def _dots(x, alpha):
+    """x·α over the last axis, added in coordinate order over α's nonzero
+    coordinates, so that every batch of rows gets the same bits."""
+    c, *rest = np.flatnonzero(alpha)
+    d = x[..., c] * alpha[c]
+    for c in rest:
+        d += x[..., c] * alpha[c]
+    return d
+
+
 def cumulative_time_change(times, states, alpha):
-    """Trapezoidal Ã_t = ∫_0^t ds/(Y_s·α)² along recorded paths.
+    """Ã_t = ∫_0^t ds/(Y_s·α)² along recorded paths, exact on each straight
+    segment between grid points: h/(d₀·d₁), with d = Y·α at its ends.
 
     ``states`` has shape (..., M+1, n) over the grid ``times``; the result
-    has shape (..., M+1).  Strictly increasing; raises
-    ``SingularClockError`` if a path touches the hyperplane of α on the grid.
+    has shape (..., M+1).  Raises ``SingularClockError`` if a segment
+    meets the hyperplane of α.
     """
-    dots = states @ alpha
-    if np.any(dots == 0.0):
-        raise SingularClockError("(Y·α)² vanishes at a grid point")
-    inv2 = np.power(dots, -2.0, out=dots)
-    seg = np.add(inv2[..., :-1], inv2[..., 1:])
-    seg *= 0.5
-    seg *= np.diff(times)
-    lam = np.zeros(inv2.shape)
+    d = _dots(states, alpha)
+    seg = d[..., :-1] * d[..., 1:]
+    if not seg.min(initial=np.inf) > 0.0:
+        raise SingularClockError("a path meets the hyperplane of α")
+    np.divide(np.diff(times), seg, out=seg)
+    lam = np.zeros(d.shape)
     np.cumsum(seg, axis=-1, out=lam[..., 1:])
     return lam
 
 
-def _arrivals(rng, first, total):
-    """Arrival times below ``total`` of a unit-rate Poisson process whose
-    first arrival ``first`` was drawn from ``rng``.
-
-    Running sums of Exp(1) draws, added in draw order, so the values are
-    the same as adding one draw at a time.
-    """
-    size = int(total + 4.0 * np.sqrt(total)) + 8
-    arrivals, more = np.array([first]), size - 1
-    while arrivals[-1] < total:
-        draws = rng.standard_exponential(more)
-        draws[0] += arrivals[-1]
-        arrivals = np.concatenate([arrivals, np.cumsum(draws)])
-        more = size
-    return arrivals[:np.searchsorted(arrivals, total)]
-
-
-def _merge_ranks(flip_path, flip_times, jump_path, jump_time):
-    """Flips and logged jumps, each sorted by (path, time), merged in that
-    order with flips first on ties.  Returns, per flip, the number of jumps
-    before it and, per jump, the number of its path's flips at or before it.
-    """
-    # numpy orders complex numbers lexicographically: path + i·time.
-    flip_key, jump_key = flip_path + 1j * flip_times, jump_path + 1j * jump_time
-    return (np.searchsorted(jump_key, flip_key),
-            np.searchsorted(flip_key, jump_key, side="right")
-            - np.searchsorted(flip_path, jump_path))
+def _draws(gens, totals, first, path, root):
+    """Each row's unit Poisson arrivals below its clock total, as (row,
+    value) arrays: running sums of Exp(1) draws from its generator, from
+    its first arrival on, until one passes the total.  A total above
+    ``MAX_CLOCK`` raises ``SingularClockError``, naming the row's ``path``
+    and ``root``, before any further draw."""
+    for i in np.flatnonzero(totals > MAX_CLOCK)[:1]:
+        raise SingularClockError(f"path {path[i]}: the clock of root {root[i]} reaches "
+                                 f"{totals[i]:.6g}, above MAX_CLOCK = {MAX_CLOCK:g}")
+    rows, values = [], []
+    for i in np.flatnonzero(first < totals).tolist():
+        arrival, total = first[i].item(), totals[i].item()
+        while arrival < total:
+            rows.append(i)
+            values.append(arrival)
+            arrival += gens[i].standard_exponential()
+    return np.array(rows, dtype=np.int64), np.array(values)
 
 
-def _flip_jumps(times, rows, stop, lo, hi, owner, flip_times, jumps, k, alpha):
-    """(pre, post) of a block's new flips, read off the paths before the stage.
+def _search(table, row, value, hi):
+    """Per entry i, the largest j ≤ hi[i] with table[row[i], j] ≤ value[i];
+    rows are nondecreasing and table[row[i], 0] ≤ value[i]."""
+    lo = np.zeros_like(hi)
+    while np.any(lo < hi):
+        mid = (lo + hi + 1) // 2
+        up = table[row, mid] <= value
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid - 1)
+    return lo
 
-    Flip i belongs to the path of row ``owner[i]`` of ``rows``, ``stop``,
-    ``lo`` and ``hi``: its grid states, its stop index and its logged jumps
-    ``lo:hi``; ``k[i]`` is the first of these at or after the flip.  The
-    state at a flip time is interpolated linearly between the nearest grid
-    times, or logged jumps when one falls in between (the path jumps
-    there).  Every second flip of a path starts from the reflected path.
-    """
-    j = np.clip(np.searchsorted(times, flip_times), 1, stop[owner])
-    t_lo, x_lo = times[j - 1], rows[owner, j - 1]
-    t_hi, x_hi = times[j], rows[owner, j]
-    use = np.flatnonzero(k > lo[owner])
-    use = use[jumps.time[k[use] - 1] > t_lo[use]]
-    t_lo[use], x_lo[use] = jumps.time[k[use] - 1], jumps.post[k[use] - 1]
-    use = np.flatnonzero(k < hi[owner])
-    use = use[jumps.time[k[use]] < t_hi[use]]
-    t_hi[use], x_hi[use] = jumps.time[k[use]], jumps.pre[k[use]]
-    pre = x_hi - x_lo
-    pre *= ((flip_times - t_lo) / (t_hi - t_lo))[:, None]
-    pre += x_lo
-    # owner is sorted, so searchsorted finds the first flip of each path.
-    second = (np.arange(len(owner)) - np.searchsorted(owner, owner)) % 2 == 1
+
+class _Clocks:
+    """The radial clocks Λ_β of one block of recorded paths Z: ``values``
+    (m, P, M+1) on the grid, for the positive ``roots`` β at ``rate`` c(β)."""
+
+    def __init__(self, times, states, stop, roots, rate):
+        self.times, self.states, self.stop, self.roots, self.rate = times, states, stop, roots, rate
+        self.values = np.zeros((len(roots), *states.shape[:2]))
+        for q in np.flatnonzero(rate):
+            np.multiply(cumulative_time_change(times, states, roots[q]), rate[q],
+                        out=self.values[q])
+
+    def _segment(self, path, q, j):
+        """Step, d₀ and d₁ of grid segment j of each path for root q."""
+        alpha = self.roots[q]
+        return (self.times[j + 1] - self.times[j], np.vecdot(self.states[path, j], alpha),
+                np.vecdot(self.states[path, j + 1], alpha))
+
+    def at(self, path, q, t):
+        """Λ_q of each path at time t ≤ its stop, exact on its segment:
+        Λ(t_j + θh) = Λ(t_j) + c·h·θ/(d₀·d_θ), d_θ = d₀ + θ(d₁ − d₀)."""
+        j = np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, len(self.times) - 2)
+        h, d0, d1 = self._segment(path, q, j)
+        theta = (t - self.times[j]) / h
+        return self.values[q, path, j] + self.rate[q] * h * theta / (d0 * (d0 + theta * (d1 - d0)))
+
+    def time_of(self, path, q, value):
+        """The time at which Λ_q of each path reaches ``value``: on its segment
+        θ = ρ·d₀²/(h − ρ·d₀·(d₁ − d₀)) for the remaining unit clock ρ."""
+        flat = self.values.reshape(-1, self.values.shape[-1])
+        j = _search(flat, q * len(self.stop) + path, value, self.stop[path] - 1)
+        h, d0, d1 = self._segment(path, q, j)
+        rho = (value - self.values[q, path, j]) / self.rate[q]
+        theta = np.clip(rho * d0 * d0 / (h - rho * d0 * (d1 - d0)), 0.0, 1.0)
+        return self.times[j] + theta * h
+
+
+def _walk(path, q, n_paths, start, flip):
+    """The label after each event of a list sorted by path, then time: each
+    path starts at label ``start`` and an event q moves w to flip[w, q]."""
+    rank = np.arange(len(path)) - np.searchsorted(path, path)
+    order = np.lexsort((path, rank))
+    bounds = np.searchsorted(rank[order], np.arange(rank.max(initial=-1) + 2))
+    cur = np.full(n_paths, start)
+    labels = np.empty(len(path), dtype=np.int64)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        idx = order[lo:hi]
+        cur[path[idx]] = labels[idx] = flip[cur[path[idx]], q[idx]]
+    return labels
+
+
+def _act(group, w, x):
+    """Each row of ``x`` mapped by the group element w of that row, summed
+    in coordinate order."""
+    out = np.empty(x.shape)
+    for r in range(x.shape[1]):
+        out[:, r] = group[:, r, 0][w] * x[:, 0]
+        for c in range(1, x.shape[1]):
+            out[:, r] += group[:, r, c][w] * x[:, c]
+    return out
+
+
+def _joint_stages(gens, clocks, first_path, start, flip):
+    """Jumps (path, time, β) of the general-clock stages: each root's unit
+    Poisson arrivals on Λ_β, kept where ``flip`` moves the label."""
+    n_paths, m = len(gens), len(clocks.roots)
+    totals = clocks.values[:, np.arange(n_paths), clocks.stop].T
+    first = np.array([gen.standard_exponential(m) for gen in gens])
+    # row i·m + β draws after row i·m + β − 1, from path i's stream
+    rows, value = _draws([gen for gen in gens for _ in range(m)], totals.ravel(),
+                         first.ravel(), np.repeat(first_path + np.arange(n_paths), m),
+                         np.tile(np.arange(m), n_paths))
+    path, q = np.divmod(rows, m)
+    time = clocks.time_of(path, q, value)
+    order = np.lexsort((time, path))
+    path, time, q = path[order], time[order], q[order]
+    labels = _walk(path, q, n_paths, start, flip)
+    opens = np.searchsorted(path, path) == np.arange(len(path))  # a path's first arrival
+    moved = labels != np.where(opens, start, np.roll(labels, 1))
+    return path[moved], time[moved], q[moved]
+
+
+def _flip_stage(gens, clocks, first_path, jumps, start, flip, root, alpha):
+    """Add the flips of a shortcut stage across root ``alpha`` to the jumps
+    (path, time, β) of the stages before it.  On each piece of the label
+    path v, the stage's additive clock is the radial clock of the β with
+    ±v·β = α; a flip there is a jump across that β."""
+    path, time, q = jumps
+    n_paths = len(gens)
+    labels = _walk(path, q, n_paths, start, flip)
+    rank = np.arange(len(path)) - np.searchsorted(path, path)
+    pieces = rank.max(initial=-1) + 2
+    # Piece k of a path runs from bounds[k] to bounds[k + 1]; pieces past a
+    # path's last jump are empty, at its stop.
+    bounds = np.repeat(clocks.times[clocks.stop][:, None], pieces + 1, axis=1)
+    bounds[:, 0] = 0.0
+    bounds[path, rank + 1] = time
+    label = np.full((n_paths, pieces), start)
+    label[path, rank + 1] = labels
+    beta = np.argmax(root == alpha, axis=1)[label]
+    rows = np.repeat(np.arange(n_paths), pieces)
+    lo, hi = (clocks.at(rows, beta.ravel(), b.ravel()).reshape(beta.shape)
+              for b in (bounds[:, :-1], bounds[:, 1:]))
+    ends = np.cumsum(hi - lo, axis=1)
+    first = np.array([gen.standard_exponential() for gen in gens])
+    fpath, value = _draws(gens, ends[:, -1], first, first_path + np.arange(n_paths),
+                          np.full(n_paths, alpha))
+    begins = np.concatenate([np.zeros((n_paths, 1)), ends[:, :-1]], axis=1)
+    k = _search(begins, fpath, value, np.full(len(fpath), pieces - 1))
+    fq = beta[fpath, k]
+    ftime = np.clip(clocks.time_of(fpath, fq, lo[fpath, k] + (value - begins[fpath, k])),
+                    bounds[fpath, k], bounds[fpath, k + 1])
+    # The flips of piece k go after the path's jump k − 1 and before jump k.
+    key = np.concatenate([2 * rank + 1, 2 * k])
+    path, time, q = (np.concatenate(c) for c in zip(jumps, (fpath, ftime, fq)))
+    order = np.lexsort((time, key, path))
+    return path[order], time[order], q[order]
+
+
+def _relabel(clocks, first_path, jumps, start, flip, root, group):
+    """The jump table of a block's jumps (path, time, β), and X = v·Z on its
+    grid, written over the block's states."""
+    path, time, q = jumps
+    states, times = clocks.states, clocks.times
+    labels = _walk(path, q, len(clocks.stop), start, flip)
+    before = flip[labels, q]
+    j = np.clip(np.searchsorted(times, time, side="right") - 1, 0, len(times) - 2)
+    theta = ((time - times[j]) / (times[j + 1] - times[j]))[:, None]
+    z = states[path, j]
+    pre = _act(group, before, z + theta * (states[path, j + 1] - z))
+    alpha = clocks.roots[root[before, q]]
     # np.vecdot matches a 1-D ``pre @ alpha``, so post = pre − (α·pre)α exactly.
-    pre[second] -= np.vecdot(pre[second], alpha)[:, None] * alpha
-    return pre, pre - np.vecdot(pre, alpha)[:, None] * alpha
-
-
-def _flip_stage(states, stop_index, jumps, times, system, root_position, rate,
-                seed, stage_index):
-    """Apply the independent-Poisson lift to a batch of recorded paths.
-
-    Only lawful when the invariance condition holds at this stage (the
-    plan builder enforces that).  Flip times are the crossings of the
-    additive clock by cumulative Exp(1) draws from the per-path flip
-    stream.  Every path's stream is opened, but only a path whose first
-    arrival falls below its clock total draws more; everything else runs
-    over all flips of a block of paths at once.  ``states`` (N, M+1, n) is
-    reflected in place wherever a path has flipped an odd number of times;
-    returns the new jump table.
-    """
-    pos = system.positive_roots
-    alpha = pos[root_position]
-    n_paths, n_times = states.shape[:2]
-    bounds = np.searchsorted(jumps.path, np.arange(n_paths + 1))
-    flipped = np.zeros(len(jumps.time), dtype=bool)
-    new = []
-
-    def flip(paths, counts, flip_times):
-        """Flip ``paths[i]`` at its ``counts[i]`` sorted ``flip_times``.
-
-        A function, so that a block's temporaries, sized by its flips, are
-        freed before the next block and the final jump table.
-        """
-        owner = np.repeat(np.arange(len(paths)), counts)
-        rows = states[paths]  # as before this stage
-        jl, jh = bounds[paths[0]], bounds[paths[-1] + 1]
-        k, flips_before = _merge_ranks(paths[owner], flip_times,
-                                       jumps.path[jl:jh], jumps.time[jl:jh])
-        flipped[jl:jh] = flips_before % 2 == 1
-        pre, post = _flip_jumps(times, rows, stop_index[paths], bounds[paths],
-                                bounds[paths + 1], owner, flip_times, jumps, jl + k,
-                                alpha)
-        new.append((paths[owner], flip_times, np.full(len(owner), root_position),
-                    pre, post))
-        # A grid point is reflected when an odd number of its path's flips
-        # come at or before it, up to the path's stop.  uint8 sums wrap at
-        # 256, which keeps their parity.
-        at = owner * (n_times + 1) + np.searchsorted(times, flip_times)
-        flips = np.bincount(at, minlength=len(paths) * (n_times + 1))
-        odd = np.cumsum(flips.reshape(len(paths), -1)[:, :-1], axis=1, dtype=np.uint8)
-        odd = (odd & 1).view(bool)
-        odd &= np.arange(n_times) <= stop_index[paths][:, None]
-        # A stacked ``rows @ alpha`` matches each path's 2-D product, as a
-        # flipping path has two grid points or more (numpy computes a
-        # one-row product as a dot, which can differ in the last bit).
-        dots = (rows @ alpha)[odd]
-        for i, a in enumerate(alpha):
-            rows[..., i][odd] -= dots * a
-        states[paths] = rows
-
-    flip_keys = keys(seed, FLIP, stage_index, np.arange(n_paths))
-    block = max(1, CLOCK_BLOCK // n_times)
-    for first in range(0, n_paths, block):
-        stop = stop_index[first:first + block]
-        clocks = cumulative_time_change(times, states[first:first + block], alpha)
-        clocks *= rate
-        paths, flip_times = [], []
-        for p, total in enumerate(clocks[np.arange(len(stop)), stop].tolist()):
-            rng = stream(flip_keys[first + p])
-            arrival = rng.standard_exponential()
-            if arrival < total:
-                end = int(stop[p]) + 1
-                flip_times.append(np.interp(_arrivals(rng, arrival, total),
-                                            clocks[p, :end], times[:end]))
-                paths.append(first + p)
-        if paths:
-            flip(np.array(paths), [len(f) for f in flip_times],
-                 np.concatenate(flip_times))
-
-    # A jump across β made while the path was flipped is, seen through σ_α,
-    # a jump across ±σ_α(β), a positive root since R is closed under its
-    # reflections.  Every logged post is pre − (β·pre)β exactly.
-    relabel = np.array([max(_match_root(pos, im), _match_root(pos, -im))
-                        for im in reflect(alpha, pos)])
-    root = np.where(flipped, relabel[jumps.root], jumps.root)
-    pre = jumps.pre.copy()
-    pre[flipped] -= np.vecdot(pre[flipped], alpha)[:, None] * alpha
-    beta = pos[root]
-    post = pre - np.vecdot(pre, beta)[:, None] * beta
-    columns = [np.concatenate(c)
-               for c in zip((jumps.path, jumps.time, root, pre, post), *new)]
-    order = np.lexsort((columns[1], columns[0]))  # path, then time; stable
-    return _engine.JumpTable(*(c[order] for c in columns))
+    post = pre - np.vecdot(pre, alpha)[:, None] * alpha
+    # A jump's label holds on the grid points from its time to the path's
+    # next jump.
+    begin = np.searchsorted(times, time)
+    end = np.append(begin[1:], 0)
+    end[np.append(path[1:] != path[:-1], True)] = len(times)
+    moved = (labels != start) & (end > begin)
+    count = (end - begin)[moved]
+    offset = np.repeat(begin[moved] - (np.cumsum(count) - count), count)
+    row, col = np.repeat(path[moved], count), np.arange(count.sum()) + offset
+    states[row, col] = _act(group, np.repeat(labels[moved], count), states[row, col])
+    return JumpTable(first_path + path, time, root[before, q], pre, post)
 
 
 def simulate_dunkl(plan, x0, config: SimulationConfig, *, stages=None, threads=1) -> Run:
     """Simulate Y^i for i = ``stages`` (default: all m) under a lift plan.
 
-    The start point may sit in any chamber; the recipe starts from the
-    extended radial dynamics at x0 and adds jumps stage by stage.  All
-    drift multiplicities must be ≥ 1/2 (below that the radial part can
-    reach the walls and the construction does not apply).  The run's
-    ``jumps`` log every stage's jumps.
+    The start point may sit in any chamber; the engine records the radial
+    path Z in x₀'s chamber, and one pass over it adds the jumps of the
+    first ``stages`` stages (see the module docstring).  All drift
+    multiplicities must be ≥ 1/2 (below that the radial part can reach the
+    walls and the construction does not apply).  The run's ``jumps`` log
+    every stage's jumps.  Raises ``SingularClockError`` if a path's clock
+    total exceeds ``MAX_CLOCK``.
     """
     system = plan.system
     if plan.k.min_value < 0.5:
@@ -304,16 +356,28 @@ def simulate_dunkl(plan, x0, config: SimulationConfig, *, stages=None, threads=1
     n_stages = m if stages is None else int(stages)
     if not 0 <= n_stages <= m:
         raise InvalidArgumentError(f"stages must lie in 0..{m}")
-    # Stages 1..g, up to the last general-mode one, run as engine clocks.
+    # Stages 1..g, up to the last general-mode one, run as joint clocks.
     g = max((i for i, md in enumerate(plan.modes[:n_stages], start=1)
              if md == "general"), default=0)
 
     res = _run_engine(system, plan.k, x0, config, record=True, threads=threads,
-                      any_chamber=True,
-                      clock_positions=tuple(plan.enumeration[:g]),
-                      clock_rates=np.asarray(plan.rates[:g], dtype=float))
-    states, jumps = res.states, res.jumps
-    for s in range(g + 1, n_stages + 1):
-        jumps = _flip_stage(states, res.stop_index, jumps, res.tgrid, system,
-                            plan.enumeration[s - 1], plan.rates[s - 1], config.seed, s)
-    return _run(res, states, jumps)
+                      any_chamber=True)
+    states, times = res.states, res.tgrid
+    n_paths, n_times = states.shape[:2]
+    pos = system.positive_roots
+    (root, flip), joint = label_table(plan, m), label_table(plan, g)[1]
+    start = int(chamber_labels(system, pos.sum(axis=0)))   # the identity
+    rate = np.asarray(plan.rates)[np.argsort(plan.enumeration)]
+    flip_keys = keys(config.seed, FLIP, np.arange(n_paths))
+    step = max(1, LIFT_BLOCK // (n_times * len(pos)))
+    tables = []
+    for first in range(0, n_paths if n_stages else 0, step):
+        block = slice(first, first + step)
+        clocks = _Clocks(times, states[block], res.stop_index[block], pos, rate)
+        gens = [stream(key) for key in flip_keys[block]]
+        jumps = (_joint_stages(gens, clocks, first, start, joint) if g
+                 else (np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=np.int64)))
+        for alpha in plan.enumeration[g:n_stages]:
+            jumps = _flip_stage(gens, clocks, first, jumps, start, flip, root, alpha)
+        tables.append(_relabel(clocks, first, jumps, start, flip, root, system.weyl_group))
+    return _run(res, states, JumpTable(*map(np.concatenate, zip(*tables))) if tables else None)

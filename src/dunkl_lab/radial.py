@@ -17,7 +17,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -52,6 +52,16 @@ class SimulationConfig:
         grid = np.minimum(np.arange(n_steps + 1) * self.dt, self.horizon)
         grid[-1] = self.horizon
         return grid
+
+
+class JumpTable(NamedTuple):
+    """A jump log as flat arrays, sorted by (path, time)."""
+
+    path: np.ndarray    # (E,)
+    time: np.ndarray    # (E,)
+    root: np.ndarray    # (E,) position in the positive enumeration
+    pre: np.ndarray     # (E, n)
+    post: np.ndarray    # (E, n)
 
 
 @dataclass(frozen=True)
@@ -94,7 +104,7 @@ class Run:
     min_wall_distance: np.ndarray
     n_rejected: np.ndarray
     states: Optional[np.ndarray]
-    jumps: Optional[_engine.JumpTable]
+    jumps: Optional[JumpTable]
 
     @property
     def hit_fraction(self):
@@ -113,9 +123,8 @@ class Run:
 
 
 def _run_engine(system: RootSystem, k: Multiplicity, x0, config: SimulationConfig, *,
-                record, threads, any_chamber=False, **clocks) -> _engine.EngineResult:
-    """Run ``config``'s paths of drift k from ``x0``; ``clocks`` holds the
-    optional jump-clock fields of ``EngineParams``.
+                record, threads, any_chamber=False) -> _engine.EngineResult:
+    """Run ``config``'s paths of drift k from ``x0``.
 
     ``x0`` must be finite and lie in the open chamber, or with
     ``any_chamber`` off every reflecting hyperplane.  Paths stop at T₀
@@ -137,15 +146,19 @@ def _run_engine(system: RootSystem, k: Multiplicity, x0, config: SimulationConfi
         seed=config.seed,
         stop_at_t0=k.min_value < 0.5,
         record=record,
-        **clocks,
     )
     return _engine.run_paths(params, config.n_paths, threads=threads)
 
 
-def _run(res: _engine.EngineResult, states, jumps) -> Run:
-    """The run of ``res`` whose paths end as ``states`` with jump log
-    ``jumps`` (both None when not recorded); freezes the arrays it holds."""
+def _run(res: _engine.EngineResult, states, jumps=None) -> Run:
+    """The run of ``res`` whose paths end as ``states`` (None when not
+    recorded) with jump log ``jumps`` (default: none); freezes the arrays
+    it holds."""
     if states is not None:
+        if jumps is None:
+            n = states.shape[-1]
+            jumps = JumpTable(np.zeros(0, dtype=np.int64), np.zeros(0),
+                              np.zeros(0, dtype=np.int64), np.zeros((0, n)), np.zeros((0, n)))
         for a in (res.tgrid, states, *jumps):
             a.flags.writeable = False
     return Run(
@@ -192,7 +205,7 @@ def run_radial(system: RootSystem, k: Multiplicity, x0, config: SimulationConfig
     table.
     """
     res = _run_engine(system, k, x0, config, record=record, threads=threads)
-    return _run(res, res.states, res.jumps if record else None)
+    return _run(res, res.states)
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +263,16 @@ def _read_csv(f):
     n = len(header) - 3
     paths = {}
     for row in reader:
-        pid = int(row[0])
+        try:
+            if len(row) != len(header):
+                raise ValueError
+            pid, t, x = int(row[0]), float(row[1]), [float(v) for v in row[2:2 + n]]
+        except ValueError:
+            raise InvalidArgumentError(
+                f"trajectory CSV line {reader.line_num}: malformed row") from None
         rec = paths.setdefault(pid, {"t": [], "x": [], "event": []})
-        rec["t"].append(float(row[1]))
-        rec["x"].append([float(v) for v in row[2:2 + n]])
+        rec["t"].append(t)
+        rec["x"].append(x)
         rec["event"].append(row[-1])
     if not paths:
         raise InvalidArgumentError("trajectory CSV has no rows")

@@ -23,8 +23,8 @@ import numpy as np
 # them changes every simulated path.
 DIFFUSION = 0   # per-path Gaussian increments, consumed one grid step at a time
 RETRY = 1       # fresh increments for rejected / subdivided steps
-CLOCK = 2       # exponential thresholds for jump clocks
-FLIP = 3        # Poisson streams for shortcut-mode lifts
+CLOCK = 2       # no longer drawn; reserved so that no other purpose takes 2
+FLIP = 3        # the lift's Poisson arrivals, one stream per path
 CHECK = 4       # verification-side sampling (oracles, test points)
 
 _MASK = 0xFFFFFFFF

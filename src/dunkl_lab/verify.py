@@ -26,6 +26,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
+from scipy import special
 from scipy import stats as sps
 
 from . import rng as rngmod
@@ -41,7 +42,7 @@ from .calculus import (
     sample_interior_points,
 )
 from .errors import InvalidArgumentError, SingularClockError
-from .lift import build_lift_plan, simulate_dunkl
+from .lift import build_lift_plan, label_table, simulate_dunkl
 from .radial import SimulationConfig, run_radial
 from .root_systems import (
     Multiplicity,
@@ -49,11 +50,11 @@ from .root_systems import (
     chamber_labels,
     multiplicity,
     project_batch,
-    reflect,
 )
 
 DEFAULT_ALPHA = 0.01         # significance level of every statistical check
 _RESIDUAL_POINTS = 1 << 14   # path points per generator call in _path_residuals
+POISSON_SHARE = 0.1          # label-law counts with Σp² ≤ this share of Σp are Poisson
 ROTATION_TOL = 1e-6          # relative residual bound of rotate-generator
 MIN_WALL_DOT = 0.2           # rotate-generator's points keep |x·α| above this
 WALL_KS = (0.1, 0.3, 0.45, 0.5, 0.6, 1.0)  # wall-profile's k values, across k = 1/2
@@ -397,39 +398,49 @@ def projection_agreement(full_states, radial_states, system, *, name="projection
 # the chamber label given the radial path
 
 
+def _poisson_z(count, mean):
+    """Signed normal score of the nearer tail of a Poisson(mean) count."""
+    upper = np.where(count > 0, special.pdtrc(np.maximum(count - 1, 0), mean), 1.0)
+    lower = special.pdtr(count, mean)
+    score = np.maximum(sps.norm.isf(np.minimum(upper, lower)), 0.0)
+    return np.where(upper < lower, score, -score)
+
+
 def label_law(run, plan, *, stages=None, name="label-law"):
     """Each path's final chamber label against its exact law given the
     path's own radial part Y: the skew product X = w·Y read as a law.
 
     Given Y, w is a Markov chain on W.  A jump of X across α is w → w·σ_β,
     β = w⁻¹α, at rate c(β)/(β·Y)² (the rates are W-invariant), active at
-    prefix ``stages`` only where w·β ∈ ±{α_1, …, α_stages}.  Per grid step
-    and root (Lie–Trotter), p ← a·p + (1 − a)·p∘(w ↦ wσ_β), with
-    a = (1 + e^{−2Λ})/2 and Λ = c·h/(d₀·d₁) exact along the straight
-    segment, d = β·Y.  Per label, z = Σ(1{w_i = w} − p_i(w)) / √Σ p_i(w)(1 −
-    p_i(w)), ±∞ where the variance is zero and the count is off; pass iff
-    max|z| ≤ the normal quantile at α/(2|W|), α = ``DEFAULT_ALPHA``.  The
-    cost is about |W|·m operations per grid step and path.  Raises
-    ``SingularClockError`` if a path touches a wall on the grid.
+    prefix ``stages`` only where w·β ∈ ±{α_1, …, α_stages}
+    (``lift.label_table``).  Per grid step and root (Lie–Trotter),
+    p ← a·p + (1 − a)·p∘(w ↦ wσ_β), with a = (1 + e^{−2Λ})/2 and
+    Λ = c·h/(d₀·d₁) exact along the straight segment, d = β·Y.
+
+    A label's count is a Poisson-binomial sum of the p_i(w).  Where
+    Σp_i² ≤ ``POISSON_SHARE``·Σp_i, so that most of its mass comes from
+    paths that rarely reach the label, the count is within Σp_i² of
+    Poisson(Σp_i) in total variation (Le Cam), and its nearer Poisson tail
+    P gives z = ±isf(P); likewise for the count of the other labels where
+    Σ(1 − p_i)² is that small.  Elsewhere z = Σ(1{w_i = w} − p_i(w)) /
+    √Σ p_i(w)(1 − p_i(w)), ±∞ where the variance is zero and the count is
+    off.  Pass iff max|z| ≤ the normal quantile at α/(2|W|), α =
+    ``DEFAULT_ALPHA``.  The cost is about |W|·m operations per grid step and
+    path.  Raises ``SingularClockError`` if a path touches a wall on the
+    grid.
     """
     system, m = plan.system, plan.n_stages
     stages = m if stages is None else int(stages)
     if not 0 <= stages <= m:
         raise InvalidArgumentError(f"stages must lie in 0..{m}")
     times, states, kept = stack_paths(run.trajectories)
-    pos, group = system.positive_roots, system.weyl_group
-    # root[w, b]: the position of ±w·β_b in R₊, the one α with |α·wβ_b| = 2;
-    # flip[b][w]: the label of w·σ_{β_b} where that jump is active, else w
-    root = np.abs(pos @ group @ pos.T).argmax(axis=1)
-    stage_of = np.argsort(plan.enumeration)
-    active = stage_of[root] < stages
-    flip = [np.where(active[:, b], chamber_labels(system, group @ reflect(beta, pos.sum(0))),
-                     np.arange(len(group))) for b, beta in enumerate(pos)]
+    pos, n_labels = system.positive_roots, len(system.weyl_group)
+    root, flip = label_table(plan, stages)
 
     labels = chamber_labels(system, states[:, [0, -1]])
-    p = np.zeros((len(group), len(states)))
+    p = np.zeros((n_labels, len(states)))
     p[labels[:, 0], np.arange(len(states))] = 1.0
-    rate = np.asarray(plan.rates)[stage_of]
+    rate = np.asarray(plan.rates)[np.argsort(plan.enumeration)]
     for t in range(0, len(times) - 1, 64):  # blocks of grid steps bound the temporaries
         x = states[:, t:t + 65]
         # β·Y = β·w⁻¹x = |α·x| for the α = ±w·β
@@ -440,15 +451,20 @@ def label_law(run, plan, *, stages=None, name="label-law"):
         moved = -0.5 * np.expm1(-2.0 * np.ascontiguousarray(np.moveaxis(lam, 0, -1)))
         for step in moved:  # 1 − a, as (steps, m, N)
             for b, share in enumerate(step):
-                p += share * (p[flip[b]] - p)
+                p += share * (p[flip[:, b]] - p)
 
-    observed = np.bincount(labels[:, -1], minlength=len(group))
+    n = len(states)
+    observed = np.bincount(labels[:, -1], minlength=n_labels)
     expected, var = p.sum(axis=1), np.sum(p * (1.0 - p), axis=1)
     diff = observed - expected
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(diff == 0.0, 0.0, diff / np.sqrt(var))
+    rare = np.sum(p * p, axis=1) <= POISSON_SHARE * expected
+    common = np.sum((1.0 - p) ** 2, axis=1) <= POISSON_SHARE * (n - expected)
+    z = np.where(rare, _poisson_z(observed, expected),
+                 np.where(common, -_poisson_z(n - observed, n - expected), z))
     worst = float(np.max(np.abs(z)))
-    bound = float(sps.norm.isf(DEFAULT_ALPHA / (2 * len(group))))
+    bound = float(sps.norm.isf(DEFAULT_ALPHA / (2 * n_labels)))
     return Report(name=name, estimate=worst, stderr=None, tolerance=bound, alpha=DEFAULT_ALPHA,
                   sample_size=int(kept.sum()), passed=worst <= bound,
                   details={"z": z, "expected": expected, "observed": observed,

@@ -239,6 +239,30 @@ class TestCommands:
             assert err.startswith("error:") and words in err
             assert not summary_path.exists()
 
+    def test_export_plot_data_reports_a_malformed_row(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("path_id,t,x_1,x_2,event\n0,0.0,2,1,\nabc,0.1,1,2,\n")
+        rc = main(["export-plot-data", "--in", str(bad), "--out", str(tmp_path / "s.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and "line 3" in err
+
+    @pytest.mark.parametrize("command", ["simulate-radial", "simulate-dunkl"])
+    def test_output_in_a_missing_directory_is_refused_first(self, tmp_path, capsys,
+                                                            monkeypatch, command):
+        import dunkl_lab.cli as cli
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulated before checking the output")
+
+        monkeypatch.setattr(cli, "run_radial", no_run)
+        monkeypatch.setattr(cli, "simulate_dunkl", no_run)
+        doc = base_doc(output={"path": str(tmp_path / "missing" / "x.csv"), "format": "csv"})
+        rc = main([command, "--config", write_cfg(tmp_path, doc)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and "missing" in err
+
     def test_entry_point_runs(self):
         proc = subprocess.run(
             [sys.executable, "-m", "dunkl_lab.cli", "describe",
@@ -251,14 +275,15 @@ class TestCommands:
 class TestVerifySuiteCommand:
     # SHA-256 of the suite's reports, runtimes removed, as sorted-key JSON
     QUICK_SUITE_SHA256 = (
-        "744b5f3f2504da4000fe99c3ceaebbd0771f7d0ece71bf6b42910ca570cf6a5f")
+        "6c2158d07e70c0695bec6d700c54abfb9611318e8d928390bf69db14212f4760")
 
     def test_quick_suite(self, tmp_path, capsys):
         """Very small sizes: the wiring, not the statistics.
 
         The digest pins all 33 reports (names, order, estimates, verdicts
-        and details; only ``runtime`` is free), including the one check
-        that fails at this size: projection-agreement.
+        and details; only ``runtime`` is free), including the checks that
+        fail at this size: projection-agreement, and on this seed's lifted
+        run label-law-full and its control.
         A deliberate change to the reproducibility contract or to a check
         updates it and says so in CHANGES.md; anything else that moves it
         is a regression.

@@ -59,9 +59,9 @@ CONTRACT = {
     "b2_radial": (_b2_radial, (
         "500856a5622707b0dbdd4d2faac26dcc0fc48fcf894ed7d38c76e7e1ec8c7d0e", 0, 33)),
     "b2_auto": (_b2_auto, (
-        "75b1d29f6596020e8d1a17682ae731cc09e8e845607b744fc0a7d7584bab4663", 281, 3)),
+        "0d80bf88d332bc0ad8572dcc78d640ecdf3f7b30f7b5f9016ddd1466f805b837", 215, 3)),
     "b4_general": (_b4_general, (
-        "d2f7ed735795fe063195e9e4defd7391a8b8e8a64c4a7b0338cebcff8f937430", 127, 2)),
+        "ee1ad1240b9f77dae88c2dedadadab2e78322cfd5a4d19337981f186b711ac7e", 118, 1)),
 }
 
 
@@ -72,10 +72,10 @@ def test_outputs_match_contract(case):
     assert (digest, jumps, rejected) == expected
 
 
-# Flip stages beyond the all-shortcut B2 plan: flips after an engine-clock
-# stage, and flips over paths that stopped early.  Each case also hashes the
+# Flip stages beyond the all-shortcut B2 plan: flips after joint-clock
+# stages, and flips over paths that stopped early.  Each case also hashes the
 # trajectories of the runs with ``stages=s``, for every stage from the last
-# engine-clock one on.
+# general-mode one on.
 def _stage_digest(simulate, stages):
     h = hashlib.sha256()
     for stage in stages:
@@ -111,11 +111,11 @@ def _b2_general_then_flips(**kwargs):
 # ended by a step failure, SHA-256 of those stages' trajectories))
 STAGE_CONTRACT = {
     "a2_mixed": (_a2_mixed, (2, 3), (
-        "03ed7047afdbeaa2e52b16631568f4c2080f462a4984e3503ac4c9ac53c91853", 135, 0, 0,
-        "0655e1f32325c8b6a3d3e51d74376d4a79ac7a36e780b666cf68af374c19fdd8")),
+        "2dbad75deff34d115f18d74cb4cca9c6f8bad302b6febd011bef6ecd2b5f6b48", 164, 1, 0,
+        "4aa98f87c09352e7533c9b24e7a17f199d60afacf37bc58c5628da70305c8465")),
     "b2_general_then_flips": (_b2_general_then_flips, (1, 2, 3, 4), (
-        "ea9197801062a76a5729a928cf0d38a8623e7fe5fa49fff60012a1b3879ed47c", 13965, 131,
-        20, "e359d7b6c8d45c4013c73c0a0e65789fb75825ec4efc526411d9818deb285327")),
+        "389184fb7c9a89255e72d91b8948602015b97de2a624aa4831e17700d5796aa4", 1229, 145,
+        29, "c2b33428ff484cdc0b91fc09b3f5197db0863e3106ffa8fcd7b7bedda3761215")),
 }
 
 
@@ -130,8 +130,8 @@ def test_flip_stages_match_contract(case, keep):
         assert _stage_digest(simulate, stages) == expected[4]
 
 
-# The engine's own branches, on B2 clocks at all four roots from near the
-# walls: every ``EngineResult`` field is hashed, the jump table included.
+# The engine's own branches, on B2 from near the walls, where proposals are
+# rejected and bisected: every ``EngineResult`` field is hashed.
 ENGINE_FIELDS = ("tgrid", "final", "stop_index", "termination", "t0_time",
                  "wall_contact", "min_wall_distance", "n_rejected", "states")
 
@@ -140,9 +140,6 @@ def _engine_digest(res):
     h = hashlib.sha256()
     for name in ENGINE_FIELDS:
         h.update(np.ascontiguousarray(getattr(res, name)).tobytes())
-    for p, time, root, pre, post in zip(*res.jumps):
-        h.update(np.array([p, root], dtype=np.int64).tobytes())
-        h.update(np.array([time, *pre, *post], dtype=float).tobytes())
     return h.hexdigest()
 
 
@@ -152,31 +149,25 @@ def _engine_params(k=1.0, dt=1e-2, **overrides):
         positive_roots=b2.positive_roots, kvec=multiplicity(b2, k).per_positive(),
         x0=np.array([0.6, 0.2]),
         tgrid=SimulationConfig(horizon=0.5, dt=dt, n_paths=300, seed=11).time_grid(),
-        seed=11, record=True,
-        clock_positions=(0, 1, 2, 3),
-        clock_rates=multiplicity(b2, 1.0).per_positive())
+        seed=11, record=True)
     params.update(overrides)
     return _engine.EngineParams(**params)
 
-# case -> (params, engine constants, (SHA-256, jumps, rejected proposals,
-# paths per termination code (horizon, T0, step failure)))
+# case -> (params, engine constants, (SHA-256, rejected proposals, paths per
+# termination code (horizon, T0, step failure)))
 ENGINE_CONTRACT = {
-    # clock increments above the cap subdivide the interval
-    "lambda_cap": (dict(), dict(LAMBDA_CAP=0.05), (
-        "cb5fc2c581aee5fbbeb44ae1812452b0b0d63be10417886cbde39ef2cae9e2a6",
-        783, 5181, (300, 0, 0))),
-    # one halving allowed: some paths fail in an interval where a clock fired
+    # one halving allowed: some paths fail
     "max_halvings": (dict(dt=0.05), dict(MAX_HALVINGS=1), (
-        "adaee407aeaded0d301569d13100219b699932a344911f9204bf187a2fb97e4b",
-        1121, 138, (291, 0, 9))),
+        "684a9183aadb48a9e30e63154ba690359cfb3e752506f152d3d62cf64b9a9e3f",
+        137, (277, 0, 23))),
     # three proposals per interval: paths fail on the proposal budget
     "budget": (dict(), dict(PROPOSAL_BUDGET=3), (
-        "d76822d0689201001d17d45fcb75004a053779d175d296fe3ad04c386bcd566e",
-        1217, 51, (271, 0, 29))),
-    # k below 1/2: wall crossings stop paths at T0, while clocks still fire
+        "3a5e8535ac7623961c16351816c722c1a85da3fd41982ac4c3355005ac0e46c4",
+        56, (294, 0, 6))),
+    # k below 1/2: wall crossings stop paths at T0
     "stop_at_t0": (dict(k=0.3, stop_at_t0=True), dict(), (
-        "75a628773975789a3b97953a6f3aec211dad2a99b452f1ef9028e57e1388922e",
-        1973, 100, (118, 182, 0))),
+        "a0a0f9e7a0cbba2a3170f81c61930332b1105cd085fb348ad7afef3a5b5c157e",
+        0, (99, 201, 0))),
 }
 
 
@@ -186,14 +177,9 @@ def test_engine_outputs_match_contract(case, monkeypatch):
     for name, value in constants.items():
         monkeypatch.setattr(_engine, name, value)
     res = _engine.run_paths(_engine_params(**overrides), 300, chunk_size=128)
-    got = (_engine_digest(res), len(res.jumps.time), int(res.n_rejected.sum()),
+    got = (_engine_digest(res), int(res.n_rejected.sum()),
            tuple(np.bincount(res.termination, minlength=3).tolist()))
     assert got == expected
-    if case in ("max_halvings", "budget"):
-        # some paths fail in an interval after a clock fired in it
-        failed = np.flatnonzero(res.termination == _engine.TERM_STEP_FAILURE)
-        after = res.jumps.time > res.tgrid[res.stop_index[res.jumps.path]]
-        assert np.any(after & np.isin(res.jumps.path, failed))
 
 
 # Martingale residuals of 17 recorded B2 paths of 997 steps: one path more

@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
 
+from scipy import stats as sps
+
 from dunkl_lab import (
     InvalidArgumentError,
     InvalidPlanError,
     SimulationConfig,
+    SingularClockError,
     UnsupportedRegimeError,
     build_lift_plan,
+    build_type_b,
     cumulative_time_change,
     multiplicity,
     simulate_dunkl,
 )
 from dunkl_lab import _engine, lift
 from dunkl_lab.root_systems import chamber_labels, project_batch, reflect
+from dunkl_lab.verify import label_law
 
 
 def reachable_labels(system, plan, x0, stages):
@@ -84,6 +89,20 @@ class TestTimeChange:
         alpha2 = np.array([1.0, 1.0]) * (2.0 / 3.0)  # dot = 2 -> t/4
         a_t2 = cumulative_time_change(times, states, alpha2)
         assert np.allclose(a_t2, times / 4.0)
+
+    def test_exact_on_a_straight_segment(self):
+        # Y = (1 + t, 0): d = 1 + t along α = (1, 1), so Ã_t = 1 − 1/(1 + t)
+        # at every grid point, however coarse the grid.
+        times = np.array([0.0, 0.5, 2.0, 3.0])
+        states = np.stack([1.0 + times, np.zeros(4)], axis=1)
+        a_t = cumulative_time_change(times, states, np.array([1.0, 1.0]))
+        assert np.allclose(a_t, 1.0 - 1.0 / (1.0 + times), rtol=1e-15, atol=0)
+
+    def test_a_segment_across_the_hyperplane_is_refused(self):
+        # no grid point is on the wall, but the segment between two crosses it
+        states = np.array([[2.0, 1.0], [1.0, 2.0]])
+        with pytest.raises(SingularClockError):
+            cumulative_time_change(np.array([0.0, 0.1]), states, np.array([1.0, -1.0]))
 
     def test_strictly_increasing_and_invertible(self, b2, k_one):
         cfg = small_cfg(n_paths=5)
@@ -275,17 +294,108 @@ class TestSimulateDunkl:
         assert run.final_states.shape == (20, 2)
 
 
-class TestChunking:
-    # A flip stage works on blocks of CLOCK_BLOCK grid points; on this case's
-    # 11-point grid, 1 and 3 paths per block.
-    @pytest.mark.parametrize("clock_block", [1, 33])
-    def test_flip_stages_do_not_depend_on_blocks(self, monkeypatch, clock_block):
+class TestBlocking:
+    # The engine splits paths into chunks, runs them across workers, and the
+    # lift takes the recorded paths in blocks of LIFT_BLOCK clock values;
+    # none of it may change the output.  A block of 500 values holds 11
+    # paths of the B2 case (11 grid points, 4 roots, step failures) and 3 of
+    # the A2 case (51 grid points, 3 roots); a block of 1 value, one path.
+    @pytest.mark.parametrize("case", ["a2_mixed", "b2_general_then_flips"])
+    def test_lift_does_not_depend_on_blocks_or_workers(self, monkeypatch, case):
         from test_contract import STAGE_CONTRACT, _digest, _stage_digest
 
-        simulate, stages, expected = STAGE_CONTRACT["b2_general_then_flips"]
-        monkeypatch.setattr(lift, "CLOCK_BLOCK", clock_block)
-        assert _digest(simulate()) == expected[:3]
-        assert _stage_digest(simulate, stages) == expected[4]
+        simulate, stages, _ = STAGE_CONTRACT[case]
+        expected = _digest(simulate()), _stage_digest(simulate, stages)
+        run_paths = _engine.run_paths
+        for threads, chunk, block in ((2, 4096, lift.LIFT_BLOCK), (1, 64, 1), (2, 64, 500)):
+            with monkeypatch.context() as mp:
+                mp.setattr(_engine, "run_paths",
+                           lambda params, n, threads=1: run_paths(params, n, threads, chunk))
+                mp.setattr(lift, "LIFT_BLOCK", block)
+                got = (_digest(simulate(threads=threads)),
+                       _stage_digest(lambda **kw: simulate(threads=threads, **kw), stages))
+            assert got == expected, (threads, chunk, block)
+
+    def test_jump_table_of_blocks_is_one_sorted_log(self, b2, k_one, monkeypatch):
+        """Blocks of 3 paths merge into one table sorted by (path, time) with
+        run-wide path numbers; every row reflects pre across its root and
+        falls inside the horizon."""
+        monkeypatch.setattr(lift, "LIFT_BLOCK", 3 * 501 * 4)
+        cfg = SimulationConfig(horizon=0.5, dt=1e-3, n_paths=150, seed=17)
+        plan = build_lift_plan(b2, k_one, mode=("general", "shortcut", "general", "shortcut"))
+        path, time, root, pre, post = simulate_dunkl(plan, [0.6, 0.2], cfg).jumps
+        assert path.dtype == root.dtype == np.int64 and pre.shape == post.shape
+        assert path[-1] >= 140
+        assert np.array_equal(np.lexsort((time, path)), np.arange(len(path)))
+        alpha = b2.positive_roots[root]
+        assert np.array_equal(post, pre - np.vecdot(pre, alpha)[:, None] * alpha)
+        assert np.all((time > 0) & (time <= 0.5))
+
+
+class TestLabelChain:
+    """The lift against exact laws given the radial path, at every stage
+    prefix and in both modes, each with rates ×1.25 as the control."""
+
+    # Prefixes run on 1,000 paths and the last stage on more, where the
+    # control must fail: on 2,000 paths the ×1.25 law was rejected at only 5
+    # to 8 of 8 seeds on A2 and B2.
+    @pytest.mark.parametrize("name, x0, horizon, dt, full_paths", [
+        ("b2", [2.0, 1.0], 1.0, 1e-3, 5000),
+        ("a2", [1.0, 0.3, -0.5], 1.0, 1e-3, 5000),
+        ("b3", [3.0, 2.0, 1.0], 0.5, 2e-3, 2000),
+    ])
+    def test_label_law_at_every_prefix(self, request, name, x0, horizon, dt, full_paths):
+        system = request.getfixturevalue(name)
+        k = multiplicity(system, 1.0)
+        for mode in ("general", "auto"):
+            plan = build_lift_plan(system, k, mode=mode)
+            for j in range(1, plan.n_stages + 1):
+                if mode == "auto" and plan.modes[j - 1] == "general":
+                    continue  # stages 1..j run as joint clocks: general mode's run
+                cfg = SimulationConfig(horizon=horizon, dt=dt, seed=42,
+                                       n_paths=full_paths if j == plan.n_stages else 1000)
+                run = simulate_dunkl(plan, x0, cfg, stages=j)
+                rep = label_law(run, plan, stages=j)
+                assert rep.passed, (mode, j, rep.estimate)
+            heavy = build_lift_plan(system, k, rates=multiplicity(system, 1.25), mode=mode)
+            assert not label_law(run, heavy).passed, mode
+
+    def test_b4_mean_is_the_start_point(self):
+        # X is a martingale: E X_T = x₀ per coordinate, Bonferroni over the
+        # four coordinates at level 0.01.  Jumps at rates ×1.25 leave a drift.
+        b4 = build_type_b(4)
+        k, x0 = multiplicity(b4, 1.0), np.array([4.0, 3.0, 2.0, 1.0])
+        cfg = SimulationConfig(horizon=0.2, dt=1e-3, n_paths=2000, seed=43)
+        bound = sps.norm.isf(0.01 / 8)
+
+        def worst(rates, mode):
+            plan = build_lift_plan(b4, k, rates=multiplicity(b4, rates), mode=mode)
+            final = simulate_dunkl(plan, x0, cfg).final_states
+            se = final.std(axis=0, ddof=1) / np.sqrt(len(final))
+            return np.max(np.abs(final.mean(axis=0) - x0) / se)
+
+        for mode in ("general", "auto"):
+            assert worst(1.0, mode) <= bound, mode
+            assert worst(1.25, mode) > bound, mode
+
+
+class TestClockTotals:
+    def test_near_wall_call_completes(self, b2, k_one):
+        # A benchmark call (lift-shortcut --seed 4, call 4) whose radial path
+        # comes within 5e-6 of a wall at a grid point; its clock integrated
+        # with the trapezoid rule reached 4.7e7 on one path.
+        cfg = SimulationConfig(horizon=1.0, dt=1e-3, n_paths=2000, seed=3627990674)
+        run = simulate_dunkl(build_lift_plan(b2, k_one, mode="auto"), [2.0, 1.0], cfg)
+        assert np.all(run.termination == "horizon")
+        assert run.n_jumps.max() < 10_000
+
+    @pytest.mark.parametrize("mode", ["auto", "general"])
+    def test_an_absurd_clock_is_refused(self, b2, k_one, monkeypatch, mode):
+        monkeypatch.setattr(lift, "MAX_CLOCK", 0.05)
+        plan = build_lift_plan(b2, k_one, mode=mode)
+        with pytest.raises(SingularClockError, match=r"path \d+: the clock of root \d "
+                                                     r"reaches [0-9.e+-]+, above MAX_CLOCK"):
+            simulate_dunkl(plan, [2.0, 1.0], small_cfg(n_paths=20))
 
 
 class TestLawInvariants:

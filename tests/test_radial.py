@@ -146,21 +146,18 @@ class TestSimulateRadial:
         assert flagged_half <= flagged
 
     @staticmethod
-    def _engine_params(b2, k_one, clocks):
-        kvec = k_one.per_positive()
+    def _engine_params(b2, k_one, near_walls):
         return _engine.EngineParams(
-            positive_roots=b2.positive_roots, kvec=kvec,
-            x0=np.array([0.6, 0.2]) if clocks else np.array([2.0, 1.0]),
-            tgrid=SimulationConfig(horizon=0.2, dt=1e-2 if clocks else 1e-3,
+            positive_roots=b2.positive_roots, kvec=k_one.per_positive(),
+            x0=np.array([0.6, 0.2]) if near_walls else np.array([2.0, 1.0]),
+            tgrid=SimulationConfig(horizon=0.2, dt=1e-2 if near_walls else 1e-3,
                                    n_paths=150, seed=17).time_grid(),
-            seed=17, record=True,
-            clock_positions=(0, 1, 2, 3) if clocks else (),
-            clock_rates=kvec if clocks else np.zeros(0))
+            seed=17, record=True)
 
     @staticmethod
     def _assert_blocking_invariant(params):
         """Blocks of 64 paths across one and two workers, and one block of
-        4096, give the same engine output, jump table included."""
+        4096, give the same engine output."""
         runs = [_engine.run_paths(params, 150, threads=t, chunk_size=c)
                 for t, c in ((1, 64), (2, 64), (1, 4096))]
         for other in runs[1:]:
@@ -168,33 +165,16 @@ class TestSimulateRadial:
                          "wall_contact", "min_wall_distance", "n_rejected", "states"):
                 assert np.array_equal(getattr(runs[0], name), getattr(other, name),
                                       equal_nan=name == "t0_time"), name
-            for a, b in zip(runs[0].jumps, other.jumps):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
         return runs[0]
 
     def test_worker_count_independent(self, b2, k_one):
-        self._assert_blocking_invariant(self._engine_params(b2, k_one, clocks=False))
+        self._assert_blocking_invariant(self._engine_params(b2, k_one, near_walls=False))
 
-    def test_worker_count_independent_with_clocks(self, b2, k_one):
-        """General-mode clocks from near the walls: clocks fire and steps
-        reject, so the per-path retry and clock streams are exercised."""
-        run = self._assert_blocking_invariant(self._engine_params(b2, k_one, clocks=True))
-        assert len(run.jumps.time) > 0
+    def test_worker_count_independent_near_walls(self, b2, k_one):
+        """From near the walls steps reject, so the per-path retry streams
+        are exercised."""
+        run = self._assert_blocking_invariant(self._engine_params(b2, k_one, near_walls=True))
         assert run.n_rejected.sum() > 0
-
-    def test_jump_table_of_blocks_is_one_sorted_log(self, b2, k_one):
-        """Blocks of 64 paths merge into one table sorted by (path, time)
-        with run-wide path numbers; every row reflects pre across its root
-        and falls inside the horizon."""
-        res = _engine.run_paths(self._engine_params(b2, k_one, clocks=True), 150,
-                                chunk_size=64)
-        path, time, root, pre, post = res.jumps
-        assert path.dtype == root.dtype == np.int64 and pre.shape == post.shape
-        assert path[-1] >= 128
-        assert np.array_equal(np.lexsort((time, path)), np.arange(len(path)))
-        alpha = b2.positive_roots[root]
-        assert np.array_equal(post, pre - np.vecdot(pre, alpha)[:, None] * alpha)
-        assert np.all((time > 0) & (time <= res.tgrid[-1]))
 
 
 def _simulate(system, k, x0, cfg):

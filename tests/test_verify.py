@@ -335,6 +335,36 @@ class TestLabelLaw:
         rep = label_law(run, plan, stages=0)
         assert not rep.passed and rep.estimate == np.inf
 
+    def test_rare_label_reads_its_poisson_tail(self, rank1):
+        # Ten fixed paths far from the wall: the flipped label's expected
+        # count is about 0.0056.  One path in it is no surprise at level
+        # 0.01/4 (P ≈ 0.0056), though z = 1/√expected ≈ 13; two paths are.
+        times = np.linspace(0.0, 1.0, 11)
+        far = np.full((11, 1), 30.0)
+        flipped = far.copy()
+        flipped[-1] = -30.0
+        plan = build_lift_plan(rank1, multiplicity(rank1, 1.0))
+
+        def rep(n_flipped):
+            paths = [Trajectory(path_id=i, times=times, states=flipped if i < n_flipped else far)
+                     for i in range(10)]
+            return label_law(types.SimpleNamespace(trajectories=paths), plan)
+
+        one, two = rep(1), rep(2)
+        assert one.details["expected"][1] == pytest.approx(0.0056, rel=0.01)
+        assert one.passed and 2.4 < one.estimate < 2.7
+        assert not two.passed
+
+    @pytest.mark.parametrize("seed", [5, 6, 8])
+    def test_b3_rare_labels_pass(self, b3, seed):
+        # General mode on B3 at prefix 4: under z = (count − expected)/sd,
+        # one path in a label of expected count about 0.02 failed these seeds.
+        plan = build_lift_plan(b3, multiplicity(b3, 1.0), mode="general")
+        cfg = SimulationConfig(horizon=0.5, dt=1e-3, n_paths=2000, seed=seed)
+        run = simulate_dunkl(plan, [3.0, 2.0, 1.0], cfg, stages=4)
+        rep = label_law(run, plan, stages=4)
+        assert rep.passed, rep.estimate
+
     def test_path_on_a_wall_is_refused(self, rank1):
         times = np.linspace(0.0, 1.0, 3)
         path = Trajectory(path_id=0, times=times, states=np.array([[1.0], [0.0], [1.0]]))
