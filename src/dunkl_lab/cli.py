@@ -18,7 +18,6 @@ import sys
 
 import numpy as np
 
-from . import verify as verify_mod
 from ._engine import DEFAULT_CHUNK
 from .config import load_run_config
 from .errors import DunklLabError, InvalidArgumentError
@@ -30,7 +29,6 @@ from .root_systems import (
     check_invariance_condition,
     multiplicity,
 )
-from .verify import harmonicity_check, render_table, reports_to_json, run_suite
 
 
 def _env_seed():
@@ -130,6 +128,8 @@ def cmd_simulate_dunkl(args):
 
 
 def cmd_verify_harmonic(args):
+    from .verify import harmonicity_check, render_table
+
     system = _build_system(args.system, args.n)
     k = _parse_k(args.k, system)
     seed = _env_seed()
@@ -151,6 +151,8 @@ def cmd_verify_harmonic(args):
 
 
 def cmd_verify_suite(args):
+    from .verify import render_table, reports_to_json, run_suite, suite_passed
+
     cfg = load_run_config(args.config, args.set or (), seed_override=_env_seed())
     reports = run_suite(
         cfg.system, cfg.k, cfg.x0,
@@ -159,7 +161,7 @@ def cmd_verify_suite(args):
     )
     print(render_table(reports))
     print(reports_to_json(reports, indent=2))
-    return 0 if verify_mod.suite_passed(reports) else 1
+    return 0 if suite_passed(reports) else 1
 
 
 def cmd_export_plot_data(args):

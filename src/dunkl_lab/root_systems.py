@@ -30,6 +30,7 @@ GROUP_DEDUP_TOL = 1e-9    # max-entry tolerance for identifying group elements
 NORM_TOL = 1e-12          # tolerance on α·α = 2
 DEFAULT_BOUNDARY_TOL = 1e-12
 WEYL_GROUP_CAP = 10**6
+CLOSURE_BATCH = 1 << 8    # candidate products g·w the closure forms at once
 
 
 def reflect(alpha, x):
@@ -151,32 +152,37 @@ def generate_weyl_group(roots):
     """Breadth-first closure of the reflections σ_α under composition.
 
     Deterministic element order: identity, then discovery order when
-    multiplying by the generators in root order.  Raises
+    multiplying by the generators in root order.  The products g·w of a
+    frontier are formed ``CLOSURE_BATCH`` at a time.  Raises
     ``GroupCapExceededError`` if the closure exceeds ``WEYL_GROUP_CAP``
     elements, which guards against accidental non-root input.
     """
     roots = np.atleast_2d(np.asarray(roots, dtype=float))
     n = roots.shape[1]
-    gens = [reflection_matrix(a) for a in roots]
+    gens = np.stack([reflection_matrix(a) for a in roots])
     identity = np.eye(n)
     elements = [identity]
     seen = {_dedup_key(identity)}
-    frontier = [identity]
-    while frontier:
+    frontier = identity[None]
+    step = max(1, CLOSURE_BATCH // len(gens))  # frontier elements per batch
+    while len(frontier):
         new_frontier = []
-        for w in frontier:
-            for g in gens:
-                cand = g @ w
-                key = _dedup_key(cand)
+        for lo in range(0, len(frontier), step):
+            # candidates g·w in (w, g) order, one product and one rounding per batch
+            cands = np.matmul(gens[None], frontier[lo:lo + step, None]).reshape(-1, n, n)
+            keys = _dedup_key(cands)
+            size = len(keys) // len(cands)
+            for i, cand in enumerate(cands):
+                key = keys[i * size:(i + 1) * size]
                 if key not in seen:
                     seen.add(key)
-                    elements.append(cand)
-                    new_frontier.append(cand)
+                    elements.append(cand.copy())  # not a view that keeps the batch alive
+                    new_frontier.append(elements[-1])
                     if len(elements) > WEYL_GROUP_CAP:
                         raise GroupCapExceededError(
                             f"reflection closure exceeded {WEYL_GROUP_CAP} elements"
                         )
-        frontier = new_frontier
+        frontier = np.array(new_frontier).reshape(-1, n, n)
     return np.stack(elements)
 
 

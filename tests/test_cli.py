@@ -275,7 +275,7 @@ class TestCommands:
 class TestVerifySuiteCommand:
     # SHA-256 of the suite's reports, runtimes removed, as sorted-key JSON
     QUICK_SUITE_SHA256 = (
-        "6c2158d07e70c0695bec6d700c54abfb9611318e8d928390bf69db14212f4760")
+        "b5a6d01141c5d8555fd8a47aa65b0170696af8087f0217fe22e29ac7e7442917")
 
     def test_quick_suite(self, tmp_path, capsys):
         """Very small sizes: the wiring, not the statistics.

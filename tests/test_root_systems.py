@@ -26,6 +26,32 @@ from dunkl_lab import root_systems
 from dunkl_lab.root_systems import Multiplicity
 
 
+def _loop_closure(roots):
+    """Reference closure: one product g·w and one key at a time, in (w, g) order."""
+    gens = [root_systems.reflection_matrix(a) for a in roots]
+    elements = [np.eye(roots.shape[1])]
+    seen = {root_systems._dedup_key(elements[0])}
+    frontier = elements[:]
+    while frontier:
+        new_frontier = []
+        for w in frontier:
+            for g in gens:
+                cand = g @ w
+                key = root_systems._dedup_key(cand)
+                if key not in seen:
+                    seen.add(key)
+                    elements.append(cand)
+                    new_frontier.append(cand)
+        frontier = new_frontier
+    return np.stack(elements)
+
+
+def _dihedral_roots(m):
+    """The 2m roots of the dihedral system I2(m), normalized."""
+    angles = np.pi * np.arange(2 * m) / m
+    return normalize_roots(np.stack([np.cos(angles), np.sin(angles)], axis=1))
+
+
 class TestReflect:
     def test_basic_swap(self):
         out = reflect(np.array([1.0, -1.0]), np.array([1.0, 0.0]))
@@ -145,6 +171,26 @@ class TestAxioms:
             build_type_b(2)
         monkeypatch.setattr(root_systems, "WEYL_GROUP_CAP", 8)
         assert len(build_type_b(2).weyl_group) == 8
+
+    @pytest.mark.parametrize("batch", [1, 7, root_systems.CLOSURE_BATCH])
+    def test_weyl_group_matches_loop_closure(self, monkeypatch, batch):
+        """The batched closure gives the one-product-at-a-time closure's
+        elements bit for bit and in its order, whatever the batch size."""
+        monkeypatch.setattr(root_systems, "CLOSURE_BATCH", batch)
+        theta = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))[0]
+        cases = [build_type_b(n).roots for n in (2, 3, 4)]
+        cases += [build_type_a(n).roots for n in (3, 4, 5)]
+        cases += [_dihedral_roots(m) for m in (5, 7, 8)]
+        cases.append(build_type_b(3).roots @ theta.T)
+        for roots in cases:
+            got = root_systems.generate_weyl_group(roots)
+            assert got.tobytes() == _loop_closure(roots).tobytes()
+
+    def test_weyl_group_cap_in_small_batches(self, monkeypatch):
+        monkeypatch.setattr(root_systems, "CLOSURE_BATCH", 3)
+        monkeypatch.setattr(root_systems, "WEYL_GROUP_CAP", 47)
+        with pytest.raises(GroupCapExceededError):
+            build_type_b(3)
 
     def test_reflections_in_group_match_roots(self, b2):
         # order-2 elements with a fixed hyperplane are exactly the σ_α

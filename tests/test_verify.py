@@ -154,6 +154,31 @@ class TestNormBessel:
         a.pop("runtime"), b.pop("runtime")
         assert a == b
 
+    @pytest.mark.parametrize("n", [400, 2000, 10000])
+    def test_agrees_with_kstest(self, n):
+        """The statistic is kstest's bit for bit; the doubled one-sided tail
+        is at least kstest's two-sided p-value, within 1e-4 of it below 0.05,
+        and gives the same verdict; on exact samples (dim 10) and on shifted
+        dimensions.
+
+        kstest's p-value at n > 140 and n·D² < 2.2 comes from the Pelz–Good
+        series, which overshoots the exact (Durbin matrix) value by about
+        1e-6 relative, so "at least" is checked to within 1e-5.
+        """
+        from scipy import stats as sps
+
+        start, horizon = np.sqrt(5.0), 1.0
+        norms = exact_norms(10.0, start, horizon, n)
+        for dim in (10.0, 9.8, 10.2, 9.0, 11.0):
+            rep = norm_is_bessel(norms, dim, start, horizon)
+            ref = sps.kstest(norms**2 / horizon, sps.ncx2(df=dim, nc=start**2 / horizon).cdf)
+            exact = float(ref.pvalue)
+            assert rep.details["ks_statistic"] == float(ref.statistic)
+            assert rep.estimate >= exact * (1.0 - 1e-5)
+            if exact < 0.05:
+                assert rep.estimate <= exact * (1.0 + 1e-4)
+            assert rep.passed == (exact >= 0.01)
+
 
 class TestMartingale:
     def test_bias_coefficient_is_small(self, b2):
@@ -354,6 +379,26 @@ class TestLabelLaw:
         assert one.details["expected"][1] == pytest.approx(0.0056, rel=0.01)
         assert one.passed and 2.4 < one.estimate < 2.7
         assert not two.passed
+
+    def test_normal_quantiles_match_scipy_stats(self, rank1, b3):
+        """The bound and the Poisson scores equal their ``norm.isf`` forms bit for bit."""
+        from scipy import special
+        from scipy import stats as sps
+
+        times = np.linspace(0.0, 1.0, 11)
+        for system, x0 in ((rank1, 1.0), (b3, (3.0, 2.0, 1.0))):
+            path = Trajectory(path_id=0, times=times,
+                              states=np.tile(np.asarray(x0, dtype=float), (11, 1)))
+            rep = label_law(types.SimpleNamespace(trajectories=[path]),
+                            build_lift_plan(system, multiplicity(system, 1.0)))
+            bound = sps.norm.isf(0.01 / (2 * len(system.weyl_group)))
+            assert rep.tolerance == float(bound)
+        count = np.arange(12)[:, None]
+        mean = np.array([1e-3, 0.03, 0.7, 3.0, 9.5])
+        upper = np.where(count > 0, special.pdtrc(np.maximum(count - 1, 0), mean), 1.0)
+        score = np.maximum(sps.norm.isf(np.minimum(upper, special.pdtr(count, mean))), 0.0)
+        z = np.where(upper < special.pdtr(count, mean), score, -score)
+        assert verify._poisson_z(count, mean).tobytes() == z.tobytes()
 
     @pytest.mark.parametrize("seed", [5, 6, 8])
     def test_b3_rare_labels_pass(self, b3, seed):
