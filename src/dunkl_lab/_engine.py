@@ -13,12 +13,15 @@ streams, so results are independent of blocking and worker count.
 A vector step is one fused accept test.  The block carries A·x of every
 path from the proposal it accepted, so a step computes A·x once: the
 smallest signed distance (A·x)·sign both tests that the proposal keeps its
-chamber and is the wall distance of an accepted path.  Norms for the
-contact threshold are taken only for paths a cheap bound cannot clear.  A
-block derives its paths' ``DIFFUSION`` keys in one ``rng.keys`` call; a
-path's ``RETRY`` generator is built when the path first needs
-``cover_interval``, from the block's retry keys, which one call derives
-when its first path needs them.
+chamber and is the wall distance of an accepted path.  Per-root operands
+(k and the sign pattern) are tiled to the block's full width, so each
+elementwise op is one equal-shape loop.  While every path of the block is
+active and every proposal accepted, a step keeps no index sets and tests
+one scalar, the smallest wall distance.  Norms for the contact threshold
+are taken only for paths a cheap bound cannot clear.  A block derives its
+paths' ``DIFFUSION`` keys in one ``rng.keys`` call; a path's ``RETRY``
+generator is built when the path first needs ``cover_interval``, from the
+block's retry keys, which one call derives when its first path needs them.
 
 Proposals that would cross a reflecting hyperplane are never accepted.
 Without ``stop_at_t0`` the interval is bisected with fresh noise, at most
@@ -46,8 +49,7 @@ TERM_HORIZON = 0
 TERM_T0 = 1
 TERM_STEP_FAILURE = 2
 
-TERMINATION_LABELS = {TERM_HORIZON: "horizon", TERM_T0: "T0",
-                      TERM_STEP_FAILURE: "step_failure"}
+TERMINATION_LABELS = np.array(["horizon", "T0", "step_failure"])   # by TERM_* code
 
 MAX_HALVINGS = 20          # bisections of a grid interval before a step failure
 EPS_WALL = 1e-8            # wall contact: distance below EPS_WALL·(1 + ‖x‖)
@@ -162,10 +164,16 @@ def _run_block(params: EngineParams, first_path: int, n_paths: int) -> EngineRes
 
     cur = np.tile(np.asarray(params.x0, dtype=float), (n_paths, 1))
     signs = np.sign(A @ params.x0)
+    # Full-width copies: (N, m) ⊙ (N, m) runs one inner loop, where an (m,)
+    # row broadcast over (N, m) runs one per path.
+    k_rows, sign_rows = (np.tile(v, (n_paths, 1)) for v in (params.kvec, signs))
+    h_steps = np.diff(tgrid)
+    all_rows = np.arange(n_paths)
     retry = {}   # RETRY generators of the paths that needed cover_interval
     rejected = np.zeros(n_paths, dtype=np.int64)
 
     active = np.ones(n_paths, dtype=bool)
+    n_active = n_paths
     termination = np.full(n_paths, TERM_HORIZON, dtype=np.int8)
     stop_index = np.full(n_paths, n_steps, dtype=np.int64)
     t0_time = np.full(n_paths, np.nan)
@@ -176,7 +184,9 @@ def _run_block(params: EngineParams, first_path: int, n_paths: int) -> EngineRes
         states[:, 0] = cur
 
     def _terminate(j, code, t_end, index):
+        nonlocal n_active
         active[j] = False
+        n_active -= 1
         termination[j] = code
         stop_index[j] = index
         if code == TERM_T0:
@@ -185,67 +195,70 @@ def _run_block(params: EngineParams, first_path: int, n_paths: int) -> EngineRes
     # d_cur holds A·x of every active path, carried over from the accepted
     # proposal; matmuls over a subset of rows give the same bits per row.
     d_cur = cur @ A.T
-    min_wd = _row_min(d_cur * signs)
+    min_wd = _row_min(d_cur * sign_rows)
 
     for step in range(n_steps):
-        if not active.any():
+        if not n_active:
             if params.record:
                 states[:, step + 1:] = cur[:, None, :]
             break
         xi_step = _xi(step)
-        act = np.nonzero(active)[0]
-        full = len(act) == n_paths
+        full = n_active == n_paths
+        act = all_rows if full else np.flatnonzero(active)
         sel = slice(None) if full else act
-        t0s, t1s = float(tgrid[step]), float(tgrid[step + 1])
-        h = t1s - t0s
-        d = d_cur[sel]
-        drift = (params.kvec / d) @ A
-        prop = cur[sel] + drift * h + math.sqrt(h) * xi_step[sel]
+        h, t1s = h_steps[step], float(tgrid[step + 1])
+        prop = (k_rows[:n_active] / d_cur[sel]) @ A
+        prop *= h
+        prop += cur[sel]
+        prop += math.sqrt(h) * xi_step[sel]
         pd = prop @ A.T
         # A proposal keeps its sign pattern iff every signed distance is > 0;
         # the smallest one is then its wall distance.
-        wd = _row_min(pd * signs)
-        ok = wd > 0
+        wd = _row_min(pd * sign_rows[:n_active])
+        wd_min = wd.min()
 
-        if full and ok.all():
+        if full and wd_min > 0:
+            # every path active and every proposal accepted
             cur, d_cur = prop, pd
-        elif full:
-            for dst, src in ((cur, prop), (d_cur, pd)):
-                np.copyto(dst, src, where=ok[:, None])
-        else:
-            rows = act[ok]
-            cur[rows], d_cur[rows] = prop[ok], pd[ok]
-
-        redo = np.flatnonzero(~ok)
-        if params.stop_at_t0:
-            for j in act[redo]:
-                _terminate(j, TERM_T0, t1s, step)
-        elif redo.size:
-            rows = act[redo]
-            if not retry:
-                retry_keys = rngmod.keys(seed, rngmod.RETRY, paths)
-            retry.update((j, rngmod.stream(retry_keys[j])) for j in rows if j not in retry)
-            x = cur[rows]
-            covered, rej = cover_interval(params, [retry[j] for j in rows], x, signs,
-                                          h, xi_step[rows])
-            rejected[rows] += rej
-            for j in rows[~covered]:
-                _terminate(j, TERM_STEP_FAILURE, t1s, step)
-            rows, redo = rows[covered], redo[covered]
-            cur[rows] = x[covered]
-            d_cur[rows] = cur[rows] @ A.T
-            wd[redo] = _row_min(d_cur[rows] * signs)
-
-        if full and active.all():
             np.minimum(min_wd, wd, out=min_wd)
         else:
+            ok = wd > 0
+            if full:
+                for dst, src in ((cur, prop), (d_cur, pd)):
+                    np.copyto(dst, src, where=ok[:, None])
+            else:
+                rows = act[ok]
+                cur[rows], d_cur[rows] = prop[ok], pd[ok]
+
+            redo = np.flatnonzero(~ok)
+            if params.stop_at_t0:
+                for j in act[redo]:
+                    _terminate(j, TERM_T0, t1s, step)
+            elif redo.size:
+                rows = act[redo]
+                if not retry:
+                    retry_keys = rngmod.keys(seed, rngmod.RETRY, paths)
+                retry.update((j, rngmod.stream(retry_keys[j])) for j in rows if j not in retry)
+                x = cur[rows]
+                covered, rej = cover_interval(params, [retry[j] for j in rows], x, signs,
+                                              h, xi_step[rows])
+                rejected[rows] += rej
+                for j in rows[~covered]:
+                    _terminate(j, TERM_STEP_FAILURE, t1s, step)
+                rows, redo = rows[covered], redo[covered]
+                cur[rows] = x[covered]
+                d_cur[rows] = cur[rows] @ A.T
+                wd[redo] = _row_min(d_cur[rows] * signs)
+
             live = active[act]
             act, wd = act[live], wd[live]
             min_wd[act] = np.minimum(min_wd[act], wd)
+            wd_min = wd.min(initial=np.inf)
         # ‖x‖ ≤ n·max|x_i| bounds every path's contact threshold from above,
         # so only paths below that bound need their own norm.
-        near = wd < EPS_WALL * (1.0 + 2.0 * nd * np.abs(cur).max())
-        if near.any():
+        bound = EPS_WALL * (1.0 + 2.0 * nd * max(cur.max(), -cur.min()))
+        if wd_min < bound:
+            near = wd < bound
             rows = act[near]
             eps = EPS_WALL * (1.0 + np.linalg.norm(cur[rows], axis=1))
             hit = rows[wd[near] < eps]

@@ -165,8 +165,7 @@ def _run(res: _engine.EngineResult, states, jumps=None) -> Run:
         times=res.tgrid, stop_index=res.stop_index, t0_times=res.t0_time,
         final_states=(res.final if states is None
                       else states[np.arange(len(states)), res.stop_index]),
-        termination=np.array([_engine.TERMINATION_LABELS[int(c)]
-                              for c in res.termination]),
+        termination=_engine.TERMINATION_LABELS[res.termination],
         wall_contact=res.wall_contact, min_wall_distance=res.min_wall_distance,
         n_rejected=res.n_rejected, states=states, jumps=jumps)
 

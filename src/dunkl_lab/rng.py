@@ -19,6 +19,8 @@ import itertools
 
 import numpy as np
 
+from .errors import InvalidArgumentError
+
 # Stream purposes.  Values are part of the reproducibility contract: changing
 # them changes every simulated path.
 DIFFUSION = 0   # per-path Gaussian increments, consumed one grid step at a time
@@ -82,7 +84,7 @@ def keys(seed: int, purpose: int, *key) -> np.ndarray:
              np.asarray(k, dtype=np.uint64) for k in key]
     if seed < 0 or not all(0 <= p <= _MASK if isinstance(p, int)
                            else p.max(initial=0) <= _MASK for p in [purpose] + parts):
-        raise ValueError("seed must be ≥ 0 and key parts in [0, 2**32)")
+        raise InvalidArgumentError("seed must be ≥ 0 and key parts in [0, 2**32)")
     pool, const = _pool(seed, purpose)
     pool = list(pool)
     _mix_in(pool, const, parts)

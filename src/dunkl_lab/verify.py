@@ -632,6 +632,8 @@ def rotation_covariance_paths(system, k, x0, config: SimulationConfig, *,
 def harmonicity_check(system, k, *, n_points=100, seed=0, tol=1e-5,
                       which="delta", name=None):
     """Max relative residual of a harmonicity identity at random points."""
+    if n_points < 1:
+        raise InvalidArgumentError(f"n_points must be at least 1, got {n_points}")
     if name is None:
         name = f"harmonic-{which}"
     rng = rngmod.stream(rngmod.keys(seed, rngmod.CHECK, 4))

@@ -197,6 +197,27 @@ class TestCommands:
         assert "harmonic-delta_bar" in out
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_verify_harmonic_rejects_points_below_one(self, capsys, points):
+        rc = main(["verify-harmonic", "--system", "B", "--n", "2", "--k", "1.0",
+                   "--points", points])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error:") and "n_points" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("where", ["flag", "env"])
+    def test_verify_harmonic_rejects_a_negative_seed(self, capsys, monkeypatch, where):
+        argv = ["verify-harmonic", "--system", "B", "--n", "2", "--k", "1.0", "--points", "5"]
+        if where == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            monkeypatch.setenv("DUNKL_LAB_SEED", "-1")
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and "seed" in err
+
     def test_export_plot_data(self, tmp_path, capsys):
         out_path = tmp_path / "traj.csv"
         doc = base_doc(output={"path": str(out_path), "format": "csv"})

@@ -139,7 +139,9 @@ ENGINE_FIELDS = ("tgrid", "final", "stop_index", "termination", "t0_time",
 def _engine_digest(res):
     h = hashlib.sha256()
     for name in ENGINE_FIELDS:
-        h.update(np.ascontiguousarray(getattr(res, name)).tobytes())
+        value = getattr(res, name)
+        if value is not None:     # ``states`` of an unrecorded run
+            h.update(np.ascontiguousarray(value).tobytes())
     return h.hexdigest()
 
 
@@ -168,6 +170,18 @@ ENGINE_CONTRACT = {
     "stop_at_t0": (dict(k=0.3, stop_at_t0=True), dict(), (
         "a0a0f9e7a0cbba2a3170f81c61930332b1105cd085fb348ad7afef3a5b5c157e",
         0, (99, 201, 0))),
+    # a wide contact threshold: 16 paths touch a wall, none stops
+    "wall_contact": (dict(), dict(EPS_WALL=1e-2), (
+        "daae5afcaaeb966d7b2e910e5eb162021ea9c9944b8f204457b341d1b2888b3e",
+        59, (300, 0, 0))),
+    # contacts and crossings both stop paths at T0
+    "contact_stops": (dict(k=0.3, stop_at_t0=True), dict(EPS_WALL=1e-2), (
+        "0753c4e5197e320cad257dd4b1abc64dedb42e174d57afd3bc0ecdd2f34a298d",
+        0, (75, 225, 0))),
+    # no states kept, as in an unrecorded radial run
+    "unrecorded": (dict(record=False), dict(), (
+        "c15a222507067d625aad08f7fc7f21dd9a01ab8965e594bd1a0b2f548848d84b",
+        59, (300, 0, 0))),
 }
 
 
