@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -284,6 +283,8 @@ def _run_block(params: EngineParams, first_path: int, n_paths: int) -> EngineRes
 
 
 def _merge(results, tgrid):
+    if len(results) == 1:
+        return results[0]
     return EngineResult(
         tgrid=tgrid,
         final=np.concatenate([r.final for r in results]),
@@ -314,6 +315,7 @@ def run_paths(params: EngineParams, n_paths: int, threads: int = 1,
     if threads <= 1:
         results = [_run_block(params, s, c) for s, c in ranges]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing
         with ProcessPoolExecutor(max_workers=threads) as pool:
             futures = [pool.submit(_run_block, params, s, c) for s, c in ranges]
             results = [f.result() for f in futures]

@@ -25,6 +25,12 @@ X on the grid is v·Z, written over the recorded states.  A jump is logged
 with pre = v·Z(τ), Z interpolated along its segment, and post = σ_α·pre,
 so post = pre − (α·pre)α exactly.  Each path draws from one ``FLIP``
 stream, so neither blocking nor the engine's workers change the output.
+
+A block's clocks are held time-major, as (root, grid point, path): the
+prefix sums are one vector add per grid step across all roots and paths.
+Each (root, path) still adds its segments in time order, as ``np.cumsum``
+does along a path, so the values are ``cumulative_time_change``'s bit for
+bit.
 """
 
 from __future__ import annotations
@@ -131,14 +137,25 @@ def label_table(plan, stages):
     return root, np.where(active, flip, np.arange(len(group))[:, None])
 
 
-def _dots(x, alpha):
-    """x·α over the last axis, added in coordinate order over α's nonzero
-    coordinates, so that every batch of rows gets the same bits."""
+def _dots(coords, alpha):
+    """x·α from the coordinate arrays ``coords[c]`` of x, added in coordinate
+    order over α's nonzero coordinates, so that every layout gets the same
+    bits."""
     c, *rest = np.flatnonzero(alpha)
-    d = x[..., c] * alpha[c]
+    d = coords[c] * alpha[c]
     for c in rest:
-        d += x[..., c] * alpha[c]
+        d += coords[c] * alpha[c]
     return d
+
+
+def _increments(h, d0, d1, out=None):
+    """The clock's increment h/(d₀·d₁) on each straight segment, d = Y·α at
+    its ends.  Raises ``SingularClockError`` if a segment meets the
+    hyperplane of α."""
+    seg = np.multiply(d0, d1, out=out)
+    if not seg.min(initial=np.inf) > 0.0:
+        raise SingularClockError("a path meets the hyperplane of α")
+    return np.divide(h, seg, out=seg)
 
 
 def cumulative_time_change(times, states, alpha):
@@ -149,13 +166,9 @@ def cumulative_time_change(times, states, alpha):
     has shape (..., M+1).  Raises ``SingularClockError`` if a segment
     meets the hyperplane of α.
     """
-    d = _dots(states, alpha)
-    seg = d[..., :-1] * d[..., 1:]
-    if not seg.min(initial=np.inf) > 0.0:
-        raise SingularClockError("a path meets the hyperplane of α")
-    np.divide(np.diff(times), seg, out=seg)
+    d = _dots(np.moveaxis(states, -1, 0), alpha)
     lam = np.zeros(d.shape)
-    np.cumsum(seg, axis=-1, out=lam[..., 1:])
+    np.cumsum(_increments(np.diff(times), d[..., :-1], d[..., 1:]), axis=-1, out=lam[..., 1:])
     return lam
 
 
@@ -178,27 +191,37 @@ def _draws(gens, totals, first, path, root):
     return np.array(rows, dtype=np.int64), np.array(values)
 
 
-def _search(table, row, value, hi):
-    """Per entry i, the largest j ≤ hi[i] with table[row[i], j] ≤ value[i];
-    rows are nondecreasing and table[row[i], 0] ≤ value[i]."""
+def _search(column, value, hi):
+    """Per entry i, the largest j ≤ hi[i] with column(j)[i] ≤ value[i]; each
+    entry's sequence is nondecreasing in j and column(0) ≤ value."""
     lo = np.zeros_like(hi)
     while np.any(lo < hi):
         mid = (lo + hi + 1) // 2
-        up = table[row, mid] <= value
+        up = column(mid) <= value
         lo, hi = np.where(up, mid, lo), np.where(up, hi, mid - 1)
     return lo
 
 
 class _Clocks:
     """The radial clocks Λ_β of one block of recorded paths Z: ``values``
-    (m, P, M+1) on the grid, for the positive ``roots`` β at ``rate`` c(β)."""
+    (m, M+1, P) on the grid, for the positive ``roots`` β at ``rate`` c(β).
+
+    One transposed copy of the block's states gives each root's increments
+    as (M, P) slabs; the prefix sums add slab j into slab j + 1 for all
+    roots at once, in time order, so the values are c(β)·
+    ``cumulative_time_change`` bit for bit."""
 
     def __init__(self, times, states, stop, roots, rate):
         self.times, self.states, self.stop, self.roots, self.rate = times, states, stop, roots, rate
-        self.values = np.zeros((len(roots), *states.shape[:2]))
+        coords = states.transpose(2, 1, 0).copy()   # (n, M+1, P)
+        h = np.diff(times)[:, None]
+        self.values = np.zeros((len(roots), *coords.shape[1:]))
         for q in np.flatnonzero(rate):
-            np.multiply(cumulative_time_change(times, states, roots[q]), rate[q],
-                        out=self.values[q])
+            d = _dots(coords, roots[q])
+            _increments(h, d[:-1], d[1:], out=self.values[q, 1:])
+        for j in range(len(times) - 1):
+            self.values[:, j + 1] += self.values[:, j]
+        self.values *= rate[:, None, None]
 
     def _segment(self, path, q, j):
         """Step, d₀ and d₁ of grid segment j of each path for root q."""
@@ -212,15 +235,14 @@ class _Clocks:
         j = np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, len(self.times) - 2)
         h, d0, d1 = self._segment(path, q, j)
         theta = (t - self.times[j]) / h
-        return self.values[q, path, j] + self.rate[q] * h * theta / (d0 * (d0 + theta * (d1 - d0)))
+        return self.values[q, j, path] + self.rate[q] * h * theta / (d0 * (d0 + theta * (d1 - d0)))
 
     def time_of(self, path, q, value):
         """The time at which Λ_q of each path reaches ``value``: on its segment
         θ = ρ·d₀²/(h − ρ·d₀·(d₁ − d₀)) for the remaining unit clock ρ."""
-        flat = self.values.reshape(-1, self.values.shape[-1])
-        j = _search(flat, q * len(self.stop) + path, value, self.stop[path] - 1)
+        j = _search(lambda j: self.values[q, j, path], value, self.stop[path] - 1)
         h, d0, d1 = self._segment(path, q, j)
-        rho = (value - self.values[q, path, j]) / self.rate[q]
+        rho = (value - self.values[q, j, path]) / self.rate[q]
         theta = np.clip(rho * d0 * d0 / (h - rho * d0 * (d1 - d0)), 0.0, 1.0)
         return self.times[j] + theta * h
 
@@ -254,7 +276,7 @@ def _joint_stages(gens, clocks, first_path, start, flip):
     """Jumps (path, time, β) of the general-clock stages: each root's unit
     Poisson arrivals on Λ_β, kept where ``flip`` moves the label."""
     n_paths, m = len(gens), len(clocks.roots)
-    totals = clocks.values[:, np.arange(n_paths), clocks.stop].T
+    totals = clocks.values[:, clocks.stop, np.arange(n_paths)].T
     first = np.array([gen.standard_exponential(m) for gen in gens])
     # row i·m + β draws after row i·m + β − 1, from path i's stream
     rows, value = _draws([gen for gen in gens for _ in range(m)], totals.ravel(),
@@ -296,7 +318,7 @@ def _flip_stage(gens, clocks, first_path, jumps, start, flip, root, alpha):
     fpath, value = _draws(gens, ends[:, -1], first, first_path + np.arange(n_paths),
                           np.full(n_paths, alpha))
     begins = np.concatenate([np.zeros((n_paths, 1)), ends[:, :-1]], axis=1)
-    k = _search(begins, fpath, value, np.full(len(fpath), pieces - 1))
+    k = _search(lambda j: begins[fpath, j], value, np.full(len(fpath), pieces - 1))
     fq = beta[fpath, k]
     ftime = np.clip(clocks.time_of(fpath, fq, lo[fpath, k] + (value - begins[fpath, k])),
                     bounds[fpath, k], bounds[fpath, k + 1])

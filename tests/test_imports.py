@@ -15,6 +15,7 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(dunkl_lab.__file__)))
 @pytest.mark.parametrize("module, absent", [
     ("dunkl_lab.verify", ["scipy.stats"]),
     ("dunkl_lab.cli", ["scipy.stats", "scipy.special"]),
+    ("dunkl_lab", ["concurrent.futures.process", "multiprocessing"]),
 ])
 def test_import_leaves_out(module, absent):
     code = (f"import sys, json, {module}; "

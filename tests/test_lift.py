@@ -10,6 +10,7 @@ from dunkl_lab import (
     SingularClockError,
     UnsupportedRegimeError,
     build_lift_plan,
+    build_type_a,
     build_type_b,
     cumulative_time_change,
     multiplicity,
@@ -131,6 +132,57 @@ class TestTimeChange:
         assert batch.shape == states.shape[:2]
         for row, traj in zip(batch, run.trajectories):
             assert np.array_equal(row, cumulative_time_change(times, traj.states, alpha))
+
+
+class TestClockRule:
+    """The lift's block clocks and ``cumulative_time_change`` are one rule:
+    ``_Clocks`` grid values are c(β)·Ã_β bit for bit, for every positive
+    root β, and a zero-rate root has a zero clock and no wall check."""
+
+    @staticmethod
+    def _check(plan, x0, cfg):
+        res = lift._run_engine(plan.system, plan.k, x0, cfg, record=True, threads=1,
+                               any_chamber=True)
+        rate = np.asarray(plan.rates)[np.argsort(plan.enumeration)]
+        pos = plan.system.positive_roots
+        clocks = lift._Clocks(res.tgrid, res.states, res.stop_index, pos, rate)
+        assert clocks.values.shape == (len(pos), len(res.tgrid), cfg.n_paths)
+        for q, beta in enumerate(pos):
+            want = (rate[q] * cumulative_time_change(res.tgrid, res.states, beta) if rate[q]
+                    else np.zeros(res.states.shape[:2]))
+            assert clocks.values[q].T.tobytes() == want.tobytes(), q
+        return res, rate
+
+    @pytest.mark.parametrize("system, x0, mode, rates", [
+        (build_type_b(2), [2.0, 1.0], "auto", None),
+        (build_type_b(2), [2.0, 1.0], "auto", (0.7, 2.5)),
+        (build_type_b(4), [4.0, 3.0, 2.0, 1.0], "general", None),
+        (build_type_a(3), [1.0, 0.0, -1.0], "auto", None),
+    ])
+    def test_block_clocks_are_the_public_clocks(self, system, x0, mode, rates):
+        k = multiplicity(system, 1.0)
+        plan = build_lift_plan(system, k, mode=mode,
+                               rates=None if rates is None else multiplicity(system, rates))
+        self._check(plan, x0, small_cfg(n_paths=40, horizon=0.2))
+
+    def test_a_zero_rate_orbit(self, b2, k_one):
+        plan = build_lift_plan(b2, k_one, rates=multiplicity(b2, (1.0, 0.0)))
+        res, rate = self._check(plan, [2.0, 1.0], small_cfg(n_paths=20, horizon=0.1))
+        assert np.array_equal(rate, [1.0, 1.0, 0.0, 0.0])
+        # Path 3 touches the wall of the short root (0, √2) at grid index 5.
+        states = res.states.copy()
+        states[3, 5] = [2.0, 0.0]
+        pos, args = b2.positive_roots, (res.tgrid, states, res.stop_index)
+        assert not lift._Clocks(*args, pos, rate).values[2:].any()
+        with pytest.raises(SingularClockError, match="hyperplane"):
+            lift._Clocks(*args, pos, np.ones(4))
+
+    def test_paths_stopped_by_a_step_failure(self, b2, k_one, monkeypatch):
+        # The run of TestSimulateDunkl.test_no_jump_after_step_failure.
+        monkeypatch.setattr(_engine, "MAX_HALVINGS", 1)
+        cfg = SimulationConfig(horizon=2.0, dt=0.05, n_paths=200, seed=5)
+        res, _ = self._check(build_lift_plan(b2, k_one), [2.0, 1.0], cfg)
+        assert set(res.stop_index.tolist()) == {10, 40}
 
 
 class TestSimulateDunkl:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 import math
 from concurrent.futures import Future
@@ -330,7 +331,7 @@ class TestWorkers:
         (500, 5, [3]), (2, 5, [2]), (1, 5, []), (4, 4096, []), (0, 4096, [])])
     def test_at_most_one_worker_per_block(self, b2, k_one, monkeypatch, threads, chunk,
                                           workers):
-        monkeypatch.setattr(_engine, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "made", [])
         params = self._params(b2, k_one)
         res = _engine.run_paths(params, 12, threads=threads, chunk_size=chunk)
@@ -338,6 +339,6 @@ class TestWorkers:
         assert res.final.tobytes() == _engine.run_paths(params, 12, chunk_size=5).final.tobytes()
 
     def test_negative_threads_rejected(self, b2, k_one, monkeypatch):
-        monkeypatch.setattr(_engine, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
         with pytest.raises(InvalidArgumentError, match="threads"):
             _engine.run_paths(self._params(b2, k_one), 12, threads=-1)
