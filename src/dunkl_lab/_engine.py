@@ -22,6 +22,9 @@ are taken only for paths a cheap bound cannot clear.  A block derives its
 paths' ``DIFFUSION`` keys in one ``rng.keys`` call; a path's ``RETRY``
 generator is built when the path first needs ``cover_interval``, from the
 block's retry keys, which one call derives when its first path needs them.
+A recorded run holds one (N, M+1, n) array: each path's noise is drawn
+into its row of the states, and each grid step writes its state over the
+noise it has just read.
 
 Proposals that would cross a reflecting hyperplane are never accepted.
 Without ``stop_at_t0`` the interval is bisected with fresh noise, at most
@@ -54,7 +57,7 @@ MAX_HALVINGS = 20          # bisections of a grid interval before a step failure
 EPS_WALL = 1e-8            # wall contact: distance below EPS_WALL·(1 + ‖x‖)
 PROPOSAL_BUDGET = 100_000  # hard cap on sub-step proposals per grid interval
 DEFAULT_CHUNK = 4096
-NOISE_BUFFER = 8_000_000   # doubles of buffered noise per block segment
+NOISE_BUFFER = 8_000_000   # doubles of buffered noise per block segment, unrecorded runs
 
 
 @dataclass
@@ -146,8 +149,12 @@ def _run_block(params: EngineParams, first_path: int, n_paths: int) -> EngineRes
 
     paths = first_path + np.arange(n_paths)
     gens = [rngmod.stream(key) for key in rngmod.keys(seed, rngmod.DIFFUSION, paths)]
-    # Per-path streams are consumed one grid step at a time; buffering them
-    # in segments keeps memory bounded without changing any draw.
+    # Per-path streams are consumed one grid step at a time.  A recorded
+    # run draws each path's whole stream into its row of ``states``: step j
+    # reads grid point j + 1's noise there before writing the state over
+    # it.  An unrecorded run buffers the streams in segments, which keeps
+    # memory bounded without changing any draw.
+    states = np.empty((n_paths, n_steps + 1, nd)) if params.record else None
     seg_len = max(1, min(n_steps, NOISE_BUFFER // max(1, n_paths * nd)))
     xi_buf = np.empty((n_paths, 0, nd))
     seg_start = 0
@@ -156,7 +163,8 @@ def _run_block(params: EngineParams, first_path: int, n_paths: int) -> EngineRes
         nonlocal xi_buf, seg_start
         if not seg_start <= step < seg_start + xi_buf.shape[1]:
             seg_start = step
-            xi_buf = np.empty((n_paths, min(seg_len, n_steps - step), nd))
+            xi_buf = (states[:, 1:] if params.record
+                      else np.empty((n_paths, min(seg_len, n_steps - step), nd)))
             for gen, buf in zip(gens, xi_buf):
                 gen.standard_normal(out=buf)
         return xi_buf[:, step - seg_start]
@@ -177,9 +185,7 @@ def _run_block(params: EngineParams, first_path: int, n_paths: int) -> EngineRes
     stop_index = np.full(n_paths, n_steps, dtype=np.int64)
     t0_time = np.full(n_paths, np.nan)
     wall_contact = np.zeros(n_paths, dtype=bool)
-    states = None
     if params.record:
-        states = np.empty((n_paths, n_steps + 1, nd))
         states[:, 0] = cur
 
     def _terminate(j, code, t_end, index):

@@ -30,7 +30,8 @@ A block's clocks are held time-major, as (root, grid point, path): the
 prefix sums are one vector add per grid step across all roots and paths.
 Each (root, path) still adds its segments in time order, as ``np.cumsum``
 does along a path, so the values are ``cumulative_time_change``'s bit for
-bit.
+bit.  One block's clocks are alive at a time, so the pass needs the
+recorded paths plus one block of scratch.
 """
 
 from __future__ import annotations
@@ -402,4 +403,5 @@ def simulate_dunkl(plan, x0, config: SimulationConfig, *, stages=None, threads=1
         for alpha in plan.enumeration[g:n_stages]:
             jumps = _flip_stage(gens, clocks, first, jumps, start, flip, root, alpha)
         tables.append(_relabel(clocks, first, jumps, start, flip, root, system.weyl_group))
+        del clocks   # freed before the next block's clocks are allocated
     return _run(res, states, JumpTable(*map(np.concatenate, zip(*tables))) if tables else None)

@@ -30,6 +30,10 @@ FLIP = 3        # the lift's Poisson arrivals, one stream per path
 CHECK = 4       # verification-side sampling (oracles, test points)
 
 _MASK = 0xFFFFFFFF
+# Philox's start counter.  An array skips the conversion of the default
+# ``counter=None`` from a Python int; Philox copies it.
+_COUNTER = np.zeros(4, dtype=np.uint64)
+_COUNTER.flags.writeable = False
 
 
 # SeedSequence's uint32 hash mixing.  The operands are Python ints or uint64
@@ -114,4 +118,4 @@ def stream(key) -> np.random.Generator:
     """Generator at the start of the stream with Philox key ``key`` (one
     row of ``keys``).  Its ``seed_seq`` is not the stream's; do not
     ``spawn`` from it."""
-    return np.random.Generator(np.random.Philox(_Key(key)))
+    return np.random.Generator(np.random.Philox(_Key(key), counter=_COUNTER))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -382,6 +384,37 @@ class TestBlocking:
         alpha = b2.positive_roots[root]
         assert np.array_equal(post, pre - np.vecdot(pre, alpha)[:, None] * alpha)
         assert np.all((time > 0) & (time <= 0.5))
+
+
+class TestMemory:
+    # 256 recorded B2 paths of 2,000 steps: the (N, M+1, n) states take 8.2 MB.
+    def test_recorded_run_holds_one_path_array(self, b2, k_one):
+        """The engine draws a recorded run's noise into its states, so the
+        run's peak is the states and little else."""
+        params = _engine.EngineParams(
+            positive_roots=b2.positive_roots, kvec=k_one.per_positive(),
+            x0=np.array([2.0, 1.0]), tgrid=np.arange(2001) * 1e-3, seed=5, record=True)
+        tracemalloc.start()
+        try:
+            res = _engine.run_paths(params, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * res.states.nbytes
+
+    def test_lift_holds_one_block_of_clocks(self, b2, k_one, monkeypatch):
+        """Past the states it returns, the lift holds one block's clocks and
+        their scratch at a time: blocks of 50 paths here."""
+        monkeypatch.setattr(lift, "LIFT_BLOCK", 50 * 2001 * 4)
+        cfg = SimulationConfig(horizon=2.0, dt=1e-3, n_paths=256, seed=5)
+        plan = build_lift_plan(b2, k_one)
+        tracemalloc.start()
+        try:
+            run = simulate_dunkl(plan, [2.0, 1.0], cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - run.states.nbytes <= 2.6 * lift.LIFT_BLOCK * 8
 
 
 class TestLabelChain:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import zlib
 
@@ -53,10 +54,17 @@ def test_generator_from_a_batch_key_draws_the_stream():
     for p in (7, 3):
         assert np.array_equal(rng.stream(batch[p]).standard_exponential(9),
                               rng.stream(rng.keys(5, rng.FLIP, 2, p)).standard_exponential(9))
+    # ``stream`` opens Philox at a preset zero counter; the state and the
+    # draws, past a refill of its 4-word buffer, are the seed sequence's.
     old = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(5, spawn_key=(rng.FLIP, 2, 7))))
-    assert np.array_equal(rng.stream(rng.keys(5, rng.FLIP, 2, 7)).standard_normal(6),
-                          old.standard_normal(6))
+    ours = rng.stream(rng.keys(5, rng.FLIP, 2, 7))
+    assert np.array_equal(ours.standard_normal(10_001), old.standard_normal(10_001))
+    got, ref = ours.bit_generator.state, old.bit_generator.state
+    for field in ("counter", "key"):
+        assert np.array_equal(got["state"][field], ref["state"][field])
+    assert np.array_equal(got["buffer"], ref["buffer"])
+    assert got["buffer_pos"] == ref["buffer_pos"]
 
 
 @pytest.mark.parametrize("shape", [(rng.CLOCK, 0), (rng.RETRY,), (rng.CLOCK, 1)],
@@ -79,8 +87,9 @@ def test_engine_batch_keys_draw_the_streams(shape):
 @pytest.mark.parametrize("buffer", [_engine.NOISE_BUFFER, 7 * 2 * 3, 1])
 def test_engine_noise_is_each_paths_stream(monkeypatch, buffer):
     """With no drift and no wall in reach, x_{t+1} = x_t + 0 + √h·ξ_t, so the
-    recorded states pin every increment the engine drew, also when the
-    noise buffer is split into many segments and resumed."""
+    recorded states pin every increment the engine drew into them.  The
+    unrecorded run buffers the same noise, split into many segments and
+    resumed at the smaller sizes, and ends where the recorded one does."""
     monkeypatch.setattr(_engine, "NOISE_BUFFER", buffer)
     system = build_type_b(2)
     tgrid = np.arange(11) * 0.01
@@ -89,7 +98,10 @@ def test_engine_noise_is_each_paths_stream(monkeypatch, buffer):
         kvec=np.zeros(len(system.positive_roots)),
         x0=np.array([40.0, 20.0]), tgrid=tgrid, seed=11, record=True)
     res = _engine.run_paths(params, 7)
-    assert res.n_rejected.sum() == 0
+    bare = _engine.run_paths(dataclasses.replace(params, record=False), 7)
+    assert res.n_rejected.sum() == bare.n_rejected.sum() == 0
+    assert bare.states is None
+    assert np.array_equal(bare.final, res.states[:, -1])
     for p in range(7):
         xi = rng.stream(rng.keys(11, rng.DIFFUSION, p)).standard_normal((10, 2))
         x = params.x0
@@ -97,6 +109,24 @@ def test_engine_noise_is_each_paths_stream(monkeypatch, buffer):
             h = float(tgrid[step + 1]) - float(tgrid[step])
             x = x + np.zeros(2) * h + math.sqrt(h) * xi[step]
             assert np.array_equal(res.states[p, step + 1], x)
+        assert np.array_equal(bare.final[p], x)
+
+
+@pytest.mark.parametrize("case", ["stop_at_t0", "max_halvings"])
+def test_recorded_states_keep_no_noise_after_a_stop(monkeypatch, case):
+    """A recorded run draws its noise into its states; every grid state from
+    a path's stop on is its final state, so no noise is left in a row."""
+    from test_contract import ENGINE_CONTRACT, _engine_params
+
+    overrides, constants, _ = ENGINE_CONTRACT[case]
+    for name, value in constants.items():
+        monkeypatch.setattr(_engine, name, value)
+    params = _engine_params(**overrides)
+    res = _engine.run_paths(params, 300, chunk_size=128)
+    stopped = np.flatnonzero(res.termination != _engine.TERM_HORIZON)
+    assert stopped.size and np.all(res.stop_index[stopped] < len(params.tgrid) - 1)
+    for p in range(300):
+        assert (res.states[p, res.stop_index[p]:] == res.final[p]).all()
 
 
 def test_engine_keys_each_block_in_one_batch(monkeypatch):
