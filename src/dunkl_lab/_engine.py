@@ -22,9 +22,11 @@ are taken only for paths a cheap bound cannot clear.  A block derives its
 paths' ``DIFFUSION`` keys in one ``rng.keys`` call; a path's ``RETRY``
 generator is built when the path first needs ``cover_interval``, from the
 block's retry keys, which one call derives when its first path needs them.
-A recorded run holds one (N, M+1, n) array: each path's noise is drawn
-into its row of the states, and each grid step writes its state over the
-noise it has just read.
+A recorded run holds one (N, M+1, n) array, allocated once for all its
+blocks: each path's noise is drawn into its row of the states, and each
+grid step writes its state over the noise it has just read.  The path's
+generator is dropped once its row is filled, so a recorded block keeps no
+``DIFFUSION`` generators through its steps.
 
 Proposals that would cross a reflecting hyperplane are never accepted.
 Without ``stop_at_t0`` the interval is bisected with fresh noise, at most
@@ -140,7 +142,11 @@ def _row_min(a):
     return np.ascontiguousarray(a.T).min(axis=0)
 
 
-def _run_block(params: EngineParams, first_path: int, n_paths: int) -> EngineResult:
+def _run_block(params: EngineParams, first_path: int, n_paths: int,
+               states=None) -> EngineResult:
+    """Run paths ``first_path`` .. ``first_path + n_paths − 1``.  A recorded
+    block writes its grid states into ``states``, its rows of the run's
+    array, or into an array of its own when none is given."""
     A = params.positive_roots
     nd = A.shape[1]
     tgrid = params.tgrid
@@ -148,23 +154,31 @@ def _run_block(params: EngineParams, first_path: int, n_paths: int) -> EngineRes
     seed = params.seed
 
     paths = first_path + np.arange(n_paths)
-    gens = [rngmod.stream(key) for key in rngmod.keys(seed, rngmod.DIFFUSION, paths)]
+    path_keys = rngmod.keys(seed, rngmod.DIFFUSION, paths)
     # Per-path streams are consumed one grid step at a time.  A recorded
-    # run draws each path's whole stream into its row of ``states``: step j
-    # reads grid point j + 1's noise there before writing the state over
-    # it.  An unrecorded run buffers the streams in segments, which keeps
-    # memory bounded without changing any draw.
-    states = np.empty((n_paths, n_steps + 1, nd)) if params.record else None
+    # run draws each path's whole stream into its row of ``states`` and
+    # drops the path's generator: step j reads grid point j + 1's noise
+    # there before writing the state over it.  An unrecorded run keeps the
+    # generators and buffers their streams in segments, which keeps memory
+    # bounded without changing any draw.
+    if params.record:
+        if states is None:
+            states = np.empty((n_paths, n_steps + 1, nd))
+        for key, row in zip(path_keys, states[:, 1:]):
+            rngmod.stream(key).standard_normal(out=row)
+    else:
+        gens = [rngmod.stream(key) for key in path_keys]
     seg_len = max(1, min(n_steps, NOISE_BUFFER // max(1, n_paths * nd)))
     xi_buf = np.empty((n_paths, 0, nd))
     seg_start = 0
 
     def _xi(step):
         nonlocal xi_buf, seg_start
+        if params.record:
+            return states[:, step + 1]
         if not seg_start <= step < seg_start + xi_buf.shape[1]:
             seg_start = step
-            xi_buf = (states[:, 1:] if params.record
-                      else np.empty((n_paths, min(seg_len, n_steps - step), nd)))
+            xi_buf = np.empty((n_paths, min(seg_len, n_steps - step), nd))
             for gen, buf in zip(gens, xi_buf):
                 gen.standard_normal(out=buf)
         return xi_buf[:, step - seg_start]
@@ -288,21 +302,13 @@ def _run_block(params: EngineParams, first_path: int, n_paths: int) -> EngineRes
     )
 
 
-def _merge(results, tgrid):
-    if len(results) == 1:
-        return results[0]
-    return EngineResult(
-        tgrid=tgrid,
-        final=np.concatenate([r.final for r in results]),
-        stop_index=np.concatenate([r.stop_index for r in results]),
-        termination=np.concatenate([r.termination for r in results]),
-        t0_time=np.concatenate([r.t0_time for r in results]),
-        wall_contact=np.concatenate([r.wall_contact for r in results]),
-        min_wall_distance=np.concatenate([r.min_wall_distance for r in results]),
-        n_rejected=np.concatenate([r.n_rejected for r in results]),
-        states=(np.concatenate([r.states for r in results])
-                if results[0].states is not None else None),
-    )
+def _merge(results, tgrid, states):
+    """One result of the blocks' results, in path order; ``states`` holds
+    every block's recorded rows already."""
+    fields = ("final", "stop_index", "termination", "t0_time", "wall_contact",
+              "min_wall_distance", "n_rejected")
+    return EngineResult(tgrid=tgrid, states=states,
+                        **{f: np.concatenate([getattr(r, f) for r in results]) for f in fields})
 
 
 def run_paths(params: EngineParams, n_paths: int, threads: int = 1,
@@ -311,18 +317,28 @@ def run_paths(params: EngineParams, n_paths: int, threads: int = 1,
 
     Blocking is fixed by ``chunk_size`` and path randomness is path-keyed,
     so the output is identical for any ``threads`` (0 = one per CPU; at
-    most one worker per block).
+    most one worker per block).  A recorded run fills one (N, M+1, n)
+    array: a block run here writes its own rows, and a worker's rows are
+    copied in and dropped.
     """
     if threads < 0:
         raise InvalidArgumentError(f"threads must be ≥ 0, got {threads}")
     ranges = [(start, min(chunk_size, n_paths - start))
               for start in range(0, n_paths, chunk_size)]
     threads = min(threads or os.cpu_count() or 1, len(ranges))
+    states = (np.empty((n_paths, len(params.tgrid), params.positive_roots.shape[1]))
+              if params.record else None)
     if threads <= 1:
-        results = [_run_block(params, s, c) for s, c in ranges]
+        results = [_run_block(params, s, c, None if states is None else states[s:s + c])
+                   for s, c in ranges]
     else:
         from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing
         with ProcessPoolExecutor(max_workers=threads) as pool:
             futures = [pool.submit(_run_block, params, s, c) for s, c in ranges]
-            results = [f.result() for f in futures]
-    return _merge(results, params.tgrid)
+            results = []
+            for (s, c), future in zip(ranges, futures):
+                results.append(future.result())
+                if states is not None:
+                    states[s:s + c] = results[-1].states
+                    results[-1].states = None
+    return _merge(results, params.tgrid, states)

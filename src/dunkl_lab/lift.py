@@ -28,10 +28,14 @@ stream, so neither blocking nor the engine's workers change the output.
 
 A block's clocks are held time-major, as (root, grid point, path): the
 prefix sums are one vector add per grid step across all roots and paths.
-Each (root, path) still adds its segments in time order, as ``np.cumsum``
-does along a path, so the values are ``cumulative_time_change``'s bit for
-bit.  One block's clocks are alive at a time, so the pass needs the
-recorded paths plus one block of scratch.
+There is no transposed copy of the block: each root's slot takes its dots
+β·Z from one contiguous copy of one coordinate of Z at a time, and then its
+segment increments in place.  Each (root, path) still adds its segments in
+time order, as ``np.cumsum`` does along a path, so the values are
+``cumulative_time_change``'s bit for bit.  A block's clocks are freed
+before X = v·Z is written over its states, and before the next block's
+are built, so the pass needs the recorded paths plus about one block of
+clocks.
 """
 
 from __future__ import annotations
@@ -138,25 +142,37 @@ def label_table(plan, stages):
     return root, np.where(active, flip, np.arange(len(group))[:, None])
 
 
-def _dots(coords, alpha):
-    """x·α from the coordinate arrays ``coords[c]`` of x, added in coordinate
-    order over α's nonzero coordinates, so that every layout gets the same
-    bits."""
-    c, *rest = np.flatnonzero(alpha)
-    d = coords[c] * alpha[c]
-    for c in rest:
-        d += coords[c] * alpha[c]
-    return d
+def _dots(coord, alphas, out, scratch=None):
+    """x·α into ``out[i]`` for each row α of ``alphas``, from the coordinate
+    arrays ``coord(c)`` of x, each taken once: over α's nonzero coordinates,
+    the first product sets ``out[i]`` and each later one is added, in
+    coordinate order, so that every layout gets the same bits.  ``scratch``
+    takes the later products."""
+    started = np.zeros(len(alphas), dtype=bool)
+    for c in np.flatnonzero(alphas.any(axis=0)):
+        x = coord(c)
+        for i in np.flatnonzero(alphas[:, c]):
+            if started[i]:
+                out[i] += np.multiply(x, alphas[i, c], out=scratch)
+            else:
+                np.multiply(x, alphas[i, c], out=out[i])
+                started[i] = True
+        del x   # one coordinate's copy at a time
+    return out
 
 
-def _increments(h, d0, d1, out=None):
-    """The clock's increment h/(d₀·d₁) on each straight segment, d = Y·α at
-    its ends.  Raises ``SingularClockError`` if a segment meets the
+def _increments(h, d, seg=None):
+    """Overwrite the dots ``d`` = Y·α on the grid (axis 0) with the clock's
+    increments: 0 at the first point and h/(d₀·d₁) at the end of each
+    straight segment, d₀ and d₁ its dots.  ``seg`` is scratch shaped like
+    ``d[1:]``.  Raises ``SingularClockError`` if a segment meets the
     hyperplane of α."""
-    seg = np.multiply(d0, d1, out=out)
+    seg = np.multiply(d[:-1], d[1:], out=seg)
     if not seg.min(initial=np.inf) > 0.0:
         raise SingularClockError("a path meets the hyperplane of α")
-    return np.divide(h, seg, out=seg)
+    np.divide(h, seg, out=d[1:])
+    d[0] = 0.0
+    return d
 
 
 def cumulative_time_change(times, states, alpha):
@@ -167,10 +183,11 @@ def cumulative_time_change(times, states, alpha):
     has shape (..., M+1).  Raises ``SingularClockError`` if a segment
     meets the hyperplane of α.
     """
-    d = _dots(np.moveaxis(states, -1, 0), alpha)
-    lam = np.zeros(d.shape)
-    np.cumsum(_increments(np.diff(times), d[..., :-1], d[..., 1:]), axis=-1, out=lam[..., 1:])
-    return lam
+    states = np.asarray(states)
+    d = np.empty(states.shape[:-1])
+    _dots(lambda c: states[..., c], np.asarray(alpha, dtype=float)[None], [d])
+    _increments(np.diff(times).reshape(-1, *(1,) * (d.ndim - 1)), np.moveaxis(d, -1, 0))
+    return np.cumsum(d, axis=-1)
 
 
 def _draws(gens, totals, first, path, root):
@@ -207,19 +224,24 @@ class _Clocks:
     """The radial clocks Λ_β of one block of recorded paths Z: ``values``
     (m, M+1, P) on the grid, for the positive ``roots`` β at ``rate`` c(β).
 
-    One transposed copy of the block's states gives each root's increments
-    as (M, P) slabs; the prefix sums add slab j into slab j + 1 for all
-    roots at once, in time order, so the values are c(β)·
+    Each root's slot of ``values`` first takes its dots β·Z, built from one
+    contiguous (M+1, P) copy of each coordinate of Z at a time, and then
+    its segment increments in place; a zero-rate root's slot stays zero and
+    is not checked.  The prefix sums add slab j into slab j + 1 for all
+    roots at once, so each (root, path) adds its increments in time order,
+    as ``np.cumsum`` does along a path, and the values are c(β)·
     ``cumulative_time_change`` bit for bit."""
 
     def __init__(self, times, states, stop, roots, rate):
         self.times, self.states, self.stop, self.roots, self.rate = times, states, stop, roots, rate
-        coords = states.transpose(2, 1, 0).copy()   # (n, M+1, P)
+        self.values = np.zeros((len(roots), len(times), len(states)))
+        live = np.flatnonzero(rate)
+        scratch = np.empty(self.values.shape[1:])
+        slots = _dots(lambda c: states[:, :, c].T.copy(), roots[live],
+                      [self.values[q] for q in live], scratch)
         h = np.diff(times)[:, None]
-        self.values = np.zeros((len(roots), *coords.shape[1:]))
-        for q in np.flatnonzero(rate):
-            d = _dots(coords, roots[q])
-            _increments(h, d[:-1], d[1:], out=self.values[q, 1:])
+        for d in slots:
+            _increments(h, d, scratch[1:])
         for j in range(len(times) - 1):
             self.values[:, j + 1] += self.values[:, j]
         self.values *= rate[:, None, None]
@@ -330,30 +352,34 @@ def _flip_stage(gens, clocks, first_path, jumps, start, flip, root, alpha):
     return path[order], time[order], q[order]
 
 
-def _relabel(clocks, first_path, jumps, start, flip, root, group):
+def _relabel(times, states, roots, first_path, jumps, start, flip, root, group):
     """The jump table of a block's jumps (path, time, β), and X = v·Z on its
     grid, written over the block's states."""
     path, time, q = jumps
-    states, times = clocks.states, clocks.times
-    labels = _walk(path, q, len(clocks.stop), start, flip)
+    n_times = len(times)
+    # Grid point j of path p is row p·(M+1) + j of the block's points; a
+    # reshape that copied would drop the writes below.
+    points = states.reshape(-1, states.shape[-1], copy=False)
+    labels = _walk(path, q, len(states), start, flip)
     before = flip[labels, q]
-    j = np.clip(np.searchsorted(times, time, side="right") - 1, 0, len(times) - 2)
+    j = np.clip(np.searchsorted(times, time, side="right") - 1, 0, n_times - 2)
     theta = ((time - times[j]) / (times[j + 1] - times[j]))[:, None]
-    z = states[path, j]
-    pre = _act(group, before, z + theta * (states[path, j + 1] - z))
-    alpha = clocks.roots[root[before, q]]
+    at = path * n_times + j
+    z = np.take(points, at, axis=0)
+    pre = _act(group, before, z + theta * (np.take(points, at + 1, axis=0) - z))
+    alpha = roots[root[before, q]]
     # np.vecdot matches a 1-D ``pre @ alpha``, so post = pre − (α·pre)α exactly.
     post = pre - np.vecdot(pre, alpha)[:, None] * alpha
     # A jump's label holds on the grid points from its time to the path's
     # next jump.
     begin = np.searchsorted(times, time)
     end = np.append(begin[1:], 0)
-    end[np.append(path[1:] != path[:-1], True)] = len(times)
+    end[np.append(path[1:] != path[:-1], True)] = n_times
     moved = (labels != start) & (end > begin)
     count = (end - begin)[moved]
-    offset = np.repeat(begin[moved] - (np.cumsum(count) - count), count)
-    row, col = np.repeat(path[moved], count), np.arange(count.sum()) + offset
-    states[row, col] = _act(group, np.repeat(labels[moved], count), states[row, col])
+    flat = np.repeat(path[moved] * n_times + begin[moved] - (np.cumsum(count) - count),
+                     count) + np.arange(count.sum())
+    points[flat] = _act(group, np.repeat(labels[moved], count), np.take(points, flat, axis=0))
     return JumpTable(first_path + path, time, root[before, q], pre, post)
 
 
@@ -402,6 +428,7 @@ def simulate_dunkl(plan, x0, config: SimulationConfig, *, stages=None, threads=1
                  else (np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=np.int64)))
         for alpha in plan.enumeration[g:n_stages]:
             jumps = _flip_stage(gens, clocks, first, jumps, start, flip, root, alpha)
-        tables.append(_relabel(clocks, first, jumps, start, flip, root, system.weyl_group))
-        del clocks   # freed before the next block's clocks are allocated
+        del clocks   # freed before the relabel and the next block's clocks
+        tables.append(_relabel(times, states[block], pos, first, jumps, start, flip, root,
+                               system.weyl_group))
     return _run(res, states, JumpTable(*map(np.concatenate, zip(*tables))) if tables else None)

@@ -26,6 +26,12 @@ from .errors import InvalidArgumentError
 from .root_systems import Multiplicity, RootSystem, chamber_contains
 
 
+def _integral(x):
+    """An integer, a bool excepted: bool is ``Integral``, but True is not a
+    path count or a seed."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Horizon, grid, path count and seed for one run.
@@ -42,9 +48,9 @@ class SimulationConfig:
     def __post_init__(self):
         if not (self.dt > 0 and self.dt <= self.horizon < math.inf):
             raise InvalidArgumentError("need 0 < dt ≤ horizon < ∞")
-        if not isinstance(self.n_paths, numbers.Integral) or self.n_paths < 1:
+        if not _integral(self.n_paths) or self.n_paths < 1:
             raise InvalidArgumentError("need an integral number of paths, at least one")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+        if not _integral(self.seed) or self.seed < 0:
             raise InvalidArgumentError("seed must be a nonnegative integer")
 
     def time_grid(self):

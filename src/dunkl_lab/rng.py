@@ -77,18 +77,31 @@ def _pool(seed, purpose):
     return tuple(pool), const
 
 
+def _integers(k):
+    """A key part as an int, or as an integer array; a bool or a float is
+    refused, where a cast would truncate it."""
+    if isinstance(k, (int, np.integer)) and not isinstance(k, bool):
+        return int(k)
+    k = np.asarray(k)
+    if k.dtype.kind not in "iu":
+        raise InvalidArgumentError(f"key parts must be integers, got {k.dtype}")
+    return k
+
+
 def keys(seed: int, purpose: int, *key) -> np.ndarray:
     """Philox keys of the streams ``(seed, purpose, *key)``, shape (..., 2)
     uint64, equal to ``SeedSequence(seed, spawn_key=(purpose, *key))
     .generate_state(2, np.uint64)``.  A key part after the purpose may be
     an integer array (say, one entry per path); key parts lie in [0, 2³²).
     """
-    seed, purpose = int(seed), int(purpose)
-    parts = [int(k) if isinstance(k, (int, np.integer)) else
-             np.asarray(k, dtype=np.uint64) for k in key]
+    seed, purpose, *parts = map(_integers, (seed, purpose, *key))
+    if not (isinstance(seed, int) and isinstance(purpose, int)):
+        raise InvalidArgumentError("the seed and the purpose must be integers")
     if seed < 0 or not all(0 <= p <= _MASK if isinstance(p, int)
-                           else p.max(initial=0) <= _MASK for p in [purpose] + parts):
+                           else 0 <= p.min(initial=0) and p.max(initial=0) <= _MASK
+                           for p in [purpose] + parts):
         raise InvalidArgumentError("seed must be ≥ 0 and key parts in [0, 2**32)")
+    parts = [p if isinstance(p, int) else p.astype(np.uint64) for p in parts]
     pool, const = _pool(seed, purpose)
     pool = list(pool)
     _mix_in(pool, const, parts)

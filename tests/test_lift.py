@@ -388,19 +388,28 @@ class TestBlocking:
 
 class TestMemory:
     # 256 recorded B2 paths of 2,000 steps: the (N, M+1, n) states take 8.2 MB.
-    def test_recorded_run_holds_one_path_array(self, b2, k_one):
-        """The engine draws a recorded run's noise into its states, so the
-        run's peak is the states and little else."""
+    @staticmethod
+    def _recorded_peak(b2, k_one, **kwargs):
         params = _engine.EngineParams(
             positive_roots=b2.positive_roots, kvec=k_one.per_positive(),
             x0=np.array([2.0, 1.0]), tgrid=np.arange(2001) * 1e-3, seed=5, record=True)
         tracemalloc.start()
         try:
-            res = _engine.run_paths(params, 256)
+            res = _engine.run_paths(params, 256, **kwargs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * res.states.nbytes
+        return peak / res.states.nbytes
+
+    def test_recorded_run_holds_one_path_array(self, b2, k_one):
+        """The engine draws a recorded run's noise into its states, so the
+        run's peak is the states and little else."""
+        assert self._recorded_peak(b2, k_one) <= 1.25
+
+    def test_recorded_blocks_fill_one_path_array(self, b2, k_one):
+        """Each of four blocks writes its rows into the run's one array, so
+        no block's states and no concatenation sit beside it."""
+        assert self._recorded_peak(b2, k_one, chunk_size=64) <= 1.25
 
     def test_lift_holds_one_block_of_clocks(self, b2, k_one, monkeypatch):
         """Past the states it returns, the lift holds one block's clocks and
@@ -414,7 +423,7 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - run.states.nbytes <= 2.6 * lift.LIFT_BLOCK * 8
+        assert peak - run.states.nbytes <= 1.6 * lift.LIFT_BLOCK * 8
 
 
 class TestLabelChain:

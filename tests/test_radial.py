@@ -29,7 +29,8 @@ class TestConfig:
             SimulationConfig(horizon=1.0, dt=0.1, n_paths=0, seed=0)
         for bad in (dict(horizon=math.inf), dict(dt=math.inf), dict(horizon=math.nan),
                     dict(dt=math.nan), dict(n_paths=2.5), dict(n_paths=2.0),
-                    dict(seed=1.5), dict(seed=-1)):
+                    dict(seed=1.5), dict(seed=-1), dict(n_paths=True), dict(seed=True),
+                    dict(seed=False)):
             with pytest.raises(InvalidArgumentError):
                 SimulationConfig(**{**dict(horizon=1.0, dt=0.1, n_paths=1, seed=0), **bad})
         cfg = SimulationConfig(horizon=1.0, dt=0.1, n_paths=np.int64(3), seed=np.uint32(7))

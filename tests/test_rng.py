@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dunkl_lab import _engine, build_type_b, rng, verify
+from dunkl_lab.errors import InvalidArgumentError
 
 # Seeds of the reproducibility contract: the extremes of one and two uint32
 # words, one longer than SeedSequence's pool of four words, seeds verify
@@ -47,6 +48,15 @@ def test_keys_reject_out_of_range():
                 (1, 0, np.array([-1]))):
         with pytest.raises((ValueError, OverflowError)):
             rng.keys(*bad)
+
+
+@pytest.mark.parametrize("bad", [(1, rng.FLIP, np.array([1.5])), (1, rng.FLIP, 1.5),
+                                 (1, rng.FLIP, np.array([True])), (1, rng.FLIP, True),
+                                 (1.5, rng.FLIP, 0), (True, rng.FLIP, 0)])
+def test_keys_refuse_what_a_cast_would_truncate(bad):
+    # np.uint64(1.5) is 1: a float part would silently open stream 1
+    with pytest.raises(InvalidArgumentError):
+        rng.keys(*bad)
 
 
 def test_generator_from_a_batch_key_draws_the_stream():
