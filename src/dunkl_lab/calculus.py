@@ -26,8 +26,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, InvalidArgumentError, SingularDriftError
-from .root_systems import Multiplicity, RootSystem, reflect
+from .errors import DomainError, DunklLabError, InvalidArgumentError, SingularDriftError
+from .root_systems import Multiplicity, RootSystem, chamber_labels, reflect
 
 FD_BASE_STEP = 1e-3            # h = FD_BASE_STEP · (1 + ‖x‖)
 ORTHOGONALITY_TOL = 1e-12
@@ -299,7 +299,7 @@ def harmonicity_residual(system, k, which, x):
 
     which = "delta":     L_k^W δ        (should vanish on C)
     which = "delta_bar": L_k^W δ̄        (needs a k = 1/2 orbit)
-    which = "pi":        Δπ for π = Π(α·x)   (k ignored)
+    which = "pi":        Δπ for π = Π(α·x), in closed form (k ignored)
     which = "pi_power":  Δπ^{1−2k} + 2(∇π^{1−2k}·∇ log π^k), one k on every orbit
 
     The scale is the sum of the absolute magnitudes of the cancelling
@@ -319,8 +319,12 @@ def harmonicity_residual(system, k, which, x):
             np.abs(t["half_laplacian"]) + np.abs(t["drift"])
         )
     if which == "pi":
-        _, second = _fd_scheme(_pi_product(system), x)
-        return _coordinate_sum(second), _coordinate_sum(np.abs(second))
+        # Δπ = π·(‖Σα/(α·x)‖² − Σ2/(α·x)²), α·α = 2: differences of a linear π
+        # (rank one) would leave rounding over a zero scale
+        dots = _positive_dots(system, x)
+        sq = _coordinate_sum(((1.0 / dots) @ system.positive_roots) ** 2)
+        pairs, pi = 2.0 * _coordinate_sum(dots ** -2.0), np.prod(dots, axis=-1)
+        return pi * (sq - pairs), np.abs(pi) * (sq + pairs)
     if which == "pi_power":
         if not np.isscalar(k) and len(set(k.by_orbit)) > 1:
             raise InvalidArgumentError("pi_power needs one value of k on every orbit")
@@ -371,20 +375,21 @@ def rotate_spec(spec, theta):
 
 
 def sample_interior_points(system, count, rng):
-    """Deterministic rejection sample of chamber points with wall margin.
+    """Deterministic sample of chamber points with wall margin.
 
-    Points are drawn from N(0, ``INTERIOR_RADIUS``²·I) and kept when every
-    wall product exceeds ``INTERIOR_MARGIN``; useful for harmonicity spot
-    checks.
+    Draws from N(0, ``INTERIOR_RADIUS``²·I) in batches of ``count``, folded
+    into the chamber by their labels w (y = w⁻¹x; the law is W-invariant),
+    kept in order where every wall product exceeds ``INTERIOR_MARGIN``.
+    Raises ``DunklLabError`` after ``INTERIOR_MAX_TRIES`` draws.
     """
     pos_t = system.positive_roots.T
-    out = []
-    tries = 0
+    out, drawn = np.zeros((0, system.dimension)), 0
     while len(out) < count:
-        tries += 1
-        if tries > INTERIOR_MAX_TRIES:
-            raise RuntimeError("interior sampling did not converge")
-        x = INTERIOR_RADIUS * rng.standard_normal(system.dimension)
-        if np.all(x @ pos_t > INTERIOR_MARGIN):
-            out.append(x)
-    return np.array(out)
+        if drawn >= INTERIOR_MAX_TRIES:
+            raise DunklLabError(f"interior sampling kept {len(out)} of {count} points "
+                                f"in {drawn} draws")
+        x = INTERIOR_RADIUS * rng.standard_normal((count, system.dimension))
+        drawn += count
+        y = np.einsum("pi,pij->pj", x, system.weyl_group[chamber_labels(system, x)])  # wᵀx
+        out = np.concatenate([out, y[np.all(y @ pos_t > INTERIOR_MARGIN, axis=1)]])
+    return out[:count]

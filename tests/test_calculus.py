@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+import types
+
 from dunkl_lab import (
     DomainError,
+    DunklLabError,
     GeneratorSpec,
     InvalidArgumentError,
     SingularDriftError,
@@ -19,13 +22,15 @@ from dunkl_lab import (
     weight_omega,
     weight_varpi,
 )
+from dunkl_lab import calculus
 from dunkl_lab.calculus import (
     _coordinate_sum,
+    _fd_scheme,
     generator_scale,
     generator_terms,
     sample_interior_points,
 )
-from dunkl_lab.root_systems import build_rank_one
+from dunkl_lab.root_systems import build_rank_one, build_type_a, build_type_b
 
 
 @pytest.fixture()
@@ -236,6 +241,25 @@ class TestHarmonicity:
         res, scale = harmonicity_residual(a2, None, "pi", pts)
         assert np.max(np.abs(res) / scale) <= 1e-6
 
+    def test_pi_closed_form_is_the_laplacian(self, rng):
+        # on vectors that are no root system π is not harmonic, and the
+        # closed form must still agree with Richardson differences of π
+        vecs = rng.standard_normal((4, 3))
+        vecs *= np.sqrt(2.0) / np.linalg.norm(vecs, axis=1, keepdims=True)
+        fake = types.SimpleNamespace(positive_roots=vecs)
+        pts = 1.0 + rng.random((20, 3))
+        res, scale = harmonicity_residual(fake, None, "pi", pts)
+        second = _fd_scheme(lambda y: np.prod(y @ vecs.T, axis=-1), pts)[1]
+        assert np.max(np.abs(res - _coordinate_sum(second)) / scale) <= 1e-7
+        assert np.min(np.abs(res) / scale) >= 1e-3
+
+    def test_pi_on_rank_one(self, rng):
+        # π = α·x is linear: the residual is rounding over a nonzero scale
+        for system in (build_rank_one(), build_type_a(2)):
+            pts = sample_interior_points(system, 50, rng)
+            res, scale = harmonicity_residual(system, None, "pi", pts)
+            assert np.all(scale > 0.0) and np.max(np.abs(res) / scale) <= 1e-12
+
     def test_power_log_identity(self, b2, rng):
         pts = sample_interior_points(b2, 100, rng)
         res, scale = harmonicity_residual(b2, 0.8, "pi_power", pts)
@@ -254,6 +278,20 @@ class TestHarmonicity:
     def test_unknown_identity(self, b2, k_one):
         with pytest.raises(InvalidArgumentError):
             harmonicity_residual(b2, k_one, "nope", np.array([2.0, 1.0]))
+
+
+class TestInteriorPoints:
+    @pytest.mark.parametrize("system", [build_type_b(4), build_type_a(7)], ids=["b4", "a6"])
+    def test_folded_points_keep_the_margin(self, system, rng):
+        # the chamber holds 1/|W| of the Gaussian, 1/384 and 1/5040 here
+        pts = sample_interior_points(system, 100, rng)
+        assert pts.shape == (100, system.dimension)
+        assert np.all(pts @ system.positive_roots.T > calculus.INTERIOR_MARGIN)
+
+    def test_the_cap_is_a_package_error(self, b2, rng, monkeypatch):
+        monkeypatch.setattr(calculus, "INTERIOR_MARGIN", 100.0)
+        with pytest.raises(DunklLabError, match="kept 0 of 5 points"):
+            sample_interior_points(b2, 5, rng)
 
 
 class TestRotation:

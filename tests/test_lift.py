@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from dunkl_lab import (
     build_type_b,
     cumulative_time_change,
     multiplicity,
+    run_radial,
     simulate_dunkl,
 )
 from dunkl_lab import _engine, lift
@@ -502,24 +504,49 @@ class TestLawInvariants:
         assert abs(sq.mean() - 15.0) <= 3 * se
 
     def test_law_agrees_across_enumerations(self, b2, k_one):
-        from scipy import stats as sps
+        # With all stages lifted, the chamber label's law given the radial
+        # path does not depend on the enumeration: each run passes under
+        # both plans' laws, and fails at rates ×0.5.
+        plans = [build_lift_plan(b2, k_one, enumeration=e) for e in ((0, 1, 2, 3), (3, 2, 1, 0))]
+        assert plans[1].modes == ("shortcut",) * 4
+        for plan, seed in zip(plans, (88, 89)):
+            cfg = SimulationConfig(horizon=1.0, dt=2e-3, n_paths=2500, seed=seed)
+            run = simulate_dunkl(plan, [2.0, 1.0], cfg)
+            for law in plans:
+                assert label_law(run, law).passed, (plan.enumeration, law.enumeration)
+            half = build_lift_plan(b2, k_one, rates=multiplicity(b2, 0.5),
+                                   enumeration=plan.enumeration)
+            assert not label_law(run, half).passed, plan.enumeration
 
-        from dunkl_lab.root_systems import chamber_labels, project_batch, reflect
 
-        base = build_lift_plan(b2, k_one, enumeration=(0, 1, 2, 3))
-        other = build_lift_plan(b2, k_one, enumeration=(3, 2, 1, 0))
-        assert other.modes == ("shortcut",) * 4
-        cfg_a = SimulationConfig(horizon=1.0, dt=2e-3, n_paths=2500, seed=88)
-        cfg_b = SimulationConfig(horizon=1.0, dt=2e-3, n_paths=2500, seed=89)
-        run_a = simulate_dunkl(base, [2.0, 1.0], cfg_a)
-        run_b = simulate_dunkl(other, [2.0, 1.0], cfg_b)
-        na = np.linalg.norm(run_a.final_states, axis=1)
-        nb = np.linalg.norm(run_b.final_states, axis=1)
-        assert sps.ks_2samp(na, nb).pvalue >= 0.01 / 3
-        pa = project_batch(b2, run_a.final_states)
-        pb = project_batch(b2, run_b.final_states)
-        for i in range(2):
-            assert sps.ks_2samp(pa[:, i], pb[:, i]).pvalue >= 0.01 / 3
+class TestSkewProduct:
+    @pytest.mark.parametrize("name, x0, mode, horizon", [
+        ("b2", [2.0, 1.0], "auto", 1.0),
+        ("b2", [2.0, 1.0], "general", 1.0),
+        ("a2", [1.0, 0.3, -0.5], "auto", 1.0),
+        ("b4", [4.0, 3.0, 2.0, 1.0], "general", 0.2),
+    ])
+    def test_projection_is_the_radial_path(self, request, name, x0, mode, horizon):
+        """X = v·Z, so π(X_t) = Z_t at every grid point to rounding, with Z
+        the radial run of the same config; stages=0 is Z bit for bit."""
+        system = build_type_b(4) if name == "b4" else request.getfixturevalue(name)
+        k = multiplicity(system, 1.0)
+        cfg = SimulationConfig(horizon=horizon, dt=1e-3, n_paths=300, seed=11)
+        plan = build_lift_plan(system, k, mode=mode)
+        lifted = simulate_dunkl(plan, x0, cfg)
+        assert lifted.n_jumps.sum() > 0
+
+        pi = project_batch(system, lifted.states.reshape(-1, len(x0))).reshape(lifted.states.shape)
+
+        def off(run):
+            z = run.states
+            return np.max(np.abs(pi - z).max(axis=-1) / (1.0 + np.linalg.norm(z, axis=-1)))
+
+        radial = run_radial(system, k, x0, cfg, record=True)
+        assert off(radial) <= 1e-12
+        assert simulate_dunkl(plan, x0, cfg, stages=0).states.tobytes() == radial.states.tobytes()
+        other = run_radial(system, k, x0, dataclasses.replace(cfg, seed=12), record=True)
+        assert off(other) > 1e-3   # the control: an independent radial path
 
 
 class TestComposition:

@@ -6,8 +6,8 @@ import types
 import numpy as np
 import pytest
 
-from dunkl_lab import (SimulationConfig, SingularClockError, Trajectory, build_lift_plan,
-                       multiplicity, run_radial)
+from dunkl_lab import (InvalidArgumentError, SimulationConfig, SingularClockError, Trajectory,
+                       build_lift_plan, multiplicity, run_radial)
 from dunkl_lab.calculus import (GeneratorSpec, _coordinate_sum, _fd_scheme, apply_generator,
                                 generator_terms, sample_interior_points)
 from dunkl_lab import verify
@@ -22,7 +22,6 @@ from dunkl_lab.verify import (
     label_law,
     martingale_residual,
     norm_is_bessel,
-    projection_agreement,
     render_table,
     reports_to_json,
     rotation_covariance_generator,
@@ -181,6 +180,17 @@ class TestNormBessel:
 
 
 class TestMartingale:
+    def test_an_unrecorded_run_is_refused(self, b2, k_one):
+        cfg = SimulationConfig(horizon=0.1, dt=1e-2, n_paths=5, seed=1)
+        run = simulate_dunkl(build_lift_plan(b2, k_one), [2.0, 1.0], cfg)
+        unrecorded = run_radial(b2, k_one, [2.0, 1.0], cfg, record=False)
+        with pytest.raises(InvalidArgumentError, match="record=True"):
+            martingale_residual(lambda: unrecorded.trajectories,
+                                GeneratorSpec.radial(b2, k_one), function_battery(2)[0])
+        with pytest.raises(InvalidArgumentError, match="record=True"):
+            label_law(unrecorded, build_lift_plan(b2, k_one))
+        assert label_law(run, build_lift_plan(b2, k_one)).sample_size == 5
+
     def test_bias_coefficient_is_small(self, b2):
         c = calibrate_bias_coefficient(b2, 1.0, 2000, 7)
         assert 0 < c < 10.0
@@ -287,24 +297,6 @@ class TestClosedForms:
                 u, fn=lambda x, fn=u.fn: calls.append(x.shape) or fn(x))
             generator_terms(spec, counted, pts)
             assert len(calls) == (1 + len(spec.active) if full else 0), u.name
-
-
-class TestProjectionAgreement:
-    def test_matched_passes_mismatched_fails(self, b2):
-        k = multiplicity(b2, 1.0)
-        cfg = SimulationConfig(horizon=1.0, dt=1e-3, n_paths=1500, seed=50)
-        radial = run_radial(b2, k, [2.0, 1.0], cfg, record=False)
-        plan = build_lift_plan(b2, k)
-        cfg2 = SimulationConfig(horizon=1.0, dt=1e-3, n_paths=1500, seed=51)
-        full = simulate_dunkl(plan, [2.0, 1.0], cfg2)
-        rep = projection_agreement(full.final_states, radial.final_states, b2)
-        assert rep.passed
-
-        k_wrong = multiplicity(b2, 1.5)
-        cfg3 = SimulationConfig(horizon=1.0, dt=1e-3, n_paths=1500, seed=52)
-        wrong = run_radial(b2, k_wrong, [2.0, 1.0], cfg3, record=False)
-        rep = projection_agreement(full.final_states, wrong.final_states, b2)
-        assert not rep.passed
 
 
 class TestLabelLaw:
