@@ -10,23 +10,24 @@ which advances all of them together in rounds, each path through its own
 stack of bisected sub-intervals.  All randomness is drawn from per-path
 streams, so results are independent of blocking and worker count.
 
-A vector step is one fused accept test.  The block carries A·x of every
-path from the proposal it accepted, so a step computes A·x once: the
-smallest signed distance (A·x)·sign both tests that the proposal keeps its
-chamber and is the wall distance of an accepted path.  Per-root operands
-(k and the sign pattern) are tiled to the block's full width, so each
-elementwise op is one equal-shape loop.  While every path of the block is
-active and every proposal accepted, a step keeps no index sets and tests
-one scalar, the smallest wall distance.  Norms for the contact threshold
-are taken only for paths a cheap bound cannot clear.  A block derives its
-paths' ``DIFFUSION`` keys in one ``rng.keys`` call; a path's ``RETRY``
-generator is built when the path first needs ``cover_interval``, from the
-block's retry keys, which one call derives when its first path needs them.
-A recorded run holds one (N, M+1, n) array, allocated once for all its
-blocks: each path's noise is drawn into its row of the states, and each
-grid step writes its state over the noise it has just read.  The path's
-generator is dropped once its row is filled, so a recorded block keeps no
-``DIFFUSION`` generators through its steps.
+A vector step is one fused accept test.  The roots are oriented to the
+start chamber, S = sign(A·x₀)·A, so x·Sᵀ > 0 inside it.  The block carries
+x·Sᵀ from each accepted proposal, and its smallest entry both tests that a
+proposal keeps its chamber and is the wall distance of an accepted path.
+k is repeated to the block's full width, so k / (x·Sᵀ) is one equal-shape
+loop.  While every path of the block is active and every proposal
+accepted, a step keeps no index sets and tests one scalar, the smallest
+wall distance.  Norms for the contact threshold are taken only for paths
+a cheap bound cannot clear.  A block derives its paths' ``DIFFUSION`` keys
+in one ``rng.keys`` call; a path's ``RETRY`` generator is built when the
+path first needs ``cover_interval``, from the block's retry keys, which
+one call derives when its first path needs them.  Every ``TILE`` grid
+steps a block copies the next rows of its path-major noise into a
+time-major (TILE, N, n) tile, so a step reads its noise as one contiguous
+(N, n) row.  A recorded run holds one (N, M+1, n) array for all its
+blocks: each path's noise is drawn into its row and its generator
+dropped, a step writes its state into the tile row it has just read, and
+the tile is copied back before the next one is loaded.
 
 Proposals that would cross a reflecting hyperplane are never accepted.
 Without ``stop_at_t0`` the interval is bisected with fresh noise, at most
@@ -60,6 +61,7 @@ EPS_WALL = 1e-8            # wall contact: distance below EPS_WALL·(1 + ‖x‖
 PROPOSAL_BUDGET = 100_000  # hard cap on sub-step proposals per grid interval
 DEFAULT_CHUNK = 4096
 NOISE_BUFFER = 8_000_000   # doubles of buffered noise per block segment, unrecorded runs
+TILE = 16                  # grid steps per time-major tile of noise and states
 
 
 @dataclass
@@ -86,22 +88,21 @@ class EngineResult:
     states: Optional[np.ndarray]    # (N, M+1, n) when recording, frozen after stop
 
 
-def cover_interval(params, retry, x, signs, h, xi):
+def cover_interval(params, retry, x, S, h, xi):
     """Advance the rows ``x`` (R, n) across an interval of length ``h``
-    without leaving the chamber of sign pattern ``signs``; ``xi`` (R, n) is
-    each row's first noise and ``retry`` its row's retry generator.
+    without leaving the chamber where x·Sᵀ > 0 (``S`` holds the positive
+    roots oriented to it); ``xi`` (R, n) is each row's first noise and
+    ``retry`` its row's retry generator.
 
     Each row works through a stack of sub-intervals h·2^(depth − MAX_HALVINGS)
     in the order a depth-first bisection visits them, and every round takes
-    the top task of each unfinished row.  A proposal that changes the
-    chamber sign pattern is replaced by its two halves with fresh noise
-    from the row's own retry stream, so no row's draws depend on the
-    others.  ``x`` is updated in place.  Returns which rows covered the
-    interval and each row's rejected proposals; a row fails when a
-    rejection finds no halving left or when it would start proposal
-    ``PROPOSAL_BUDGET + 1``.
+    the top task of each unfinished row.  A proposal that leaves the
+    chamber is replaced by its two halves with fresh noise from the row's
+    own retry stream, so no row's draws depend on the others.  ``x`` is
+    updated in place.  Returns which rows covered the interval and each
+    row's rejected proposals; a row fails when a rejection finds no halving
+    left or when it would start proposal ``PROPOSAL_BUDGET + 1``.
     """
-    A = params.positive_roots
     stacks = [[MAX_HALVINGS] for _ in retry]
     proposals = np.zeros(len(retry), dtype=np.int64)
     rejected = np.zeros(len(retry), dtype=np.int64)
@@ -114,13 +115,13 @@ def cover_interval(params, retry, x, signs, h, xi):
         if xi is None:
             xi = np.array([retry[r].standard_normal(x.shape[1]) for r in rows])
         xr = x[rows]
-        d = xr @ A.T
+        d = xr @ S.T
         # A stacked matmul runs the 1-D product's gemv on each row; one
-        # (kvec / d) @ A gemm would differ in the last bit.
-        drift = np.matmul(A.T, (params.kvec / d)[:, :, None])[:, :, 0]
+        # (kvec / d) @ S gemm would differ in the last bit.
+        drift = np.matmul(S.T, (params.kvec / d)[:, :, None])[:, :, 0]
         prop = xr + drift * hs[:, None] + np.sqrt(hs)[:, None] * xi
         xi = None
-        bad = (np.sign(prop @ A.T) != signs).any(axis=1)
+        bad = ~(prop @ S.T > 0).all(axis=1)     # a NaN distance is a crossing too
         x[rows[~bad]] = prop[~bad]
 
         for i in np.flatnonzero(bad):
@@ -142,6 +143,11 @@ def _row_min(a):
     return np.ascontiguousarray(a.T).min(axis=0)
 
 
+def _points(a):
+    """``a`` (..., n) as one void element per point: a transpose moves whole points."""
+    return a.view(np.dtype((np.void, a.itemsize * a.shape[-1])))[..., 0]
+
+
 def _run_block(params: EngineParams, first_path: int, n_paths: int,
                states=None) -> EngineResult:
     """Run paths ``first_path`` .. ``first_path + n_paths − 1``.  A recorded
@@ -152,42 +158,46 @@ def _run_block(params: EngineParams, first_path: int, n_paths: int,
     tgrid = params.tgrid
     n_steps = len(tgrid) - 1
     seed = params.seed
+    # First: after the generators it raised some 16,384-path runs' peak RSS ~3 MB (heap layout).
+    tile = np.empty((min(TILE, n_steps), n_paths, nd))
 
     paths = first_path + np.arange(n_paths)
     path_keys = rngmod.keys(seed, rngmod.DIFFUSION, paths)
-    # Per-path streams are consumed one grid step at a time.  A recorded
-    # run draws each path's whole stream into its row of ``states`` and
-    # drops the path's generator: step j reads grid point j + 1's noise
-    # there before writing the state over it.  An unrecorded run keeps the
-    # generators and buffers their streams in segments, which keeps memory
-    # bounded without changing any draw.
+    # A recorded run draws each path's whole stream into its row of
+    # ``states`` and drops its generator; step j's tile row takes grid point
+    # j + 1's noise from there, then the state.  An unrecorded run keeps the
+    # generators and buffers their streams in segments, which bounds memory
+    # without changing any draw; no tile straddles two segments.
     if params.record:
         if states is None:
             states = np.empty((n_paths, n_steps + 1, nd))
-        for key, row in zip(path_keys, states[:, 1:]):
+        xi_buf = states[:, 1:]
+        for key, row in zip(path_keys, xi_buf):
             rngmod.stream(key).standard_normal(out=row)
     else:
         gens = [rngmod.stream(key) for key in path_keys]
+        xi_buf = np.empty((n_paths, 0, nd))
     seg_len = max(1, min(n_steps, NOISE_BUFFER // max(1, n_paths * nd)))
-    xi_buf = np.empty((n_paths, 0, nd))
-    seg_start = 0
+    seg_start = tile_start = tile_len = 0
 
-    def _xi(step):
-        nonlocal xi_buf, seg_start
-        if params.record:
-            return states[:, step + 1]
-        if not seg_start <= step < seg_start + xi_buf.shape[1]:
+    def _load(step):
+        nonlocal xi_buf, seg_start, tile_start, tile_len
+        if step == seg_start + xi_buf.shape[1]:
             seg_start = step
             xi_buf = np.empty((n_paths, min(seg_len, n_steps - step), nd))
             for gen, buf in zip(gens, xi_buf):
                 gen.standard_normal(out=buf)
-        return xi_buf[:, step - seg_start]
+        tile_start, tile_len = step, min(TILE, seg_start + xi_buf.shape[1] - step)
+        _points(tile[:tile_len])[...] = _points(xi_buf[:, step - seg_start:][:, :tile_len]).T
+
+    def _flush(n_rows):     # the tile's first n_rows states back to their grid points
+        _points(states[:, tile_start + 1:][:, :n_rows])[...] = _points(tile[:n_rows]).T
 
     cur = np.tile(np.asarray(params.x0, dtype=float), (n_paths, 1))
-    signs = np.sign(A @ params.x0)
-    # Full-width copies: (N, m) ⊙ (N, m) runs one inner loop, where an (m,)
+    S = np.sign(A @ params.x0)[:, None] * A
+    # A full-width copy: (N, m) / (N, m) runs one inner loop, where an (m,)
     # row broadcast over (N, m) runs one per path.
-    k_rows, sign_rows = (np.tile(v, (n_paths, 1)) for v in (params.kvec, signs))
+    k_rows = np.tile(params.kvec, (n_paths, 1))
     h_steps = np.diff(tgrid)
     all_rows = np.arange(n_paths)
     retry = {}   # RETRY generators of the paths that needed cover_interval
@@ -211,29 +221,35 @@ def _run_block(params: EngineParams, first_path: int, n_paths: int,
         if code == TERM_T0:
             t0_time[j] = t_end
 
-    # d_cur holds A·x of every active path, carried over from the accepted
+    # d_cur holds x·Sᵀ of every active path, carried over from the accepted
     # proposal; matmuls over a subset of rows give the same bits per row.
-    d_cur = cur @ A.T
-    min_wd = _row_min(d_cur * sign_rows)
+    # A root's sign flips its distance and k / d exactly, so no bit moves.
+    d_cur = cur @ S.T
+    min_wd = _row_min(d_cur)
 
     for step in range(n_steps):
         if not n_active:
             if params.record:
+                _flush(step - tile_start)
                 states[:, step + 1:] = cur[:, None, :]
             break
-        xi_step = _xi(step)
+        if step == tile_start + tile_len:
+            if params.record:
+                _flush(tile_len)
+            _load(step)
+        xi_step = tile[step - tile_start]
         full = n_active == n_paths
         act = all_rows if full else np.flatnonzero(active)
         sel = slice(None) if full else act
         h, t1s = h_steps[step], float(tgrid[step + 1])
-        prop = (k_rows[:n_active] / d_cur[sel]) @ A
+        prop = (k_rows[:n_active] / d_cur[sel]) @ S
         prop *= h
         prop += cur[sel]
         prop += math.sqrt(h) * xi_step[sel]
-        pd = prop @ A.T
-        # A proposal keeps its sign pattern iff every signed distance is > 0;
+        pd = prop @ S.T
+        # A proposal keeps its chamber iff every oriented distance is > 0;
         # the smallest one is then its wall distance.
-        wd = _row_min(pd * sign_rows[:n_active])
+        wd = _row_min(pd)
         wd_min = wd.min()
 
         if full and wd_min > 0:
@@ -259,15 +275,15 @@ def _run_block(params: EngineParams, first_path: int, n_paths: int,
                     retry_keys = rngmod.keys(seed, rngmod.RETRY, paths)
                 retry.update((j, rngmod.stream(retry_keys[j])) for j in rows if j not in retry)
                 x = cur[rows]
-                covered, rej = cover_interval(params, [retry[j] for j in rows], x, signs,
+                covered, rej = cover_interval(params, [retry[j] for j in rows], x, S,
                                               h, xi_step[rows])
                 rejected[rows] += rej
                 for j in rows[~covered]:
                     _terminate(j, TERM_STEP_FAILURE, t1s, step)
                 rows, redo = rows[covered], redo[covered]
                 cur[rows] = x[covered]
-                d_cur[rows] = cur[rows] @ A.T
-                wd[redo] = _row_min(d_cur[rows] * signs)
+                d_cur[rows] = cur[rows] @ S.T
+                wd[redo] = _row_min(d_cur[rows])
 
             live = active[act]
             act, wd = act[live], wd[live]
@@ -287,7 +303,10 @@ def _run_block(params: EngineParams, first_path: int, n_paths: int,
                     _terminate(int(j), TERM_T0, t1s, step + 1)
 
         if params.record:
-            states[:, step + 1] = cur
+            xi_step[...] = cur
+    else:   # no break: the last tile is not written back yet
+        if params.record:
+            _flush(tile_len)
 
     return EngineResult(
         tgrid=tgrid,

@@ -214,3 +214,24 @@ def test_martingale_residuals_match_contract():
             h.update(np.array([rep.estimate, rep.stderr]).tobytes())
     assert h.hexdigest() == (
         "c5ab1a4a3e78650b98fe9c6610710deef14391ba64c62992e5b2cd8d161dc85d")
+
+
+# The engine's per-path diagnostics alone, over the plain run and the cases
+# that stop paths: a change to how they are computed moves this digest even
+# where the states hold.
+DIAGNOSTICS = ("stop_index", "t0_time", "wall_contact", "min_wall_distance", "n_rejected")
+DIAGNOSTICS_SHA256 = (
+    "6df1fc17f10e050a61a92229dbcea88ccd3780750c064080c9f3575538adb7b3")
+
+
+def test_engine_diagnostics_match_contract():
+    h = hashlib.sha256()
+    for overrides, constants in ((dict(), dict()), ENGINE_CONTRACT["stop_at_t0"][:2],
+                                 ENGINE_CONTRACT["max_halvings"][:2]):
+        with pytest.MonkeyPatch.context() as mp:
+            for name, value in constants.items():
+                mp.setattr(_engine, name, value)
+            res = _engine.run_paths(_engine_params(**overrides), 300, chunk_size=128)
+        for name in DIAGNOSTICS:
+            h.update(np.ascontiguousarray(getattr(res, name)).tobytes())
+    assert h.hexdigest() == DIAGNOSTICS_SHA256

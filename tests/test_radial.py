@@ -159,7 +159,8 @@ class TestSimulateRadial:
     @staticmethod
     def _assert_blocking_invariant(params):
         """Blocks of 64 paths across one and two workers, and one block of
-        4096, give the same engine output."""
+        4096, give the same engine output, and each block's last tile of
+        states is written back."""
         runs = [_engine.run_paths(params, 150, threads=t, chunk_size=c)
                 for t, c in ((1, 64), (2, 64), (1, 4096))]
         for other in runs[1:]:
@@ -167,6 +168,7 @@ class TestSimulateRadial:
                          "wall_contact", "min_wall_distance", "n_rejected", "states"):
                 assert np.array_equal(getattr(runs[0], name), getattr(other, name),
                                       equal_nan=name == "t0_time"), name
+        assert np.array_equal(runs[0].states[:, -1], runs[0].final)
         return runs[0]
 
     def test_worker_count_independent(self, b2, k_one):

@@ -94,15 +94,16 @@ def test_engine_batch_keys_draw_the_streams(shape):
         assert ours.standard_exponential() == ref.standard_exponential()
 
 
-@pytest.mark.parametrize("buffer", [_engine.NOISE_BUFFER, 7 * 2 * 3, 1])
+@pytest.mark.parametrize("buffer", [_engine.NOISE_BUFFER, 7 * 2 * 3, 1, 7 * 2 * 5, 7 * 2 * 17])
 def test_engine_noise_is_each_paths_stream(monkeypatch, buffer):
     """With no drift and no wall in reach, x_{t+1} = x_t + 0 + √h·ξ_t, so the
     recorded states pin every increment the engine drew into them.  The
-    unrecorded run buffers the same noise, split into many segments and
-    resumed at the smaller sizes, and ends where the recorded one does."""
+    unrecorded run buffers the same noise in segments of 37, 3, 1, 5 and 17
+    steps, each read through tiles that end with it, and ends where the
+    recorded one does."""
     monkeypatch.setattr(_engine, "NOISE_BUFFER", buffer)
     system = build_type_b(2)
-    tgrid = np.arange(11) * 0.01
+    tgrid = np.arange(38) * 0.01
     params = _engine.EngineParams(
         positive_roots=system.positive_roots,
         kvec=np.zeros(len(system.positive_roots)),
@@ -113,9 +114,9 @@ def test_engine_noise_is_each_paths_stream(monkeypatch, buffer):
     assert bare.states is None
     assert np.array_equal(bare.final, res.states[:, -1])
     for p in range(7):
-        xi = rng.stream(rng.keys(11, rng.DIFFUSION, p)).standard_normal((10, 2))
+        xi = rng.stream(rng.keys(11, rng.DIFFUSION, p)).standard_normal((37, 2))
         x = params.x0
-        for step in range(10):
+        for step in range(37):
             h = float(tgrid[step + 1]) - float(tgrid[step])
             x = x + np.zeros(2) * h + math.sqrt(h) * xi[step]
             assert np.array_equal(res.states[p, step + 1], x)
@@ -136,6 +137,23 @@ def test_recorded_states_keep_no_noise_after_a_stop(monkeypatch, case):
     stopped = np.flatnonzero(res.termination != _engine.TERM_HORIZON)
     assert stopped.size and np.all(res.stop_index[stopped] < len(params.tgrid) - 1)
     for p in range(300):
+        assert (res.states[p, res.stop_index[p]:] == res.final[p]).all()
+
+
+def test_recorded_rows_after_every_path_stopped():
+    """Every path stops at T₀ before the horizon, the last one inside a
+    tile: the tile's states are written back before the rows after the last
+    stop are filled, and the run ends as the unrecorded one does."""
+    from test_contract import _engine_params
+
+    params = _engine_params(k=0.1, stop_at_t0=True, tgrid=np.arange(401) * 0.01)
+    res = _engine.run_paths(params, 64)
+    bare = _engine.run_paths(dataclasses.replace(params, record=False), 64)
+    assert (res.termination == _engine.TERM_T0).all()
+    assert res.stop_index.max() < 400 and res.stop_index.max() % _engine.TILE
+    for name in ("final", "stop_index", "t0_time"):
+        assert np.array_equal(getattr(res, name), getattr(bare, name)), name
+    for p in range(64):
         assert (res.states[p, res.stop_index[p]:] == res.final[p]).all()
 
 

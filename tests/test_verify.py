@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dunkl_lab import (InvalidArgumentError, SimulationConfig, SingularClockError, Trajectory,
-                       build_lift_plan, multiplicity, run_radial)
+                       build_lift_plan, build_type_b, multiplicity, run_radial)
 from dunkl_lab.calculus import (GeneratorSpec, _coordinate_sum, _fd_scheme, apply_generator,
                                 generator_terms, sample_interior_points)
 from dunkl_lab import verify
@@ -145,6 +145,23 @@ class TestNormBessel:
         shift = max(1.0, dim / 10)
         for wrong in (dim - shift, dim + shift):
             assert not norm_is_bessel(norms, wrong, start, horizon).passed
+
+    def test_suite_control_is_rejected_on_b4(self):
+        """``run_suite``'s radial run on B4 at 400 paths: at n + 2γ = 36 its
+        control moves the dimension by 4 and is rejected, where off by one
+        was not (p = 0.208).  On B2 (n + 2γ = 10) it stays off by one."""
+        b4 = build_type_b(4)
+        k = multiplicity(b4, 1.0)
+        x0 = np.array([4.0, 3.0, 2.0, 1.0])
+        cfg = SimulationConfig(horizon=1.0, dt=1e-3, n_paths=400,
+                               seed=derived_seed(1, "radial"))
+        norms = np.linalg.norm(run_radial(b4, k, x0, cfg, record=False).final_states, axis=1)
+        dim, start = 4 + 2.0 * k.gamma, float(np.linalg.norm(x0))
+        offset = verify._norm_control_offset(dim)
+        assert (dim, offset, verify._norm_control_offset(10.0)) == (36.0, 4, 1)
+        assert norm_is_bessel(norms, dim, start, 1.0).passed
+        assert norm_is_bessel(norms, dim - 1, start, 1.0).passed
+        assert not norm_is_bessel(norms, dim - offset, start, 1.0).passed
 
     def test_seed_is_unused(self):
         reps = [norm_is_bessel(exact_norms(10.0, np.sqrt(5.0), 1.0), 10.0,
