@@ -254,7 +254,7 @@ def generator_terms(spec, u, x):
         lap = _coordinate_sum(second)
     half_lap = 0.5 * lap
     drift_vec = (k.per_positive() / dots) @ system.positive_roots
-    drift_term = np.einsum("...i,...i->...", drift_vec, grad)
+    drift_term = _coordinate_sum(drift_vec * grad)
     jumps = np.zeros(x.shape[:-1])
     jump_abs = np.zeros(x.shape[:-1])
     if spec.active:

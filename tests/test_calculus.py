@@ -31,6 +31,7 @@ from dunkl_lab.calculus import (
     sample_interior_points,
 )
 from dunkl_lab.root_systems import build_rank_one, build_type_a, build_type_b
+from dunkl_lab.verify import function_battery
 
 
 @pytest.fixture()
@@ -209,6 +210,25 @@ class TestGenerator:
         with pytest.raises(SingularDriftError):
             apply_generator(GeneratorSpec.radial(b2, k_one),
                             fn, np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("rank", [2, 4])
+    def test_drift_term_is_the_dot_product(self, rank, rng):
+        # drift·∇u as a column sum: the einsum's bits in rank ≤ 2, its value
+        # to rounding in rank 4
+        system = build_type_b(rank)
+        k = multiplicity(system, [0.5, 1.5])
+        spec = GeneratorSpec.full(system, k)
+        pts = sample_interior_points(system, 200, rng)
+        for u in function_battery(rank):
+            drift_vec = (k.per_positive() / (pts @ system.positive_roots.T)
+                         ) @ system.positive_roots
+            ref = np.einsum("...i,...i->...", drift_vec, u.grad(pts))
+            got = generator_terms(spec, u, pts)["drift"]
+            if rank == 2:
+                assert got.tobytes() == ref.tobytes(), u.name
+            else:
+                scale = generator_scale(spec, u, pts)
+                assert np.all(np.abs(got - ref) <= 1e-14 * scale), u.name
 
     @pytest.mark.parametrize("full", [False, True], ids=["radial", "full"])
     def test_function_may_return_a_view(self, b2, k_one, rng, full):
