@@ -1,15 +1,15 @@
 """Deterministic random streams for path-parallel Monte Carlo.
 
-Every consumer of randomness gets its own counter-based Philox stream,
-keyed by ``(master seed, purpose, *indices)``.  The Philox key is the one
-``np.random.SeedSequence(seed, spawn_key=(purpose, *indices))`` generates;
-``keys`` derives it with the same values, for one path or for a whole
-batch of paths at once, and ``stream(keys(seed, purpose, i))`` opens
-stream i from its key, so a batch's streams cost one key derivation.  A
-path's stream depends only on the master seed and the path index, never on
-batching or scheduling, so any path can be regenerated in isolation and
-whole runs are reproducible bit for bit for a fixed configuration,
-regardless of worker count.
+Every consumer of randomness gets its own ``SFC64`` stream, keyed by
+``(master seed, purpose, *indices)``.  The stream's seed is the three-word
+state ``np.random.SeedSequence(seed, spawn_key=(purpose, *indices))``
+generates for ``SFC64``; ``keys`` derives it with the same values, for one
+path or for a whole batch of paths at once, and
+``stream(keys(seed, purpose, i))`` opens stream i from its key, so a
+batch's streams cost one key derivation.  A path's stream depends only on
+the master seed and the path index, never on batching or scheduling, so
+any path can be regenerated in isolation and whole runs are reproducible
+bit for bit for a fixed configuration, regardless of worker count.
 """
 
 from __future__ import annotations
@@ -30,10 +30,7 @@ FLIP = 3        # the lift's Poisson arrivals, one stream per path
 CHECK = 4       # verification-side sampling (oracles, test points)
 
 _MASK = 0xFFFFFFFF
-# Philox's start counter.  An array skips the conversion of the default
-# ``counter=None`` from a Python int; Philox copies it.
-_COUNTER = np.zeros(4, dtype=np.uint64)
-_COUNTER.flags.writeable = False
+_WORD = np.dtype(np.uint64)
 
 
 # SeedSequence's uint32 hash mixing.  The operands are Python ints or uint64
@@ -89,9 +86,9 @@ def _integers(k):
 
 
 def keys(seed: int, purpose: int, *key) -> np.ndarray:
-    """Philox keys of the streams ``(seed, purpose, *key)``, shape (..., 2)
+    """Keys of the streams ``(seed, purpose, *key)``, shape (..., 3)
     uint64, equal to ``SeedSequence(seed, spawn_key=(purpose, *key))
-    .generate_state(2, np.uint64)``.  A key part after the purpose may be
+    .generate_state(3, np.uint64)``.  A key part after the purpose may be
     an integer array (say, one entry per path); key parts lie in [0, 2³²).
     """
     seed, purpose, *parts = map(_integers, (seed, purpose, *key))
@@ -105,30 +102,36 @@ def keys(seed: int, purpose: int, *key) -> np.ndarray:
     pool, const = _pool(seed, purpose)
     pool = list(pool)
     _mix_in(pool, const, parts)
+    # six uint32 output words, cycling through the pool, paired little-end first
     const, words = 0x8B51F9DD, []
-    for value in pool:
+    for value in pool + pool[:2]:
         value, const = _hashmix(value, const, 0x58F38DED)
         words.append(value)
-    lo, hi = words[0] | words[1] << 32, words[2] | words[3] << 32
-    if isinstance(lo, int):
-        return np.array([lo, hi], dtype=np.uint64)
-    return np.stack([lo, hi], axis=-1)
+    out = [lo | hi << 32 for lo, hi in zip(words[::2], words[1::2])]
+    if isinstance(out[0], int):
+        return np.array(out, dtype=np.uint64)
+    return np.stack(out, axis=-1)
 
 
 class _Key(np.random.bit_generator.ISeedSequence):
-    """Hands Philox a key ``keys`` derived.  ``Philox(key=)`` would also
-    draw OS entropy for a seed sequence it never uses."""
+    """Hands ``SFC64`` the state words of a key ``keys`` derived, so no
+    ``SeedSequence`` is built and no OS entropy is read."""
 
     def __init__(self, key):
         self.key = key
 
     def generate_state(self, n_words, dtype=np.uint32):
-        assert (n_words, dtype) == (2, np.uint64)
-        return self.key
+        assert (n_words, dtype) == (3, np.uint64)
+        # SFC64 reads three words from the array's buffer, whatever its
+        # shape, dtype or strides
+        key = self.key
+        if key.shape != (3,) or key.dtype != _WORD or not key.flags.c_contiguous:
+            raise InvalidArgumentError("a stream key is one contiguous row of keys()")
+        return key
 
 
 def stream(key) -> np.random.Generator:
-    """Generator at the start of the stream with Philox key ``key`` (one
+    """Generator at the start of the ``SFC64`` stream with key ``key`` (one
     row of ``keys``).  Its ``seed_seq`` is not the stream's; do not
     ``spawn`` from it."""
-    return np.random.Generator(np.random.Philox(_Key(key), counter=_COUNTER))
+    return np.random.Generator(np.random.SFC64(_Key(key)))

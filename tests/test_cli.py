@@ -302,7 +302,7 @@ class TestCommands:
 class TestVerifySuiteCommand:
     # SHA-256 of the suite's reports, runtimes removed, as sorted-key JSON
     QUICK_SUITE_SHA256 = (
-        "1bf1f3dd30fcd166f615fe0de578d6fae41ff9f9eb7842ff575196e276a217f7")
+        "6624f352224ede6f8500bbc07407c2a8a410f9be2f979c138d1cdf502b51adaf")
     # Lifted runs appear only in the label law and the ridge martingale
     # functions: their norm, projection and W-invariant functions are the
     # radial run's (π(X_t) = Z_t).
@@ -321,9 +321,8 @@ class TestVerifySuiteCommand:
 
         The names come first, so a dropped or renamed report fails with a
         readable diff.  The digest pins all 24 reports (names, order,
-        estimates, verdicts and details; only ``runtime`` is free),
-        including the two that fail at this size on this seed's lifted run:
-        label-law-full and its control.
+        estimates, verdicts and details; only ``runtime`` is free).  All
+        24 pass at this size and seed.
         A deliberate change to the reproducibility contract or to a check
         updates it and says so in CHANGES.md; anything else that moves it
         is a regression.

@@ -57,11 +57,11 @@ def _b4_general():
 # case -> (SHA-256, jumps, rejected proposals)
 CONTRACT = {
     "b2_radial": (_b2_radial, (
-        "500856a5622707b0dbdd4d2faac26dcc0fc48fcf894ed7d38c76e7e1ec8c7d0e", 0, 33)),
+        "4b3c1007dded313548fa847ed74be21736ec3558765bf4e406d03e6ca1ff62cd", 0, 36)),
     "b2_auto": (_b2_auto, (
-        "0d80bf88d332bc0ad8572dcc78d640ecdf3f7b30f7b5f9016ddd1466f805b837", 215, 3)),
+        "3d75ca54e78e92a9f4667684b049cfcd0ef33ef59fcea6a238ad133578ca25e7", 163, 3)),
     "b4_general": (_b4_general, (
-        "ee1ad1240b9f77dae88c2dedadadab2e78322cfd5a4d19337981f186b711ac7e", 118, 1)),
+        "1dda9d1f2d1cb581a59081c681f18288106efa2fb8523756ecfa95075e5a8bf5", 163, 2)),
 }
 
 
@@ -111,11 +111,11 @@ def _b2_general_then_flips(**kwargs):
 # ended by a step failure, SHA-256 of those stages' trajectories))
 STAGE_CONTRACT = {
     "a2_mixed": (_a2_mixed, (2, 3), (
-        "2dbad75deff34d115f18d74cb4cca9c6f8bad302b6febd011bef6ecd2b5f6b48", 164, 1, 0,
-        "4aa98f87c09352e7533c9b24e7a17f199d60afacf37bc58c5628da70305c8465")),
+        "d5ea625745592d21c3b095dd5b865fb7ab74177c0f002fcf8e04f951561aec09", 133, 0, 0,
+        "af940341bc9f951659394de102c71af0994d4acba853088adb0d2aaf48af912d")),
     "b2_general_then_flips": (_b2_general_then_flips, (1, 2, 3, 4), (
-        "389184fb7c9a89255e72d91b8948602015b97de2a624aa4831e17700d5796aa4", 1229, 145,
-        29, "c2b33428ff484cdc0b91fc09b3f5197db0863e3106ffa8fcd7b7bedda3761215")),
+        "fe78c936f4e176f4afb5f4a6f7f62824493c15970e77446d261f5ab75b95473f", 1282, 134,
+        27, "e501e7d4112742bb9a0dd0add55d0bec3a00ee682169e21076d126868794a791")),
 }
 
 
@@ -160,28 +160,28 @@ def _engine_params(k=1.0, dt=1e-2, **overrides):
 ENGINE_CONTRACT = {
     # one halving allowed: some paths fail
     "max_halvings": (dict(dt=0.05), dict(MAX_HALVINGS=1), (
-        "684a9183aadb48a9e30e63154ba690359cfb3e752506f152d3d62cf64b9a9e3f",
-        137, (277, 0, 23))),
+        "783c2e7eed7376f946c68b5d830eb0e63d649373ed1ab830318ad3e79734f9d1",
+        149, (268, 0, 32))),
     # three proposals per interval: paths fail on the proposal budget
     "budget": (dict(), dict(PROPOSAL_BUDGET=3), (
-        "3a5e8535ac7623961c16351816c722c1a85da3fd41982ac4c3355005ac0e46c4",
-        56, (294, 0, 6))),
+        "d387974d1bdae989fee338c25397da34cb5c0abc4a9896a90aafc61fe86aafca",
+        52, (296, 0, 4))),
     # k below 1/2: wall crossings stop paths at T0
     "stop_at_t0": (dict(k=0.3, stop_at_t0=True), dict(), (
-        "a0a0f9e7a0cbba2a3170f81c61930332b1105cd085fb348ad7afef3a5b5c157e",
-        0, (99, 201, 0))),
-    # a wide contact threshold: 16 paths touch a wall, none stops
+        "f72e762c2f4fd9590a0570989f8aee69d4394388203519e9959c70ea0cc36255",
+        0, (102, 198, 0))),
+    # a wide contact threshold: 12 paths touch a wall, none stops
     "wall_contact": (dict(), dict(EPS_WALL=1e-2), (
-        "daae5afcaaeb966d7b2e910e5eb162021ea9c9944b8f204457b341d1b2888b3e",
-        59, (300, 0, 0))),
+        "f1f81ab79f5db60ea8230e42573e0402270ca101fe5813d6a6fbe43299096a7d",
+        56, (300, 0, 0))),
     # contacts and crossings both stop paths at T0
     "contact_stops": (dict(k=0.3, stop_at_t0=True), dict(EPS_WALL=1e-2), (
-        "0753c4e5197e320cad257dd4b1abc64dedb42e174d57afd3bc0ecdd2f34a298d",
-        0, (75, 225, 0))),
+        "158c0e374bcebde7b224303c616ba33807dbf3260959b9066117978970f44ab7",
+        0, (85, 215, 0))),
     # no states kept, as in an unrecorded radial run
     "unrecorded": (dict(record=False), dict(), (
-        "c15a222507067d625aad08f7fc7f21dd9a01ab8965e594bd1a0b2f548848d84b",
-        59, (300, 0, 0))),
+        "375924c79492c2f3164aef3744de52ad8d9c60c6f682fb9f1e65fa54c7ca9da5",
+        56, (300, 0, 0))),
 }
 
 
@@ -213,7 +213,7 @@ def test_martingale_residuals_match_contract():
             rep = martingale_residual(lambda: paths, spec, u)
             h.update(np.array([rep.estimate, rep.stderr]).tobytes())
     assert h.hexdigest() == (
-        "c5ab1a4a3e78650b98fe9c6610710deef14391ba64c62992e5b2cd8d161dc85d")
+        "b75824ea6be602ed55d866e2afea52e60b5dc77d372c2f258928cd38bf62e5c2")
 
 
 # The engine's per-path diagnostics alone, over the plain run and the cases
@@ -221,7 +221,7 @@ def test_martingale_residuals_match_contract():
 # where the states hold.
 DIAGNOSTICS = ("stop_index", "t0_time", "wall_contact", "min_wall_distance", "n_rejected")
 DIAGNOSTICS_SHA256 = (
-    "6df1fc17f10e050a61a92229dbcea88ccd3780750c064080c9f3575538adb7b3")
+    "8bb67c5605f187ed3902cf4a23305a6869b35219cf87e6e3055cf3b51dfc2b69")
 
 
 def test_engine_diagnostics_match_contract():

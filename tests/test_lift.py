@@ -186,7 +186,7 @@ class TestClockRule:
         monkeypatch.setattr(_engine, "MAX_HALVINGS", 1)
         cfg = SimulationConfig(horizon=2.0, dt=0.05, n_paths=200, seed=5)
         res, _ = self._check(build_lift_plan(b2, k_one), [2.0, 1.0], cfg)
-        assert set(res.stop_index.tolist()) == {10, 40}
+        assert set(res.stop_index.tolist()) == {3, 40}
 
 
 class TestSimulateDunkl:

@@ -24,7 +24,7 @@ SHAPES = [(rng.DIFFUSION, PATHS), (rng.RETRY, PATHS), (rng.CLOCK, PATHS, 0),
 
 
 def _reference(seed, key):
-    return np.random.SeedSequence(seed, spawn_key=key).generate_state(2, np.uint64)
+    return np.random.SeedSequence(seed, spawn_key=key).generate_state(3, np.uint64)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -36,7 +36,7 @@ def test_keys_equal_seed_sequence(seed, shape):
     if not n:
         assert np.array_equal(got, _reference(seed, shape))
         return
-    assert got.shape == (n, 2) and got.dtype == np.uint64
+    assert got.shape == (n, 3) and got.dtype == np.uint64
     for p in range(n):
         key = tuple(int(k[p]) if isinstance(k, np.ndarray) else k for k in shape)
         assert np.array_equal(got[p], _reference(seed, key)), key
@@ -64,17 +64,54 @@ def test_generator_from_a_batch_key_draws_the_stream():
     for p in (7, 3):
         assert np.array_equal(rng.stream(batch[p]).standard_exponential(9),
                               rng.stream(rng.keys(5, rng.FLIP, 2, p)).standard_exponential(9))
-    # ``stream`` opens Philox at a preset zero counter; the state and the
-    # draws, past a refill of its 4-word buffer, are the seed sequence's.
-    old = np.random.Generator(np.random.Philox(
+    # ``stream`` hands SFC64 the key as its seed words; the state and the
+    # draws, past 10,001 normals, are the seed sequence's.
+    old = np.random.Generator(np.random.SFC64(
         np.random.SeedSequence(5, spawn_key=(rng.FLIP, 2, 7))))
     ours = rng.stream(rng.keys(5, rng.FLIP, 2, 7))
+
+    def assert_same_state():
+        got, ref = ours.bit_generator.state, old.bit_generator.state
+        assert np.array_equal(got.pop("state")["state"], ref.pop("state")["state"])
+        assert got == ref
+
+    assert_same_state()
     assert np.array_equal(ours.standard_normal(10_001), old.standard_normal(10_001))
-    got, ref = ours.bit_generator.state, old.bit_generator.state
-    for field in ("counter", "key"):
-        assert np.array_equal(got["state"][field], ref["state"][field])
-    assert np.array_equal(got["buffer"], ref["buffer"])
-    assert got["buffer_pos"] == ref["buffer_pos"]
+    assert_same_state()
+
+
+def test_stream_key_must_be_a_row_of_keys():
+    # SFC64 reads three words from the key's buffer: a strided view would
+    # open another stream, and a shorter key would be read past its end
+    batch = rng.keys(5, rng.FLIP, 2, np.arange(8))
+    for bad in (batch[:3, 0], batch[0, :2], batch[0].astype(np.int64), batch[:1]):
+        with pytest.raises(InvalidArgumentError):
+            rng.stream(bad)
+
+
+def test_keys_and_streams_build_no_seed_sequence(monkeypatch):
+    """A batch of keys and the streams opened from them construct no
+    ``SeedSequence``, so they draw no OS entropy and stay cheap."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("SeedSequence built")
+
+    seed_sequence = np.random.SeedSequence
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    monkeypatch.setattr(np.random.bit_generator, "SeedSequence", refuse)
+    batch = rng.keys(2**130 + 7, rng.DIFFUSION, np.arange(64))
+    gens = [rng.stream(key) for key in batch]
+    assert all(isinstance(g.bit_generator, np.random.SFC64) for g in gens)
+    assert not any(isinstance(g.bit_generator.seed_seq, seed_sequence) for g in gens)
+    assert gens[0].standard_normal() != gens[1].standard_normal()
+
+
+# Values at the Philox contract: the first word of a key did not move.
+@pytest.mark.parametrize("master, tag, seed", [
+    (1, "bessel-radial", 779031208), (7, "bias", 596067772),
+    (20170406, "harmonic-pi", 2236519160), (314, "wall", 4045945805),
+    (2**40 + 3, "rotgen", 225931526), (0, "", 1905993885)])
+def test_derived_seed_is_pinned(master, tag, seed):
+    assert verify.derived_seed(master, tag) == seed
 
 
 @pytest.mark.parametrize("shape", [(rng.CLOCK, 0), (rng.RETRY,), (rng.CLOCK, 1)],
@@ -146,7 +183,7 @@ def test_recorded_rows_after_every_path_stopped():
     stop are filled, and the run ends as the unrecorded one does."""
     from test_contract import _engine_params
 
-    params = _engine_params(k=0.1, stop_at_t0=True, tgrid=np.arange(401) * 0.01)
+    params = _engine_params(k=0.1, stop_at_t0=True, tgrid=np.arange(401) * 0.01, seed=13)
     res = _engine.run_paths(params, 64)
     bare = _engine.run_paths(dataclasses.replace(params, record=False), 64)
     assert (res.termination == _engine.TERM_T0).all()
