@@ -105,7 +105,8 @@ def test_keys_and_streams_build_no_seed_sequence(monkeypatch):
     assert gens[0].standard_normal() != gens[1].standard_normal()
 
 
-# Values at the Philox contract: the first word of a key did not move.
+# ``derived_seed`` reads a key's first word, the same under SFC64's three words
+# as under Philox's two: these values predate SFC64 and must not move.
 @pytest.mark.parametrize("master, tag, seed", [
     (1, "bessel-radial", 779031208), (7, "bias", 596067772),
     (20170406, "harmonic-pi", 2236519160), (314, "wall", 4045945805),
