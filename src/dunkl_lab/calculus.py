@@ -10,7 +10,9 @@ when it supplies them, and through Richardson-extrapolated central
 differences otherwise; the jump terms need only values of u.  With no
 active jump roots this is the radial generator; with all of R₊ active and
 c = k it is the full Dunkl generator; c = k′ (or any nonnegative
-per-orbit family) gives the two-parameter variants.
+per-orbit family) gives the two-parameter variants.  δ, δ̄ and π^{1−2k}
+come with closed forms (``_delta_times``), so differences serve only user
+functions and rotate-generator's random ones.
 
 Everything here is pure and vectorized: points may carry leading batch
 axes with coordinates on the last axis, and test functions must accept
@@ -27,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, DunklLabError, InvalidArgumentError, SingularDriftError
-from .root_systems import Multiplicity, RootSystem, chamber_labels, reflect
+from .root_systems import Multiplicity, RootSystem, chamber_labels, multiplicity, reflect
 
 FD_BASE_STEP = 1e-3            # h = FD_BASE_STEP · (1 + ‖x‖)
 ORTHOGONALITY_TOL = 1e-12
@@ -151,24 +153,21 @@ def delta(system, k, x):
     return np.prod(dots ** expo[(None,) * (dots.ndim - 1)], axis=-1)
 
 
+def _half_orbit(k):
+    """1.0 on the positive roots with k(α) = 1/2, else 0.0; raises if there are none."""
+    half = (k.per_positive() == 0.5).astype(float)
+    if not half.any():
+        raise InvalidArgumentError("δ̄ needs at least one orbit with k = 1/2")
+    return half
+
+
 def delta_bar(system, k, x):
     """Mixed harmonic function for multiplicities with a k = 1/2 orbit.
 
-    δ̄(x) = Π_{k(α)≠1/2} (α·x)^{1−2k(α)} · log Π_{k(α)=1/2} (α·x).
+    δ̄(x) = Π_{k(α)≠1/2} (α·x)^{1−2k(α)} · log Π_{k(α)=1/2} (α·x) = δ(x) · Σ_{k(α)=1/2} log(α·x).
     """
-    per_pos = k.per_positive()
-    half = per_pos == 0.5
-    if not half.any():
-        raise InvalidArgumentError("δ̄ needs at least one orbit with k = 1/2")
-    dots = _positive_dots(system, x)
-    if np.any(dots <= 0.0):
-        raise DomainError("δ̄ is defined on the open chamber only")
-    expo = 1.0 - 2.0 * per_pos
-    power_part = np.prod(
-        dots[..., ~half] ** expo[~half][(None,) * (dots.ndim - 1)], axis=-1
-    )
-    log_part = np.sum(np.log(dots[..., half]), axis=-1)
-    return power_part * log_part
+    half = _half_orbit(k)
+    return delta(system, k, x) * (np.log(_positive_dots(system, x)) @ half)
 
 
 def drift(system, k, x):
@@ -285,13 +284,32 @@ def generator_scale(spec, u, x):
     return np.abs(t["half_laplacian"]) + np.abs(t["drift"]) + t["jump_abs"]
 
 
-def _pi_product(system):
-    pos = system.positive_roots
+def _delta_times(system, k, log_half):
+    """u = δ_k·q with closed-form ∇ and Δ; q ≡ 1 is δ, q = Σ_{k(α)=½} log(α·x) is δ̄.
 
-    def fn(x):
-        return np.prod(np.asarray(x, dtype=float) @ pos.T, axis=-1)
+    With e = 1 − 2k, g = Σ e_α α/(α·x), h = Σ_{k(α)=½} α/(α·x) and α·α = 2:
+    ∇u = δ_k·(q·g + h), Δu = δ_k·(q·(‖g‖² − 2Σ e_α/(α·x)²) + 2g·h − 2Σ_{k(α)=½} 1/(α·x)²).
+    """
+    pos, expo = system.positive_roots, 1.0 - 2.0 * k.per_positive()
+    values, half = (delta_bar, _half_orbit(k)) if log_half else (delta, np.zeros_like(expo))
 
-    return TestFunction(fn=fn, name="pi")
+    def terms(x):
+        d, dots = delta(system, k, x), _positive_dots(system, x)
+        inv = 1.0 / dots
+        q = np.log(dots) @ half if log_half else np.ones(d.shape)
+        return d, q, (expo * inv) @ pos, (half * inv) @ pos, inv * inv
+
+    def grad(x):
+        d, q, g, h, _ = terms(x)
+        return d[..., None] * (q[..., None] * g + h)
+
+    def laplacian(x):
+        d, q, g, h, inv_sq = terms(x)
+        return d * (q * (_coordinate_sum(g * g) - 2.0 * (inv_sq @ expo))
+                    + 2.0 * _coordinate_sum(g * h) - 2.0 * (inv_sq @ half))
+
+    return TestFunction(fn=lambda y: values(system, k, y), name=values.__name__,
+                        grad=grad, laplacian=laplacian)
 
 
 def harmonicity_residual(system, k, which, x):
@@ -299,25 +317,14 @@ def harmonicity_residual(system, k, which, x):
 
     which = "delta":     L_k^W δ        (should vanish on C)
     which = "delta_bar": L_k^W δ̄        (needs a k = 1/2 orbit)
-    which = "pi":        Δπ for π = Π(α·x), in closed form (k ignored)
-    which = "pi_power":  Δπ^{1−2k} + 2(∇π^{1−2k}·∇ log π^k), one k on every orbit
+    which = "pi":        Δπ for π = Π(α·x) (k ignored)
+    which = "pi_power":  Δπ^{1−2k} + 2(∇π^{1−2k}·∇ log π^k) = 2·L_k^W δ, one k on every orbit
 
+    All four are closed forms (``_delta_times`` for δ, δ̄ and π^{1−2k} = δ).
     The scale is the sum of the absolute magnitudes of the cancelling
     terms, so residual/scale is the meaningful relative error.
     """
     x = np.asarray(x, dtype=float)
-    if which == "delta":
-        fn = TestFunction(lambda y: delta(system, k, y), name="delta")
-        t = generator_terms(GeneratorSpec.radial(system, k), fn, x)
-        return t["half_laplacian"] + t["drift"], (
-            np.abs(t["half_laplacian"]) + np.abs(t["drift"])
-        )
-    if which == "delta_bar":
-        fn = TestFunction(lambda y: delta_bar(system, k, y), name="delta_bar")
-        t = generator_terms(GeneratorSpec.radial(system, k), fn, x)
-        return t["half_laplacian"] + t["drift"], (
-            np.abs(t["half_laplacian"]) + np.abs(t["drift"])
-        )
     if which == "pi":
         # Δπ = π·(‖Σα/(α·x)‖² − Σ2/(α·x)²), α·α = 2: differences of a linear π
         # (rank one) would leave rounding over a zero scale
@@ -328,21 +335,14 @@ def harmonicity_residual(system, k, which, x):
     if which == "pi_power":
         if not np.isscalar(k) and len(set(k.by_orbit)) > 1:
             raise InvalidArgumentError("pi_power needs one value of k on every orbit")
-        kk = float(k) if np.isscalar(k) else k.by_orbit[0]
-        pi = _pi_product(system)
-
-        def f(y):
-            return pi(y) ** (1.0 - 2.0 * kk)
-
-        def g(y):
-            return kk * np.log(pi(y))
-
-        grad_f, second_f = _fd_scheme(TestFunction(f), x)
-        grad_g = fd_gradient(TestFunction(g), x)
-        lap_f = _coordinate_sum(second_f)
-        cross = 2.0 * np.einsum("...i,...i->...", grad_f, grad_g)
-        return lap_f + cross, np.abs(lap_f) + np.abs(cross)
-    raise InvalidArgumentError(f"unknown identity {which!r}")
+        k = multiplicity(system, float(k) if np.isscalar(k) else k.by_orbit[0])
+        res, scale = harmonicity_residual(system, k, "delta", x)
+        return 2.0 * res, 2.0 * scale
+    if which not in ("delta", "delta_bar"):
+        raise InvalidArgumentError(f"unknown identity {which!r}")
+    t = generator_terms(GeneratorSpec.radial(system, k),
+                        _delta_times(system, k, which == "delta_bar"), x)
+    return t["half_laplacian"] + t["drift"], np.abs(t["half_laplacian"]) + np.abs(t["drift"])
 
 
 def rotate_system(system, theta):

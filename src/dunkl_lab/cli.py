@@ -128,24 +128,16 @@ def cmd_simulate_dunkl(args):
 
 
 def cmd_verify_harmonic(args):
-    from .verify import harmonicity_check, render_table
+    from .verify import harmonic_identities, harmonicity_check, render_table
 
     system = _build_system(args.system, args.n)
     k = _parse_k(args.k, system)
     seed = _env_seed()
     if seed is None:
         seed = args.seed
-    reports = [
-        harmonicity_check(system, k, n_points=args.points, seed=seed,
-                          which="delta"),
-        harmonicity_check(system, k, n_points=args.points, seed=seed,
-                          which="pi", tol=1e-6),
-        harmonicity_check(system, 0.8, n_points=args.points, seed=seed,
-                          which="pi_power", tol=1e-6, name="harmonic-pi_power"),
-    ]
-    if 0.5 in k.by_orbit:
-        reports.insert(1, harmonicity_check(system, k, n_points=args.points,
-                                            seed=seed, which="delta_bar"))
+    reports = [harmonicity_check(system, k_id, n_points=args.points, seed=seed,
+                                 which=which, tol=tol, name=name)
+               for which, k_id, tol, name, _ in harmonic_identities(k)]
     print(render_table(reports))
     return 0 if all(r.passed for r in reports) else 1
 

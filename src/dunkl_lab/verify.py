@@ -80,11 +80,13 @@ class Report:
     details: dict = field(default_factory=dict)
 
     def to_dict(self):
-        def clean(v):
+        def clean(v):  # plain JSON types; NaN and ±inf become null
             if isinstance(v, (np.floating, np.integer)):
-                return v.item()
+                v = v.item()
+            if isinstance(v, float):
+                return v if np.isfinite(v) else None
             if isinstance(v, np.ndarray):
-                return v.tolist()
+                return clean(v.tolist())
             if isinstance(v, dict):
                 return {kk: clean(vv) for kk, vv in v.items()}
             if isinstance(v, (list, tuple)):
@@ -630,9 +632,19 @@ def rotation_covariance_paths(system, k, x0, config: SimulationConfig, *,
 # harmonicity spot check
 
 
+def harmonic_identities(k):
+    """(which, k, tol, report name, seed tag) of each harmonicity identity
+    that applies at ``k``: δ̄ needs a k = 1/2 orbit, π^{1−2k} is taken at 0.8."""
+    rows = [("delta", k, 1e-5, "harmonic-delta", "harmonic-delta"),
+            ("delta_bar", k, 1e-5, "harmonic-delta_bar", "harmonic-deltabar"),
+            ("pi", k, 1e-6, "harmonic-pi", "harmonic-pi"),
+            ("pi_power", 0.8, 1e-6, "harmonic-pi_power", "harmonic-pipow")]
+    return [row for row in rows if row[0] != "delta_bar" or 0.5 in k.by_orbit]
+
+
 def harmonicity_check(system, k, *, n_points=100, seed=0, tol=1e-5,
                       which="delta", name=None):
-    """Max relative residual of a harmonicity identity at random points."""
+    """Max relative residual of a harmonicity identity at random points (an exact 0 is 0)."""
     if n_points < 1:
         raise InvalidArgumentError(f"n_points must be at least 1, got {n_points}")
     if name is None:
@@ -640,7 +652,7 @@ def harmonicity_check(system, k, *, n_points=100, seed=0, tol=1e-5,
     rng = rngmod.stream(rngmod.keys(seed, rngmod.CHECK, 4))
     pts = sample_interior_points(system, n_points, rng)
     res, scale = harmonicity_residual(system, k, which, pts)
-    worst = float(np.max(np.abs(res) / scale))
+    worst = float(np.max(np.abs(res) / np.where(res == 0.0, 1.0, scale)))
     return Report(
         name=name,
         estimate=worst,
@@ -699,15 +711,9 @@ def run_suite(system, k, x0, *, horizon=1.0, dt=1e-3, n_paths=2000,
         return rep
 
     # deterministic identities
-    add(harmonicity_check, system, k, which="delta",
-        seed=derived_seed(seed, "harmonic-delta"))
-    if 0.5 in k.by_orbit:
-        add(harmonicity_check, system, k, which="delta_bar",
-            seed=derived_seed(seed, "harmonic-deltabar"))
-    add(harmonicity_check, system, k, which="pi", tol=1e-6,
-        seed=derived_seed(seed, "harmonic-pi"))
-    add(harmonicity_check, system, 0.8, which="pi_power", tol=1e-6,
-        seed=derived_seed(seed, "harmonic-pipow"), name="harmonic-pi_power")
+    for which, k_id, tol, name, tag in harmonic_identities(k):
+        add(harmonicity_check, system, k_id, which=which, tol=tol, name=name,
+            seed=derived_seed(seed, tag))
 
     # the radial law
     radial = run_radial(system, k, x0, cfg("radial"), record=False, threads=threads)

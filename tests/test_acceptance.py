@@ -23,7 +23,8 @@ from dunkl_lab import (
     run_radial,
     simulate_dunkl,
 )
-from dunkl_lab.calculus import GeneratorSpec
+from dunkl_lab import calculus
+from dunkl_lab.calculus import GeneratorSpec, generator_terms, sample_interior_points
 from dunkl_lab.rng import keys, stream
 from dunkl_lab.root_systems import project_batch, reflect, validate_root_system
 from dunkl_lab.verify import (
@@ -119,10 +120,19 @@ def test_criterion_02_harmonicity():
                                 seed=derived_seed(ACC_SEED, label), tol=tol)
         worst[label] = rep.estimate
         ok &= rep.passed
+    # control: δ_k under the drift of k + ½ is not harmonic at any point
+    k = multiplicity(b2, [0.75, 1.25])
+    pts = sample_interior_points(b2, 100, stream(keys(ACC_SEED, 4, 20)))
+    t = generator_terms(GeneratorSpec.radial(b2, multiplicity(b2, [1.25, 1.75])),
+                        calculus._delta_times(b2, k, False), pts)
+    control = np.min(np.abs(t["half_laplacian"] + t["drift"])
+                     / (np.abs(t["half_laplacian"]) + np.abs(t["drift"])))
+    ok &= control >= 0.1
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 5.0
     peak = max(worst.values())
-    report(2, ok, f"max relative residual {peak:.2e} over {len(checks)} identities "
+    report(2, ok, f"max relative residual {peak:.2e} over {len(checks)} identities, "
+                  f"control (drift of k + 1/2) reads {control:.2f} (≥ 0.1), "
                   f"in {elapsed:.2f}s (< 5s)")
 
 

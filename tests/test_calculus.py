@@ -31,7 +31,7 @@ from dunkl_lab.calculus import (
     sample_interior_points,
 )
 from dunkl_lab.root_systems import build_rank_one, build_type_a, build_type_b
-from dunkl_lab.verify import function_battery
+from dunkl_lab.verify import function_battery, harmonicity_check
 
 
 @pytest.fixture()
@@ -241,6 +241,23 @@ class TestGenerator:
         assert view.tobytes() == copy.tobytes()
 
 
+# k values of the closed-form checks; pairs are (k on orbit 0, k on orbit 1)
+_DELTA_KS = (1.0, 0.5, 0.8, 0.3, (0.5, 1.0), (2.0, 0.5), (1.0, 0.5))
+_SYSTEMS = {"rank1": build_rank_one, "b2": lambda: build_type_b(2),
+            "a2": lambda: build_type_a(3), "b3": lambda: build_type_b(3),
+            "b4": lambda: build_type_b(4), "a6": lambda: build_type_a(7)}
+
+
+def _delta_ks(system):
+    """Every k of ``_DELTA_KS`` that fits the system's orbits."""
+    return [multiplicity(system, kv if np.isscalar(kv) else list(kv))
+            for kv in _DELTA_KS if np.isscalar(kv) or len(kv) == len(system.orbits)]
+
+
+def _worst(res, scale):
+    return np.max(np.abs(res) / np.where(res == 0.0, 1.0, scale))
+
+
 class TestHarmonicity:
     def test_delta_harmonic(self, a2, b2, rng):
         cases = [(a2, multiplicity(a2, 0.8)), (a2, multiplicity(a2, 1.5)),
@@ -248,18 +265,95 @@ class TestHarmonicity:
         for system, k in cases:
             pts = sample_interior_points(system, 100, rng)
             res, scale = harmonicity_residual(system, k, "delta", pts)
-            assert np.max(np.abs(res) / scale) <= 1e-5
+            assert np.max(np.abs(res) / scale) <= 1e-12
 
     def test_delta_bar_harmonic(self, b2, rng):
         k = multiplicity(b2, {0: 1.0, 1: 0.5})
         pts = sample_interior_points(b2, 100, rng)
         res, scale = harmonicity_residual(b2, k, "delta_bar", pts)
-        assert np.max(np.abs(res) / scale) <= 1e-5
+        assert np.max(np.abs(res) / scale) <= 1e-12
+
+    @pytest.mark.parametrize("log_half", [False, True], ids=["delta", "delta_bar"])
+    def test_closed_forms_match_differences(self, rng, log_half):
+        # ∇u and Δu of δ_k·q against Richardson differences of its values
+        for name in ("rank1", "b2", "a2", "b3"):
+            system = _SYSTEMS[name]()
+            pts = sample_interior_points(system, 50, rng)
+            for k in _delta_ks(system):
+                if log_half and 0.5 not in k.by_orbit:
+                    continue
+                u = calculus._delta_times(system, k, log_half)
+                grad, lap = u.grad(pts), u.laplacian(pts)
+                fd_grad, fd_lap = fd_gradient(u.fn, pts), fd_laplacian(u.fn, pts)
+                grad_err = np.linalg.norm(grad - fd_grad, axis=-1)
+                assert np.all(grad_err <= 1e-5 * np.linalg.norm(fd_grad, axis=-1)), name
+                assert np.all(np.abs(lap - fd_lap) <= 1e-5 * np.abs(fd_lap)), name
+
+    def test_closed_forms_on_vectors_that_are_no_root_system(self, rng):
+        # across orbits of a root system g·h vanishes; on generic vectors it
+        # does not, and the product rule must still match differences
+        vecs = rng.standard_normal((4, 3))
+        vecs *= np.sqrt(2.0) / np.linalg.norm(vecs, axis=1, keepdims=True)
+        vecs *= np.sign(vecs @ np.ones(3))[:, None]
+        fake = types.SimpleNamespace(positive_roots=vecs)
+        k = types.SimpleNamespace(per_positive=lambda: np.array([0.5, 0.5, 1.3, 0.2]))
+        pts = 3.0 + rng.random((20, 3))
+        u = calculus._delta_times(fake, k, True)
+        fd_grad, fd_lap = fd_gradient(u.fn, pts), fd_laplacian(u.fn, pts)
+        grad_err = np.linalg.norm(u.grad(pts) - fd_grad, axis=-1)
+        assert np.all(grad_err <= 1e-5 * np.linalg.norm(fd_grad, axis=-1))
+        assert np.all(np.abs(u.laplacian(pts) - fd_lap) <= 1e-5 * np.abs(fd_lap))
+
+    @pytest.mark.parametrize("name", list(_SYSTEMS))
+    def test_identities_hold_to_rounding(self, rng, name):
+        system = _SYSTEMS[name]()
+        pts = sample_interior_points(system, 50, rng)
+        for k in _delta_ks(system):
+            whichs = ["delta"] + ["delta_bar"] * (0.5 in k.by_orbit)
+            whichs += ["pi_power"] * (len(set(k.by_orbit)) == 1)
+            for which in whichs:
+                res, scale = harmonicity_residual(system, k, which, pts)
+                assert _worst(res, scale) <= 1e-12, (which, k.by_orbit)
+
+    def test_control_drift_of_k_plus_half(self, b2, rng):
+        # δ_k is not harmonic under the drift of k + ½: each point reads ≥ 0.1
+        pts = sample_interior_points(b2, 100, rng)
+        for k in _delta_ks(b2):
+            if set(k.by_orbit) == {0.5}:
+                continue  # δ ≡ 1 is harmonic under any drift
+            k_plus = multiplicity(b2, [v + 0.5 for v in k.by_orbit])
+            t = generator_terms(GeneratorSpec.radial(b2, k_plus),
+                                calculus._delta_times(b2, k, False), pts)
+            res = t["half_laplacian"] + t["drift"]
+            scale = np.abs(t["half_laplacian"]) + np.abs(t["drift"])
+            assert np.min(np.abs(res) / scale) >= 0.1, k.by_orbit
+
+    @pytest.mark.parametrize("system", [build_rank_one(), build_type_b(2)], ids=["rank1", "b2"])
+    def test_k_half_reads_zero(self, rng, system):
+        # δ ≡ 1 at k ≡ ½: a zero residual over a zero scale is 0, not 0/0
+        k = multiplicity(system, 0.5)
+        pts = sample_interior_points(system, 20, rng)
+        for which in ("delta", "pi_power"):
+            res, scale = harmonicity_residual(system, k, which, pts)
+            assert np.all(res == 0.0) and np.all(scale == 0.0)
+            rep = harmonicity_check(system, k, which=which, n_points=20, seed=3)
+            assert rep.estimate == 0.0 and rep.passed
+
+    def test_no_differences(self, b2, rng, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("finite differences reached")
+
+        monkeypatch.setattr(calculus, "_fd_scheme", refuse)
+        k = multiplicity(b2, [1.0, 0.5])
+        pts = sample_interior_points(b2, 10, rng)
+        for which, kk in [("delta", k), ("delta_bar", k), ("pi", k), ("pi_power", 0.8)]:
+            res, scale = harmonicity_residual(b2, kk, which, pts)
+            assert _worst(res, scale) <= 1e-12
 
     def test_pi_harmonic(self, a2, rng):
         pts = sample_interior_points(a2, 100, rng)
         res, scale = harmonicity_residual(a2, None, "pi", pts)
-        assert np.max(np.abs(res) / scale) <= 1e-6
+        assert np.max(np.abs(res) / scale) <= 1e-12
 
     def test_pi_closed_form_is_the_laplacian(self, rng):
         # on vectors that are no root system π is not harmonic, and the
@@ -283,7 +377,7 @@ class TestHarmonicity:
     def test_power_log_identity(self, b2, rng):
         pts = sample_interior_points(b2, 100, rng)
         res, scale = harmonicity_residual(b2, 0.8, "pi_power", pts)
-        assert np.max(np.abs(res) / scale) <= 1e-6
+        assert np.max(np.abs(res) / scale) <= 1e-12
 
     def test_power_log_identity_needs_one_k(self, b2, rng):
         # a multiplicity equal on every orbit is the scalar; unequal orbit

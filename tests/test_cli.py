@@ -194,7 +194,9 @@ class TestCommands:
         # B4 and A6: rejection sampling of the chamber gave up; rank one: π
         # is linear, and its difference Laplacian read NaN over a zero scale
         ("B", "4", "1", 3), ("A", "7", "1", 3), ("A", "2", "1", 3),
-    ], ids=["b2", "b4", "a6", "rank1"])
+        # k ≡ ½: δ ≡ 1, whose residual 0 over a zero scale read NaN
+        ("B", "2", "0.5", 4),
+    ], ids=["b2", "b4", "a6", "rank1", "b2-half"])
     def test_verify_harmonic(self, capsys, system, n, k, reports):
         rc = main(["verify-harmonic", "--system", system, "--n", n, "--k", k,
                    "--points", "25"])
@@ -302,7 +304,7 @@ class TestCommands:
 class TestVerifySuiteCommand:
     # SHA-256 of the suite's reports, runtimes removed, as sorted-key JSON
     QUICK_SUITE_SHA256 = (
-        "6624f352224ede6f8500bbc07407c2a8a410f9be2f979c138d1cdf502b51adaf")
+        "b0c305d22325c4c779385b163f8c94ae887d0caa75d8cb2aec15ec86652fa336")
     # Lifted runs appear only in the label law and the ridge martingale
     # functions: their norm, projection and W-invariant functions are the
     # radial run's (π(X_t) = Z_t).

@@ -43,6 +43,20 @@ class TestReportPlumbing:
         assert back[0]["details"]["arr"] == [0, 1, 2]
         assert back[0]["passed"] is True
 
+    def test_json_is_strict_for_non_finite_numbers(self):
+        # a skipped check reads NaN; strict parsers refuse a bare NaN token
+        skipped = Report(name="label-law", estimate=float("nan"), stderr=None,
+                         tolerance=None, alpha=None, sample_size=0, passed=True,
+                         skipped=True, details={"z": np.array([1.0, np.inf]),
+                                                "p": np.float64(-np.inf)})
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        back = json.loads(reports_to_json([skipped]), parse_constant=refuse)
+        assert back[0]["estimate"] is None and back[0]["skipped"] is True
+        assert back[0]["details"] == {"z": [1.0, None], "p": None}
+
     def test_table_contains_status(self):
         rep = Report(name="check", estimate=0.5, stderr=None, tolerance=1.0,
                      alpha=None, sample_size=5, passed=False)
