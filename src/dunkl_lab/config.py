@@ -98,7 +98,6 @@ class RunConfig:
     x0: np.ndarray
     sim: SimulationConfig
     output: Optional[dict]
-    raw: dict
 
 
 def _pointer(path_iterable):
@@ -118,18 +117,24 @@ def parse_override(text):
 
 
 def apply_override(doc, key, value):
+    """Set ``doc`` at the dotted ``key`` to ``value``, adding objects on the
+    way.  A key that does not fit the document, through a list index that
+    is not one of the list's or into a scalar, raises ``ConfigError`` at the
+    key's JSON pointer."""
     parts = key.split(".")
     node = doc
-    for part in parts[:-1]:
+    for n, part in enumerate(parts, start=1):
         if isinstance(node, list):
-            node = node[int(part)]
+            if not (part.isdecimal() and int(part) < len(node)):
+                raise ConfigError(f"no index {part!r} in a list of {len(node)}", _pointer(parts))
+            part = int(part)
+        elif not isinstance(node, dict):
+            raise ConfigError(f"{_pointer(parts[:n - 1])} is a {type(node).__name__}, "
+                              "not an object or a list", _pointer(parts))
+        if n == len(parts):
+            node[part] = value
         else:
-            node = node.setdefault(part, {})
-    last = parts[-1]
-    if isinstance(node, list):
-        node[int(last)] = value
-    else:
-        node[last] = value
+            node = node[part] if isinstance(part, int) else node.setdefault(part, {})
 
 
 def validate_document(doc):
@@ -201,7 +206,7 @@ def assemble(doc, seed_override=None):
         raise ConfigError(str(exc), "/sim") from exc
     return RunConfig(system=system, k=k, k_prime=k_prime,
                      enumeration=enumeration, x0=x0, sim=sim,
-                     output=doc.get("output"), raw=doc)
+                     output=doc.get("output"))
 
 
 def load_run_config(path, overrides=(), seed_override=None):

@@ -26,16 +26,11 @@ with pre = v·Z(τ), Z interpolated along its segment, and post = σ_α·pre,
 so post = pre − (α·pre)α exactly.  Each path draws from one ``FLIP``
 stream, so neither blocking nor the engine's workers change the output.
 
-A block's clocks are held time-major, as (root, grid point, path): the
-prefix sums are one vector add per grid step across all roots and paths.
-There is no transposed copy of the block: each root's slot takes its dots
-β·Z from one contiguous copy of one coordinate of Z at a time, and then its
-segment increments in place.  Each (root, path) still adds its segments in
-time order, as ``np.cumsum`` does along a path, so the values are
-``cumulative_time_change``'s bit for bit.  A block's clocks are freed
-before X = v·Z is written over its states, and before the next block's
-are built, so the pass needs the recorded paths plus about one block of
-clocks.
+A block's clocks are held time-major, as (root, grid point, path), and are
+freed before X = v·Z is written over its states and before the next
+block's are built.  The label path is a flat table of pieces, one at each
+path's start and one per jump, so the pass holds the recorded paths, one
+block of clocks, and O(N + J) for the label path of N paths, J jumps.
 """
 
 from __future__ import annotations
@@ -209,10 +204,9 @@ def _draws(gens, totals, first, path, root):
     return np.array(rows, dtype=np.int64), np.array(values)
 
 
-def _search(column, value, hi):
-    """Per entry i, the largest j ≤ hi[i] with column(j)[i] ≤ value[i]; each
-    entry's sequence is nondecreasing in j and column(0) ≤ value."""
-    lo = np.zeros_like(hi)
+def _search(column, value, lo, hi):
+    """Per entry i, the largest j in lo[i]..hi[i] with column(j)[i] ≤ value[i],
+    for a column nondecreasing in j and ≤ value at lo, where it is not read."""
     while np.any(lo < hi):
         mid = (lo + hi + 1) // 2
         up = column(mid) <= value
@@ -263,25 +257,37 @@ class _Clocks:
     def time_of(self, path, q, value):
         """The time at which Λ_q of each path reaches ``value``: on its segment
         θ = ρ·d₀²/(h − ρ·d₀·(d₁ − d₀)) for the remaining unit clock ρ."""
-        j = _search(lambda j: self.values[q, j, path], value, self.stop[path] - 1)
+        j = _search(lambda j: self.values[q, j, path], value, 0 * path, self.stop[path] - 1)
         h, d0, d1 = self._segment(path, q, j)
         rho = (value - self.values[q, j, path]) / self.rate[q]
         theta = np.clip(rho * d0 * d0 / (h - rho * d0 * (d1 - d0)), 0.0, 1.0)
         return self.times[j] + theta * h
 
 
+def _scan(opens, step, out):
+    """out[i] = step(out[i − 1], i) for each piece i past the first of its
+    path (path p's are opens[p]..opens[p + 1] − 1), all paths' rank r at once."""
+    rank = np.arange(opens[-1]) - np.repeat(opens[:-1], np.diff(opens))
+    order = np.argsort(rank, kind="stable")
+    cuts = np.searchsorted(rank[order], np.arange(1, rank.max(initial=0) + 2)).tolist()
+    prev = order - 1
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        i = order[lo:hi]
+        out[i] = step(out[prev[lo:hi]], i)
+    return out
+
+
 def _walk(path, q, n_paths, start, flip):
-    """The label after each event of a list sorted by path, then time: each
-    path starts at label ``start`` and an event q moves w to flip[w, q]."""
-    rank = np.arange(len(path)) - np.searchsorted(path, path)
-    order = np.lexsort((path, rank))
-    bounds = np.searchsorted(rank[order], np.arange(rank.max(initial=-1) + 2))
-    cur = np.full(n_paths, start)
-    labels = np.empty(len(path), dtype=np.int64)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        idx = order[lo:hi]
-        cur[path[idx]] = labels[idx] = flip[cur[path[idx]], q[idx]]
-    return labels
+    """The label path of events sorted by path, then time, as (label per
+    piece, opens, at): path p has pieces opens[p]..opens[p + 1] − 1, the
+    first at label ``start`` and one opened by each of its events e, at[e],
+    where an event q moves w to flip[w, q]."""
+    opens = np.searchsorted(path, np.arange(n_paths + 1)) + np.arange(n_paths + 1)
+    at = np.arange(len(path)) + path + 1
+    move = np.zeros(opens[-1], dtype=np.int64)
+    move[at] = q
+    label = _scan(opens, lambda w, i: flip[w, move[i]], np.full(opens[-1], start))
+    return label, opens, at
 
 
 def _act(group, w, x):
@@ -308,10 +314,8 @@ def _joint_stages(gens, clocks, first_path, start, flip):
     path, q = np.divmod(rows, m)
     time = clocks.time_of(path, q, value)
     order = np.lexsort((time, path))
-    path, time, q = path[order], time[order], q[order]
-    labels = _walk(path, q, n_paths, start, flip)
-    opens = np.searchsorted(path, path) == np.arange(len(path))  # a path's first arrival
-    moved = labels != np.where(opens, start, np.roll(labels, 1))
+    label, _, at = _walk(path[order], q[order], n_paths, start, flip)
+    moved = order[label[at] != label[at - 1]]
     return path[moved], time[moved], q[moved]
 
 
@@ -322,31 +326,27 @@ def _flip_stage(gens, clocks, first_path, jumps, start, flip, root, alpha):
     ±v·β = α; a flip there is a jump across that β."""
     path, time, q = jumps
     n_paths = len(gens)
-    labels = _walk(path, q, n_paths, start, flip)
-    rank = np.arange(len(path)) - np.searchsorted(path, path)
-    pieces = rank.max(initial=-1) + 2
-    # Piece k of a path runs from bounds[k] to bounds[k + 1]; pieces past a
-    # path's last jump are empty, at its stop.
-    bounds = np.repeat(clocks.times[clocks.stop][:, None], pieces + 1, axis=1)
-    bounds[:, 0] = 0.0
-    bounds[path, rank + 1] = time
-    label = np.full((n_paths, pieces), start)
-    label[path, rank + 1] = labels
+    label, opens, at = _walk(path, q, n_paths, start, flip)
+    owner = np.repeat(np.arange(n_paths), np.diff(opens))
+    # Piece i runs from its path's start or its jump to the next jump or the stop.
+    begin = np.zeros(len(label))
+    begin[at] = time
+    end = np.append(begin[1:], 0.0)
+    end[opens[1:] - 1] = clocks.times[clocks.stop]
     beta = np.argmax(root == alpha, axis=1)[label]
-    rows = np.repeat(np.arange(n_paths), pieces)
-    lo, hi = (clocks.at(rows, beta.ravel(), b.ravel()).reshape(beta.shape)
-              for b in (bounds[:, :-1], bounds[:, 1:]))
-    ends = np.cumsum(hi - lo, axis=1)
+    lo = clocks.at(owner, beta, begin)
+    ends = clocks.at(owner, beta, end) - lo
+    _scan(opens, lambda e, i: e + ends[i], ends)   # increments to running totals, in place
     first = np.array([gen.standard_exponential() for gen in gens])
-    fpath, value = _draws(gens, ends[:, -1], first, first_path + np.arange(n_paths),
+    fpath, value = _draws(gens, ends[opens[1:] - 1], first, first_path + np.arange(n_paths),
                           np.full(n_paths, alpha))
-    begins = np.concatenate([np.zeros((n_paths, 1)), ends[:, :-1]], axis=1)
-    k = _search(lambda j: begins[fpath, j], value, np.full(len(fpath), pieces - 1))
-    fq = beta[fpath, k]
-    ftime = np.clip(clocks.time_of(fpath, fq, lo[fpath, k] + (value - begins[fpath, k])),
-                    bounds[fpath, k], bounds[fpath, k + 1])
-    # The flips of piece k go after the path's jump k − 1 and before jump k.
-    key = np.concatenate([2 * rank + 1, 2 * k])
+    # piece k of the path is the last to begin (at ends[k − 1], or 0) at or below value
+    k = _search(lambda j: ends[j - 1], value, opens[fpath], opens[fpath + 1] - 1)
+    rest = value - np.where(k > opens[fpath], ends[k - 1], 0.0)
+    fq = beta[k]
+    ftime = np.clip(clocks.time_of(fpath, fq, lo[k] + rest), begin[k], end[k])
+    # A piece's flips follow its jump: keys 2·rank + 1 and 2·piece rank, as ranks in the path.
+    key = np.concatenate([2 * (at - opens[path]) - 1, 2 * (k - opens[fpath])])
     path, time, q = (np.concatenate(c) for c in zip(jumps, (fpath, ftime, fq)))
     order = np.lexsort((time, key, path))
     return path[order], time[order], q[order]
@@ -360,8 +360,8 @@ def _relabel(times, states, roots, first_path, jumps, start, flip, root, group):
     # Grid point j of path p is row p·(M+1) + j of the block's points; a
     # reshape that copied would drop the writes below.
     points = states.reshape(-1, states.shape[-1], copy=False)
-    labels = _walk(path, q, len(states), start, flip)
-    before = flip[labels, q]
+    label, _, piece = _walk(path, q, len(states), start, flip)
+    labels, before = label[piece], label[piece - 1]
     j = np.clip(np.searchsorted(times, time, side="right") - 1, 0, n_times - 2)
     theta = ((time - times[j]) / (times[j + 1] - times[j]))[:, None]
     at = path * n_times + j

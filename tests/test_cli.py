@@ -92,6 +92,23 @@ class TestConfig:
         apply_override(doc, key, value)
         assert doc["k"] == [0.5, 1.5]
 
+    @pytest.mark.parametrize("text, pointer", [
+        ("x0.5=3", "/x0/5"),
+        ("x0.-1=3", "/x0/-1"),
+        ("x0.a=3", "/x0/a"),
+        ("x0.0.1=3", "/x0/0/1"),
+        ("system.type.foo=1", "/system/type/foo"),
+    ])
+    def test_override_that_does_not_fit(self, tmp_path, capsys, text, pointer):
+        doc = base_doc()
+        with pytest.raises(ConfigError) as err:
+            apply_override(doc, *parse_override(text))
+        assert err.value.pointer == pointer
+        assert doc == base_doc()
+        rc = main(["simulate-radial", "--config", write_cfg(tmp_path, doc), "--set", text])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {pointer}: ")
+
     def test_k_per_orbit(self, tmp_path):
         cfg = load_run_config(write_cfg(tmp_path, base_doc(k=[0.5, 1.5])))
         assert cfg.k.by_orbit == (0.5, 1.5)

@@ -417,6 +417,28 @@ class TestMemory:
             tracemalloc.stop()
         assert peak - run.states.nbytes <= 1.6 * lift.LIFT_BLOCK * 8
 
+    def test_flip_stage_holds_paths_plus_jumps(self, b2, k_one, monkeypatch):
+        """A flip stage's label path is flat: one path of 12,860 jumps costs
+        its own jumps, not that many per path of the block.  Each stage's
+        peak is bounded by 32 doubles per path and output jump."""
+        flip_stage, ratios = lift._flip_stage, []
+
+        def traced(gens, *args):
+            tracemalloc.start()
+            try:
+                out = flip_stage(gens, *args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            ratios.append(peak / (8 * (len(gens) + len(out[0]))))
+            return out
+
+        monkeypatch.setattr(lift, "_flip_stage", traced)
+        cfg = SimulationConfig(horizon=1.0, dt=1e-2, n_paths=4000, seed=4)
+        run = simulate_dunkl(build_lift_plan(b2, k_one, mode="auto"), [2.0, 1.0], cfg)
+        assert run.n_jumps.max() >= 10_000
+        assert len(ratios) == 8 and max(ratios) <= 32, ratios
+
 
 class TestLabelChain:
     """The lift against exact laws given the radial path, at every stage
@@ -474,6 +496,16 @@ class TestClockTotals:
         run = simulate_dunkl(build_lift_plan(b2, k_one, mode="auto"), [2.0, 1.0], cfg)
         assert np.all(run.termination == "horizon")
         assert run.n_jumps.max() < 10_000
+
+    def test_a_path_of_many_jumps_completes_in_auto_mode(self, b2, k_one):
+        # Near the walls one path takes 28,247 jumps; the flip stages hold
+        # O(paths + jumps), not (paths × most jumps), so auto mode completes.
+        # General mode draws other arrivals, so its counts differ slightly.
+        cfg = SimulationConfig(horizon=1.0, dt=1e-2, n_paths=4000, seed=2)
+        most = {mode: simulate_dunkl(build_lift_plan(b2, k_one, mode=mode), [0.6, 0.2],
+                                     cfg).n_jumps.max() for mode in ("auto", "general")}
+        assert most["general"] >= 10_000
+        assert abs(most["auto"] - most["general"]) <= 0.01 * most["general"], most
 
     @pytest.mark.parametrize("mode", ["auto", "general"])
     def test_an_absurd_clock_is_refused(self, b2, k_one, monkeypatch, mode):
