@@ -4,11 +4,11 @@ Paths follow dX = dβ + Σ k(α) α/(X·α) dt inside the chamber of their start
 point.  The engine holds no jump clocks: the full process is rebuilt from
 the recorded radial path by ``lift``.
 
-Paths are independent and vectorized in blocks; the paths a grid step
-does not accept (a proposal that crosses a wall) go to ``cover_interval``,
-which advances all of them together in rounds, each path through its own
-stack of bisected sub-intervals.  All randomness is drawn from per-path
-streams, so results are independent of blocking and worker count.
+Paths run in blocks of ``DEFAULT_CHUNK``, and all randomness is drawn from
+per-path streams, so results are independent of blocking and worker count.
+The paths a grid step does not accept (a proposal that crosses a wall) go
+to ``cover_interval``, which advances all of them together in rounds, each
+from its own dyadic position in the interval.
 
 A vector step is one fused accept test.  The roots are oriented to the
 start chamber, S = sign(A·x₀)·A, so x·Sᵀ > 0 inside it.  The block carries
@@ -18,16 +18,19 @@ k is repeated to the block's full width, so k / (x·Sᵀ) is one equal-shape
 loop.  While every path of the block is active and every proposal
 accepted, a step keeps no index sets and tests one scalar, the smallest
 wall distance.  Norms for the contact threshold are taken only for paths
-a cheap bound cannot clear.  A block derives its paths' ``DIFFUSION`` keys
-in one ``rng.keys`` call; a path's ``RETRY`` generator is built when the
-path first needs ``cover_interval``, from the block's retry keys, which
-one call derives when its first path needs them.  Every ``TILE`` grid
-steps a block copies the next rows of its path-major noise into a
-time-major (TILE, N, n) tile, so a step reads its noise as one contiguous
-(N, n) row.  A recorded run holds one (N, M+1, n) array for all its
-blocks: each path's noise is drawn into its row and its generator
-dropped, a step writes its state into the tile row it has just read, and
-the tile is copied back before the next one is loaded.
+a cheap bound cannot clear.
+
+A block derives its paths' ``DIFFUSION`` keys in one ``rng.keys`` call and
+draws their streams through one loader, in segments of grid steps: a
+recorded run's one segment is its rows of the run's (N, M+1, n) states,
+and an unrecorded run's segments hold at most ``NOISE_BUFFER`` doubles.
+Every ``TILE`` grid steps the block copies the next rows of its segment
+into a time-major (TILE, N, n) tile, so a step reads its noise as one
+contiguous (N, n) row; a recorded step writes its state into the tile
+row it has just read, and the tile is copied back before the next one is
+loaded.  A path's ``RETRY`` generator is built when the path first needs
+``cover_interval``, from the block's retry keys, which one call derives
+when its first path needs them.
 
 Proposals that would cross a reflecting hyperplane are never accepted.
 Without ``stop_at_t0`` the interval is bisected with fresh noise, at most
@@ -88,51 +91,41 @@ class EngineResult:
     states: Optional[np.ndarray]    # (N, M+1, n) when recording, frozen after stop
 
 
-def cover_interval(params, retry, x, S, h, xi):
-    """Advance the rows ``x`` (R, n) across an interval of length ``h``
-    without leaving the chamber where x·Sᵀ > 0 (``S`` holds the positive
-    roots oriented to it); ``xi`` (R, n) is each row's first noise and
-    ``retry`` its row's retry generator.
-
-    Each row works through a stack of sub-intervals h·2^(depth − MAX_HALVINGS)
-    in the order a depth-first bisection visits them, and every round takes
-    the top task of each unfinished row.  A proposal that leaves the
-    chamber is replaced by its two halves with fresh noise from the row's
-    own retry stream, so no row's draws depend on the others.  ``x`` is
-    updated in place.  Returns which rows covered the interval and each
-    row's rejected proposals; a row fails when a rejection finds no halving
-    left or when it would start proposal ``PROPOSAL_BUDGET + 1``.
-    """
-    stacks = [[MAX_HALVINGS] for _ in retry]
+def cover_interval(k, retry, x, S, h, xi):
+    """Advance the rows ``x`` (R, n), multiplicities ``k`` (R, m), in place
+    across an interval of length ``h`` inside x·Sᵀ > 0, bisecting depth
+    first with fresh noise from each row's ``retry`` generator after the
+    first noise ``xi``; returns which rows covered it and their rejections."""
+    done = np.zeros(len(retry), dtype=np.int64)   # units of h·2^−MAX_HALVINGS covered
+    depth = np.full(len(retry), MAX_HALVINGS)     # next proposal: h·2^(depth − MAX_HALVINGS)
     proposals = np.zeros(len(retry), dtype=np.int64)
     rejected = np.zeros(len(retry), dtype=np.int64)
     covered = np.ones(len(retry), dtype=bool)
     rows = np.arange(len(retry))
     while rows.size:
-        depth = np.array([stacks[r].pop() for r in rows])
-        hs = h * 0.5 ** (MAX_HALVINGS - depth)
+        hs = h * 0.5 ** (MAX_HALVINGS - depth[rows])
         proposals[rows] += 1
         if xi is None:
             xi = np.array([retry[r].standard_normal(x.shape[1]) for r in rows])
         xr = x[rows]
         d = xr @ S.T
         # A stacked matmul runs the 1-D product's gemv on each row; one
-        # (kvec / d) @ S gemm would differ in the last bit.
-        drift = np.matmul(S.T, (params.kvec / d)[:, :, None])[:, :, 0]
+        # (k / d) @ S gemm would differ in the last bit.
+        drift = np.matmul(S.T, (k[rows] / d)[:, :, None])[:, :, 0]
         prop = xr + drift * hs[:, None] + np.sqrt(hs)[:, None] * xi
         xi = None
-        bad = ~(prop @ S.T > 0).all(axis=1)     # a NaN distance is a crossing too
-        x[rows[~bad]] = prop[~bad]
+        ok = (prop @ S.T > 0).all(axis=1)     # a NaN distance is a crossing too
+        acc, rej = rows[ok], rows[~ok]
+        x[acc] = prop[ok]
+        # a depth-first bisection goes on with the lowest set bit of done,
+        # or halves a rejected proposal; at depth 0 or past the budget it fails
+        done[acc] += 1 << depth[acc]
+        depth[acc] = np.bitwise_count((done[acc] & -done[acc]) - 1)
+        rejected[rej] += 1
+        covered[rej[depth[rej] == 0]] = False
+        depth[rej] -= 1
 
-        for i in np.flatnonzero(bad):
-            r = rows[i]
-            rejected[r] += 1
-            if depth[i] <= 0:
-                covered[r], stacks[r] = False, []
-                continue
-            stacks[r] += [depth[i] - 1] * 2
-
-        left = np.array([bool(stacks[r]) for r in rows], dtype=bool)
+        left = covered[rows] & (done[rows] < 1 << MAX_HALVINGS)
         covered[rows[left & (proposals[rows] >= PROPOSAL_BUDGET)]] = False
         rows = rows[left & (proposals[rows] < PROPOSAL_BUDGET)]
     return covered, rejected
@@ -158,40 +151,39 @@ def _run_block(params: EngineParams, first_path: int, n_paths: int,
     tgrid = params.tgrid
     n_steps = len(tgrid) - 1
     seed = params.seed
+    record = params.record
     # First: after the generators it raised some 16,384-path runs' peak RSS ~3 MB (heap layout).
     tile = np.empty((min(TILE, n_steps), n_paths, nd))
+    if record and states is None:
+        states = np.empty((n_paths, n_steps + 1, nd))
 
     paths = first_path + np.arange(n_paths)
     path_keys = rngmod.keys(seed, rngmod.DIFFUSION, paths)
-    # A recorded run draws each path's whole stream into its row of
-    # ``states`` and drops its generator; step j's tile row takes grid point
-    # j + 1's noise from there, then the state.  An unrecorded run keeps the
-    # generators and buffers their streams in segments, which bounds memory
-    # without changing any draw; no tile straddles two segments.
-    if params.record:
-        if states is None:
-            states = np.empty((n_paths, n_steps + 1, nd))
-        xi_buf = states[:, 1:]
-        for key, row in zip(path_keys, xi_buf):
-            rngmod.stream(key).standard_normal(out=row)
-    else:
-        gens = [rngmod.stream(key) for key in path_keys]
-        xi_buf = np.empty((n_paths, 0, nd))
+    # A recorded run's one noise segment is its rows of ``states``: step j's
+    # tile row takes grid point j + 1's noise, then the state.  No tile
+    # straddles two segments.  A path's generator is opened on its first
+    # draw and kept only while a later segment remains.
     seg_len = max(1, min(n_steps, NOISE_BUFFER // max(1, n_paths * nd)))
+    seg = np.empty((n_paths, 0, nd))
+    gens = [None] * n_paths
     seg_start = tile_start = tile_len = 0
 
     def _load(step):
-        nonlocal xi_buf, seg_start, tile_start, tile_len
-        if step == seg_start + xi_buf.shape[1]:
-            seg_start = step
-            xi_buf = np.empty((n_paths, min(seg_len, n_steps - step), nd))
-            for gen, buf in zip(gens, xi_buf):
+        nonlocal seg, seg_start, tile_start, tile_len
+        if step == seg_start + seg.shape[1]:
+            seg_start, n = step, min(seg_len, n_steps - step)
+            seg = states[:, 1:] if record else np.empty((n_paths, n, nd))
+            last = step + seg.shape[1] == n_steps
+            for p, buf in enumerate(seg):
+                gen = gens[p] or rngmod.stream(path_keys[p])
                 gen.standard_normal(out=buf)
-        tile_start, tile_len = step, min(TILE, seg_start + xi_buf.shape[1] - step)
-        _points(tile[:tile_len])[...] = _points(xi_buf[:, step - seg_start:][:, :tile_len]).T
+                gens[p] = None if last else gen
+        tile_start, tile_len = step, min(TILE, seg_start + seg.shape[1] - step)
+        _points(tile[:tile_len])[...] = _points(seg[:, step - seg_start:][:, :tile_len]).T
 
-    def _flush(n_rows):     # the tile's first n_rows states back to their grid points
-        _points(states[:, tile_start + 1:][:, :n_rows])[...] = _points(tile[:n_rows]).T
+    def _flush(n_rows):     # a recorded tile's first n_rows states back to their grid points
+        if record:
+            _points(states[:, tile_start + 1:][:, :n_rows])[...] = _points(tile[:n_rows]).T
 
     cur = np.tile(np.asarray(params.x0, dtype=float), (n_paths, 1))
     S = np.sign(A @ params.x0)[:, None] * A
@@ -209,17 +201,14 @@ def _run_block(params: EngineParams, first_path: int, n_paths: int,
     stop_index = np.full(n_paths, n_steps, dtype=np.int64)
     t0_time = np.full(n_paths, np.nan)
     wall_contact = np.zeros(n_paths, dtype=bool)
-    if params.record:
-        states[:, 0] = cur
 
-    def _terminate(j, code, t_end, index):
+    def _terminate(rows, code, t_end, index):
         nonlocal n_active
-        active[j] = False
-        n_active -= 1
-        termination[j] = code
-        stop_index[j] = index
+        active[rows] = False
+        n_active -= len(rows)
+        termination[rows], stop_index[rows] = code, index
         if code == TERM_T0:
-            t0_time[j] = t_end
+            t0_time[rows] = t_end
 
     # d_cur holds x·Sᵀ of every active path, carried over from the accepted
     # proposal; matmuls over a subset of rows give the same bits per row.
@@ -229,13 +218,9 @@ def _run_block(params: EngineParams, first_path: int, n_paths: int,
 
     for step in range(n_steps):
         if not n_active:
-            if params.record:
-                _flush(step - tile_start)
-                states[:, step + 1:] = cur[:, None, :]
             break
         if step == tile_start + tile_len:
-            if params.record:
-                _flush(tile_len)
+            _flush(tile_len)
             _load(step)
         xi_step = tile[step - tile_start]
         full = n_active == n_paths
@@ -267,19 +252,17 @@ def _run_block(params: EngineParams, first_path: int, n_paths: int,
 
             redo = np.flatnonzero(~ok)
             if params.stop_at_t0:
-                for j in act[redo]:
-                    _terminate(j, TERM_T0, t1s, step)
+                _terminate(act[redo], TERM_T0, t1s, step)
             elif redo.size:
                 rows = act[redo]
                 if not retry:
                     retry_keys = rngmod.keys(seed, rngmod.RETRY, paths)
                 retry.update((j, rngmod.stream(retry_keys[j])) for j in rows if j not in retry)
                 x = cur[rows]
-                covered, rej = cover_interval(params, [retry[j] for j in rows], x, S,
+                covered, rej = cover_interval(k_rows[rows], [retry[j] for j in rows], x, S,
                                               h, xi_step[rows])
                 rejected[rows] += rej
-                for j in rows[~covered]:
-                    _terminate(j, TERM_STEP_FAILURE, t1s, step)
+                _terminate(rows[~covered], TERM_STEP_FAILURE, t1s, step)
                 rows, redo = rows[covered], redo[covered]
                 cur[rows] = x[covered]
                 d_cur[rows] = cur[rows] @ S.T
@@ -299,14 +282,17 @@ def _run_block(params: EngineParams, first_path: int, n_paths: int,
             hit = rows[wd[near] < eps]
             wall_contact[hit] = True
             if params.stop_at_t0:
-                for j in hit:
-                    _terminate(int(j), TERM_T0, t1s, step + 1)
+                _terminate(hit, TERM_T0, t1s, step + 1)
 
-        if params.record:
+        if record:
             xi_step[...] = cur
-    else:   # no break: the last tile is not written back yet
-        if params.record:
-            _flush(tile_len)
+    else:
+        step = n_steps
+    # the last tile's states back, the start, and a stopped block's final states
+    _flush(step - tile_start)
+    if record:
+        states[:, 0] = params.x0
+        states[:, step + 1:] = cur[:, None, :]
 
     return EngineResult(
         tgrid=tgrid,
@@ -330,20 +316,21 @@ def _merge(results, tgrid, states):
                         **{f: np.concatenate([getattr(r, f) for r in results]) for f in fields})
 
 
-def run_paths(params: EngineParams, n_paths: int, threads: int = 1,
-              chunk_size: int = DEFAULT_CHUNK) -> EngineResult:
-    """Run ``n_paths`` independent paths, optionally across worker processes.
+def run_paths(params: EngineParams, n_paths: int, threads: int = 1) -> EngineResult:
+    """Run ``n_paths`` independent paths in blocks of ``DEFAULT_CHUNK``,
+    optionally across worker processes.
 
-    Blocking is fixed by ``chunk_size`` and path randomness is path-keyed,
-    so the output is identical for any ``threads`` (0 = one per CPU; at
-    most one worker per block).  A recorded run fills one (N, M+1, n)
-    array: a block run here writes its own rows, and a worker's rows are
-    copied in and dropped.
+    Path randomness is path-keyed, so the output is identical for any
+    ``threads`` (0 = one per CPU; at most one worker per block) and any
+    block size.  A recorded run fills one (N, M+1, n) array: a block run
+    here writes its own rows, and a worker's rows are copied in and dropped.
     """
-    if threads < 0:
-        raise InvalidArgumentError(f"threads must be ≥ 0, got {threads}")
-    ranges = [(start, min(chunk_size, n_paths - start))
-              for start in range(0, n_paths, chunk_size)]
+    from .radial import _integral    # radial imports this module
+
+    if not _integral(threads) or threads < 0:
+        raise InvalidArgumentError(f"threads must be an integer ≥ 0, got {threads!r}")
+    ranges = [(start, min(DEFAULT_CHUNK, n_paths - start))
+              for start in range(0, n_paths, DEFAULT_CHUNK)]
     threads = min(threads or os.cpu_count() or 1, len(ranges))
     states = (np.empty((n_paths, len(params.tgrid), params.positive_roots.shape[1]))
               if params.record else None)

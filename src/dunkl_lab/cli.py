@@ -50,7 +50,11 @@ def _build_system(kind, n):
 
 
 def _parse_k(text, system):
-    values = [float(v) for v in text.split(",")]
+    try:
+        values = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise InvalidArgumentError(
+            f"--k must be numbers separated by commas, got {text!r}") from None
     return multiplicity(system, values[0] if len(values) == 1 else values)
 
 
@@ -78,14 +82,21 @@ def _summary_json(payload):
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _check_output_path(path):
+    """Refuse an output path in a missing directory, or one that is a
+    directory, before any work is done."""
+    folder = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(folder):
+        raise InvalidArgumentError(f"output directory {folder!r} does not exist")
+    if os.path.isdir(path):
+        raise InvalidArgumentError(f"output path {path!r} is a directory")
+
+
 def _load_simulation(args):
-    """The run config of a simulate command; an output path in a missing
-    directory is refused before anything is simulated."""
+    """The run config of a simulate command, its output path checked."""
     cfg = load_run_config(args.config, args.set or (), seed_override=_env_seed())
     if cfg.output:
-        folder = os.path.dirname(cfg.output["path"]) or os.curdir
-        if not os.path.isdir(folder):
-            raise InvalidArgumentError(f"output directory {folder!r} does not exist")
+        _check_output_path(cfg.output["path"])
     return cfg
 
 
@@ -159,6 +170,7 @@ def cmd_verify_suite(args):
 def cmd_export_plot_data(args):
     if args.bins < 1:
         raise InvalidArgumentError(f"--bins must be at least 1, got {args.bins}")
+    _check_output_path(args.out)
     try:
         paths = read_trajectories_csv(getattr(args, "in"))
     except OSError as exc:

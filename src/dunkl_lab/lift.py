@@ -45,7 +45,7 @@ from .errors import (
     SingularClockError,
     UnsupportedRegimeError,
 )
-from .radial import JumpTable, Run, SimulationConfig, _run, _run_engine
+from .radial import JumpTable, Run, SimulationConfig, _integral, _run, _run_engine
 from .rng import FLIP, keys, stream
 from .root_systems import (
     Multiplicity,
@@ -121,6 +121,16 @@ def build_lift_plan(system, k, *, rates=None, enumeration=None, mode="auto"):
             )
     return LiftPlan(system=system, k=k, enumeration=enumeration,
                     rates=stage_rates, modes=modes)
+
+
+def _stage_prefix(plan, stages):
+    """``stages`` as a prefix of the plan's stages, all of them for None."""
+    if stages is None:
+        return plan.n_stages
+    if not _integral(stages) or not 0 <= stages <= plan.n_stages:
+        raise InvalidArgumentError(f"stages must be an integer in 0..{plan.n_stages}, "
+                                   f"got {stages!r}")
+    return int(stages)
 
 
 def label_table(plan, stages):
@@ -401,10 +411,7 @@ def simulate_dunkl(plan, x0, config: SimulationConfig, *, stages=None, threads=1
         )
     if any(r < 0 for r in plan.rates):
         raise InvalidArgumentError("jump rates must be ≥ 0")
-    m = plan.n_stages
-    n_stages = m if stages is None else int(stages)
-    if not 0 <= n_stages <= m:
-        raise InvalidArgumentError(f"stages must lie in 0..{m}")
+    m, n_stages = plan.n_stages, _stage_prefix(plan, stages)
     # Stages 1..g, up to the last general-mode one, run as joint clocks.
     g = max((i for i, md in enumerate(plan.modes[:n_stages], start=1)
              if md == "general"), default=0)

@@ -15,6 +15,7 @@ sum roots, then the rescaled axis roots.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,6 +232,14 @@ def build_root_system(raw_roots, beta=None):
     return _system(normalize_roots(raw_roots), beta=beta)
 
 
+def _check_order(order):
+    """Refuse a Weyl group whose known order exceeds ``WEYL_GROUP_CAP``
+    before its closure is run."""
+    if order > WEYL_GROUP_CAP:
+        raise GroupCapExceededError(
+            f"the Weyl group has {order} elements, more than {WEYL_GROUP_CAP}")
+
+
 def build_type_a(n):
     """Type A_{n−1} in ℝⁿ: roots e_i − e_j, chamber x_1 > x_2 > … > x_n.
 
@@ -238,6 +247,7 @@ def build_type_a(n):
     """
     if n < 2:
         raise InvalidArgumentError("type A needs n ≥ 2")
+    _check_order(math.factorial(n))
     eye = np.eye(n)
     pos = np.array([eye[i] - eye[j] for i in range(n) for j in range(i + 1, n)])
     return _system(np.concatenate([pos, -pos]), np.arange(len(pos)))
@@ -255,6 +265,7 @@ def build_type_b(n):
     """
     if n < 2:
         raise InvalidArgumentError("type B needs n ≥ 2")
+    _check_order(2**n * math.factorial(n))
     eye = np.eye(n)
     pos = [eye[i] - eye[j] for i in range(n) for j in range(i + 1, n)]
     pos += [eye[i] + eye[j] for i in range(n) for j in range(i + 1, n)]

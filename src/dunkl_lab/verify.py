@@ -46,7 +46,7 @@ from .calculus import (
     sample_interior_points,
 )
 from .errors import InvalidArgumentError, SingularClockError
-from .lift import build_lift_plan, label_table, simulate_dunkl
+from .lift import _stage_prefix, build_lift_plan, label_table, simulate_dunkl
 from .radial import SimulationConfig, run_radial
 from .root_systems import (
     Multiplicity,
@@ -423,10 +423,7 @@ def label_law(run, plan, *, stages=None, name="label-law"):
     path.  Raises ``SingularClockError`` if a path touches a wall on the
     grid.
     """
-    system, m = plan.system, plan.n_stages
-    stages = m if stages is None else int(stages)
-    if not 0 <= stages <= m:
-        raise InvalidArgumentError(f"stages must lie in 0..{m}")
+    system, stages = plan.system, _stage_prefix(plan, stages)
     times, states, kept = stack_paths(run.trajectories)
     pos, n_labels = system.positive_roots, len(system.weyl_group)
     root, flip = label_table(plan, stages)

@@ -222,6 +222,14 @@ class TestCommands:
         assert out.count("PASS") == reports and "FAIL" not in out
         assert ("harmonic-delta_bar" in out) == (reports == 4)
 
+    @pytest.mark.parametrize("k", ["abc", "1,"])
+    def test_verify_harmonic_rejects_a_malformed_k(self, capsys, k):
+        rc = main(["verify-harmonic", "--system", "B", "--n", "2", "--k", k])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error:") and "--k" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("points", ["0", "-3"])
     def test_verify_harmonic_rejects_points_below_one(self, capsys, points):
         rc = main(["verify-harmonic", "--system", "B", "--n", "2", "--k", "1.0",
@@ -285,6 +293,19 @@ class TestCommands:
             assert err.startswith("error:") and words in err
             assert not summary_path.exists()
 
+    @pytest.mark.parametrize("out, words", [("missing/s.csv", "does not exist"),
+                                            (".", "is a directory")])
+    def test_export_plot_data_refuses_an_unwritable_output(self, tmp_path, capsys,
+                                                          out, words):
+        out_path = tmp_path / "traj.csv"
+        doc = base_doc(output={"path": str(out_path), "format": "csv"})
+        main(["simulate-radial", "--config", write_cfg(tmp_path, doc)])
+        capsys.readouterr()
+        rc = main(["export-plot-data", "--in", str(out_path), "--out", str(tmp_path / out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and words in err
+
     def test_export_plot_data_reports_a_malformed_row(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("path_id,t,x_1,x_2,event\n0,0.0,2,1,\nabc,0.1,1,2,\n")
@@ -308,6 +329,11 @@ class TestCommands:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error:") and "missing" in err
+        doc["output"]["path"] = str(tmp_path)
+        rc = main([command, "--config", write_cfg(tmp_path, doc)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and "is a directory" in err
 
     def test_entry_point_runs(self):
         proc = subprocess.run(

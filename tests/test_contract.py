@@ -188,9 +188,9 @@ ENGINE_CONTRACT = {
 @pytest.mark.parametrize("case", sorted(ENGINE_CONTRACT))
 def test_engine_outputs_match_contract(case, monkeypatch):
     overrides, constants, expected = ENGINE_CONTRACT[case]
-    for name, value in constants.items():
+    for name, value in {"DEFAULT_CHUNK": 128, **constants}.items():
         monkeypatch.setattr(_engine, name, value)
-    res = _engine.run_paths(_engine_params(**overrides), 300, chunk_size=128)
+    res = _engine.run_paths(_engine_params(**overrides), 300)
     got = (_engine_digest(res), int(res.n_rejected.sum()),
            tuple(np.bincount(res.termination, minlength=3).tolist()))
     assert got == expected
@@ -229,9 +229,9 @@ def test_engine_diagnostics_match_contract():
     for overrides, constants in ((dict(), dict()), ENGINE_CONTRACT["stop_at_t0"][:2],
                                  ENGINE_CONTRACT["max_halvings"][:2]):
         with pytest.MonkeyPatch.context() as mp:
-            for name, value in constants.items():
+            for name, value in {"DEFAULT_CHUNK": 128, **constants}.items():
                 mp.setattr(_engine, name, value)
-            res = _engine.run_paths(_engine_params(**overrides), 300, chunk_size=128)
+            res = _engine.run_paths(_engine_params(**overrides), 300)
         for name in DIAGNOSTICS:
             h.update(np.ascontiguousarray(getattr(res, name)).tobytes())
     assert h.hexdigest() == DIAGNOSTICS_SHA256

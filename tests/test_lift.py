@@ -199,6 +199,11 @@ class TestSimulateDunkl:
         with pytest.raises(UnsupportedRegimeError):
             simulate_dunkl(build_lift_plan(b2, low), [2.0, 1.0], cfg)
 
+    @pytest.mark.parametrize("stages", [2.9, True, 5, -1])
+    def test_stages_must_be_a_whole_prefix(self, b2, k_one, stages):
+        with pytest.raises(InvalidArgumentError, match="stages"):
+            simulate_dunkl(build_lift_plan(b2, k_one), [2.0, 1.0], small_cfg(), stages=stages)
+
     def test_zero_rate_means_no_jumps(self, b2, k_one):
         kp = multiplicity(b2, 0.0)
         plan = build_lift_plan(b2, k_one, rates=kp)
@@ -352,11 +357,9 @@ class TestBlocking:
 
         simulate, stages, _ = STAGE_CONTRACT[case]
         expected = _digest(simulate()), _stage_digest(simulate, stages)
-        run_paths = _engine.run_paths
         for threads, chunk, block in ((2, 4096, lift.LIFT_BLOCK), (1, 64, 1), (2, 64, 500)):
             with monkeypatch.context() as mp:
-                mp.setattr(_engine, "run_paths",
-                           lambda params, n, threads=1: run_paths(params, n, threads, chunk))
+                mp.setattr(_engine, "DEFAULT_CHUNK", chunk)
                 mp.setattr(lift, "LIFT_BLOCK", block)
                 got = (_digest(simulate(threads=threads)),
                        _stage_digest(lambda **kw: simulate(threads=threads, **kw), stages))
@@ -381,13 +384,13 @@ class TestBlocking:
 class TestMemory:
     # 256 recorded B2 paths of 2,000 steps: the (N, M+1, n) states take 8.2 MB.
     @staticmethod
-    def _recorded_peak(b2, k_one, **kwargs):
+    def _recorded_peak(b2, k_one):
         params = _engine.EngineParams(
             positive_roots=b2.positive_roots, kvec=k_one.per_positive(),
             x0=np.array([2.0, 1.0]), tgrid=np.arange(2001) * 1e-3, seed=5, record=True)
         tracemalloc.start()
         try:
-            res = _engine.run_paths(params, 256, **kwargs)
+            res = _engine.run_paths(params, 256)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -398,10 +401,11 @@ class TestMemory:
         run's peak is the states and little else."""
         assert self._recorded_peak(b2, k_one) <= 1.25
 
-    def test_recorded_blocks_fill_one_path_array(self, b2, k_one):
+    def test_recorded_blocks_fill_one_path_array(self, b2, k_one, monkeypatch):
         """Each of four blocks writes its rows into the run's one array, so
         no block's states and no concatenation sit beside it."""
-        assert self._recorded_peak(b2, k_one, chunk_size=64) <= 1.25
+        monkeypatch.setattr(_engine, "DEFAULT_CHUNK", 64)
+        assert self._recorded_peak(b2, k_one) <= 1.25
 
     def test_lift_holds_one_block_of_clocks(self, b2, k_one, monkeypatch):
         """Past the states it returns, the lift holds one block's clocks and

@@ -161,8 +161,11 @@ class TestSimulateRadial:
         """Blocks of 64 paths across one and two workers, and one block of
         4096, give the same engine output, and each block's last tile of
         states is written back."""
-        runs = [_engine.run_paths(params, 150, threads=t, chunk_size=c)
-                for t, c in ((1, 64), (2, 64), (1, 4096))]
+        runs = []
+        for threads, chunk in ((1, 64), (2, 64), (1, 4096)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(_engine, "DEFAULT_CHUNK", chunk)
+                runs.append(_engine.run_paths(params, 150, threads=threads))
         for other in runs[1:]:
             for name in ("tgrid", "final", "stop_index", "termination", "t0_time",
                          "wall_contact", "min_wall_distance", "n_rejected", "states"):
@@ -301,6 +304,52 @@ class TestEngineHelpers:
         a[rng.random(a.shape) < 0.05] = np.nan
         assert _engine._row_min(a).tobytes() == a.min(axis=1).tobytes()
 
+    @staticmethod
+    def _stack_cover(k, gen, x, S, h, xi):
+        """One row of ``cover_interval`` as a depth-first bisection over a
+        list stack of depths."""
+        stack, proposals, rejected = [_engine.MAX_HALVINGS], 0, 0
+        while stack:
+            if proposals == _engine.PROPOSAL_BUDGET:
+                return False, rejected
+            depth = stack.pop()
+            hs = h * 0.5 ** (_engine.MAX_HALVINGS - depth)
+            proposals += 1
+            xi = gen.standard_normal(len(x)) if xi is None else xi
+            prop = x + (S.T @ (k / (x @ S.T))) * hs + math.sqrt(hs) * xi
+            xi = None
+            if (prop @ S.T > 0).all():
+                x[...] = prop
+                continue
+            rejected += 1
+            if depth == 0:
+                return False, rejected
+            stack += [depth - 1] * 2
+        return True, rejected
+
+    @pytest.mark.parametrize("halvings, budget", [(20, 100_000), (2, 100_000), (20, 5)])
+    def test_cover_interval_is_a_depth_first_stack(self, b2, monkeypatch, halvings, budget):
+        """Each row's dyadic position walks the sub-intervals of a
+        depth-first stack, with the same draws, states and outcome."""
+        monkeypatch.setattr(_engine, "MAX_HALVINGS", halvings)
+        monkeypatch.setattr(_engine, "PROPOSAL_BUDGET", budget)
+        S = b2.positive_roots     # the chamber x₁ > x₂ > 0
+        x = np.sort(np.abs(np.random.default_rng(5).standard_normal((400, 2))), axis=1)[:, ::-1]
+        x = 0.3 * x[(x @ S.T > 0).all(axis=1)]
+        k = np.ones((len(x), len(S)))
+        xi = np.random.default_rng(6).standard_normal(x.shape)
+        keys = rng.keys(3, rng.RETRY, np.arange(len(x)))
+        got = x.copy()
+        covered, rejected = _engine.cover_interval(
+            k, [rng.stream(key) for key in keys], got, S, 0.05, xi)
+        want = x.copy()
+        for r, key in enumerate(keys):
+            assert (covered[r], rejected[r]) == self._stack_cover(
+                k[r], rng.stream(key), want[r], S, 0.05, xi[r])
+        assert got.tobytes() == want.tobytes()
+        assert rejected.sum() > 0 and covered.any()
+        assert covered.all() == ((halvings, budget) == (20, 100_000))
+
 
 class _RecordingPool:
     """Stands in for ``ProcessPoolExecutor``: records ``max_workers`` and
@@ -337,11 +386,23 @@ class TestWorkers:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "made", [])
         params = self._params(b2, k_one)
-        res = _engine.run_paths(params, 12, threads=threads, chunk_size=chunk)
+        monkeypatch.setattr(_engine, "DEFAULT_CHUNK", chunk)
+        res = _engine.run_paths(params, 12, threads=threads)
         assert _RecordingPool.made == workers
-        assert res.final.tobytes() == _engine.run_paths(params, 12, chunk_size=5).final.tobytes()
+        monkeypatch.setattr(_engine, "DEFAULT_CHUNK", 5)
+        assert res.final.tobytes() == _engine.run_paths(params, 12).final.tobytes()
 
     def test_negative_threads_rejected(self, b2, k_one, monkeypatch):
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
         with pytest.raises(InvalidArgumentError, match="threads"):
             _engine.run_paths(self._params(b2, k_one), 12, threads=-1)
+
+    @pytest.mark.parametrize("threads", [1.5, True])
+    def test_threads_must_be_an_integer(self, b2, k_one, monkeypatch, threads):
+        """Refused before any worker starts, on two blocks of paths."""
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(_RecordingPool, "made", [])
+        monkeypatch.setattr(_engine, "DEFAULT_CHUNK", 5)
+        with pytest.raises(InvalidArgumentError, match="threads"):
+            _engine.run_paths(self._params(b2, k_one), 12, threads=threads)
+        assert _RecordingPool.made == []

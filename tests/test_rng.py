@@ -171,7 +171,8 @@ def test_recorded_states_keep_no_noise_after_a_stop(monkeypatch, case):
     for name, value in constants.items():
         monkeypatch.setattr(_engine, name, value)
     params = _engine_params(**overrides)
-    res = _engine.run_paths(params, 300, chunk_size=128)
+    monkeypatch.setattr(_engine, "DEFAULT_CHUNK", 128)
+    res = _engine.run_paths(params, 300)
     stopped = np.flatnonzero(res.termination != _engine.TERM_HORIZON)
     assert stopped.size and np.all(res.stop_index[stopped] < len(params.tgrid) - 1)
     for p in range(300):

@@ -172,6 +172,18 @@ class TestAxioms:
         monkeypatch.setattr(root_systems, "WEYL_GROUP_CAP", 8)
         assert len(build_type_b(2).weyl_group) == 8
 
+    @pytest.mark.parametrize("build, n", [(build_type_a, 10), (build_type_b, 8)],
+                             ids=["A9", "B8"])
+    def test_known_order_past_the_cap_is_refused_first(self, monkeypatch, build, n):
+        """|W| = n! for type A and 2ⁿ·n! for type B: past ``WEYL_GROUP_CAP``
+        no closure is run."""
+        def no_closure(roots):
+            raise AssertionError("the closure ran")
+
+        monkeypatch.setattr(root_systems, "generate_weyl_group", no_closure)
+        with pytest.raises(GroupCapExceededError):
+            build(n)
+
     @pytest.mark.parametrize("batch", [1, 7, root_systems.CLOSURE_BATCH])
     def test_weyl_group_matches_loop_closure(self, monkeypatch, batch):
         """The batched closure gives the one-product-at-a-time closure's

@@ -383,6 +383,13 @@ class TestLabelLaw:
         rep = label_law(run, plan, stages=0)
         assert not rep.passed and rep.estimate == np.inf
 
+    @pytest.mark.parametrize("stages", [3.7, True])
+    def test_stages_must_be_an_integer(self, b2, k_one, stages):
+        plan = build_lift_plan(b2, k_one)
+        cfg = SimulationConfig(horizon=0.1, dt=1e-2, n_paths=5, seed=1)
+        with pytest.raises(InvalidArgumentError, match="stages"):
+            label_law(simulate_dunkl(plan, [2.0, 1.0], cfg), plan, stages=stages)
+
     def test_rare_label_reads_its_poisson_tail(self, rank1):
         # Ten fixed paths far from the wall: the flipped label's expected
         # count is about 0.0056.  One path in it is no surprise at level
