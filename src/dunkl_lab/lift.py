@@ -26,9 +26,11 @@ with pre = v·Z(τ), Z interpolated along its segment, and post = σ_α·pre,
 so post = pre − (α·pre)α exactly.  Each path draws from one ``FLIP``
 stream, so neither blocking nor the engine's workers change the output.
 
-A block's clocks are held time-major, as (root, grid point, path), and are
-freed before X = v·Z is written over its states and before the next
-block's are built.  The label path is a flat table of pieces, one at each
+A block's clocks are held time-major, as (grid point, root, path), and are
+built in one sweep over tiles of ``CLOCK_TILE`` grid points: each tile's
+dots, increments and running sums are formed while the tile is in cache.
+They are freed before X = v·Z is written over its states and before the
+next block's are built.  The label path is a flat table of pieces, one at each
 path's start and one per jump, so the pass holds the recorded paths, one
 block of clocks, and O(N + J) for the label path of N paths, J jumps.
 """
@@ -58,6 +60,7 @@ from .root_systems import (
 
 MAX_CLOCK = 1e5        # a path's clock total above this is refused as absurd
 LIFT_BLOCK = 1 << 20   # root-clock grid values per block of paths; bounds the pass's memory
+CLOCK_TILE = 32        # grid points per tile of a block's clock sweep
 
 
 @dataclass(frozen=True)
@@ -166,32 +169,37 @@ def _dots(coord, alphas, out, scratch=None):
     return out
 
 
-def _increments(h, d, seg=None):
-    """Overwrite the dots ``d`` = Y·α on the grid (axis 0) with the clock's
-    increments: 0 at the first point and h/(d₀·d₁) at the end of each
-    straight segment, d₀ and d₁ its dots.  ``seg`` is scratch shaped like
-    ``d[1:]``.  Raises ``SingularClockError`` if a segment meets the
-    hyperplane of α."""
-    seg = np.multiply(d[:-1], d[1:], out=seg)
+def _increments(h, d, out):
+    """The clock's increments h/(d₀·d₁) into ``out``, one per straight
+    segment between consecutive grid points (axis 0) of the dots ``d`` =
+    Y·α, d₀ and d₁ its dots.  Raises ``SingularClockError`` if a segment
+    meets the hyperplane of α."""
+    seg = np.multiply(d[:-1], d[1:], out=out)
     if not seg.min(initial=np.inf) > 0.0:
         raise SingularClockError("a path meets the hyperplane of α")
-    np.divide(h, seg, out=d[1:])
-    d[0] = 0.0
-    return d
+    return np.divide(h, seg, out=seg)
 
 
 def cumulative_time_change(times, states, alpha):
     """Ã_t = ∫_0^t ds/(Y_s·α)² along recorded paths, exact on each straight
     segment between grid points: h/(d₀·d₁), with d = Y·α at its ends.
 
-    ``states`` has shape (..., M+1, n) over the grid ``times``; the result
-    has shape (..., M+1).  Raises ``SingularClockError`` if a segment
-    meets the hyperplane of α.
+    ``states`` has shape (..., M+1, n) over the grid ``times`` (M+1,) and
+    ``alpha`` has n coordinates; the result has shape (..., M+1).  Raises
+    ``InvalidArgumentError`` for shapes that do not fit, and
+    ``SingularClockError`` if a segment meets the hyperplane of α.
     """
-    states = np.asarray(states)
+    times, states = np.asarray(times), np.asarray(states)
+    alpha = np.asarray(alpha, dtype=float)
+    if states.ndim < 2 or times.shape != states.shape[-2:-1] or alpha.shape != states.shape[-1:]:
+        raise InvalidArgumentError(
+            f"cumulative_time_change needs times (M+1,), states (..., M+1, n) and alpha "
+            f"(n,), got {times.shape}, {states.shape} and {alpha.shape}")
     d = np.empty(states.shape[:-1])
-    _dots(lambda c: states[..., c], np.asarray(alpha, dtype=float)[None], [d])
-    _increments(np.diff(times).reshape(-1, *(1,) * (d.ndim - 1)), np.moveaxis(d, -1, 0))
+    _dots(lambda c: states[..., c], alpha[None], [d])
+    inc = np.moveaxis(d, -1, 0)   # written over its own dots: ufuncs buffer an overlap
+    _increments(np.diff(times).reshape(-1, *(1,) * (d.ndim - 1)), inc, inc[1:])
+    inc[0] = 0.0
     return np.cumsum(d, axis=-1)
 
 
@@ -225,30 +233,48 @@ def _search(column, value, lo, hi):
 
 
 class _Clocks:
-    """The radial clocks Λ_β of one block of recorded paths Z: ``values``
-    (m, M+1, P) on the grid, for the positive ``roots`` β at ``rate`` c(β).
+    """The radial clocks Λ_β of one block of recorded paths Z, for the
+    positive ``roots`` β at ``rate`` c(β): ``values`` (M+1, m, P), by grid
+    point, root and path, holds the sums Σ h/(d₀·d₁) and ``on_grid`` scales
+    them by c(β) as it reads them.
 
-    Each root's slot of ``values`` first takes its dots β·Z, built from one
-    contiguous (M+1, P) copy of each coordinate of Z at a time, and then
-    its segment increments in place; a zero-rate root's slot stays zero and
-    is not checked.  The prefix sums add slab j into slab j + 1 for all
-    roots at once, so each (root, path) adds its increments in time order,
-    as ``np.cumsum`` does along a path, and the values are c(β)·
-    ``cumulative_time_change`` bit for bit."""
+    One sweep over tiles of ``CLOCK_TILE`` grid points builds them.  Each
+    tile copies each coordinate of Z for its points into a time-major
+    (T, P) array, puts the dots β·Z into a ring whose row 0 carries the
+    dots at the point before the tile, forms its increments with one
+    multiply, one wall check and one divide, and adds slab j − 1 into slab
+    j.  So each (root, path) adds its increments in time order, as
+    ``np.cumsum`` does, and the read values are c(β)·
+    ``cumulative_time_change`` bit for bit.  A zero-rate root's ring rows
+    stay +inf: its increments are 0 and it is never checked."""
 
     def __init__(self, times, states, stop, roots, rate):
         self.times, self.states, self.stop, self.roots, self.rate = times, states, stop, roots, rate
-        self.values = np.zeros((len(roots), len(times), len(states)))
+        n_times, n_paths = len(times), len(states)
+        self.values = np.empty((n_times, len(roots), n_paths))
+        self.values[0] = 0.0
         live = np.flatnonzero(rate)
-        scratch = np.empty(self.values.shape[1:])
-        slots = _dots(lambda c: states[:, :, c].T.copy(), roots[live],
-                      [self.values[q] for q in live], scratch)
-        h = np.diff(times)[:, None]
-        for d in slots:
-            _increments(h, d, scratch[1:])
-        for j in range(len(times) - 1):
-            self.values[:, j + 1] += self.values[:, j]
-        self.values *= rate[:, None, None]
+        ring = np.full((CLOCK_TILE + 1, len(roots), n_paths), np.inf)
+        slots = [ring[:, q] for q in live]
+        scratch = np.empty((CLOCK_TILE, n_paths))
+        h = np.diff(times)[:, None, None]
+
+        def dots(lo, hi, rows):
+            _dots(lambda c: states[:, lo:hi, c].T.copy(), roots[live],
+                  [d[rows] for d in slots], scratch[:hi - lo])
+
+        dots(0, 1, slice(0, 1))   # the row carried into the first tile
+        for lo in range(1, n_times, CLOCK_TILE):
+            hi = min(lo + CLOCK_TILE, n_times)
+            dots(lo, hi, slice(1, hi - lo + 1))
+            _increments(h[lo - 1:hi - 1], ring[:hi - lo + 1], self.values[lo:hi])
+            for j in range(lo, hi):
+                self.values[j] += self.values[j - 1]
+            ring[0] = ring[hi - lo]
+
+    def on_grid(self, j, q, path):
+        """Λ_q of each path at grid point j."""
+        return self.values[j, q, path] * self.rate[q]
 
     def _segment(self, path, q, j):
         """Step, d₀ and d₁ of grid segment j of each path for root q."""
@@ -262,14 +288,14 @@ class _Clocks:
         j = np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, len(self.times) - 2)
         h, d0, d1 = self._segment(path, q, j)
         theta = (t - self.times[j]) / h
-        return self.values[q, j, path] + self.rate[q] * h * theta / (d0 * (d0 + theta * (d1 - d0)))
+        return self.on_grid(j, q, path) + self.rate[q] * h * theta / (d0 * (d0 + theta * (d1 - d0)))
 
     def time_of(self, path, q, value):
         """The time at which Λ_q of each path reaches ``value``: on its segment
         θ = ρ·d₀²/(h − ρ·d₀·(d₁ − d₀)) for the remaining unit clock ρ."""
-        j = _search(lambda j: self.values[q, j, path], value, 0 * path, self.stop[path] - 1)
+        j = _search(lambda j: self.on_grid(j, q, path), value, 0 * path, self.stop[path] - 1)
         h, d0, d1 = self._segment(path, q, j)
-        rho = (value - self.values[q, j, path]) / self.rate[q]
+        rho = (value - self.on_grid(j, q, path)) / self.rate[q]
         theta = np.clip(rho * d0 * d0 / (h - rho * d0 * (d1 - d0)), 0.0, 1.0)
         return self.times[j] + theta * h
 
@@ -315,7 +341,7 @@ def _joint_stages(gens, clocks, first_path, start, flip):
     """Jumps (path, time, β) of the general-clock stages: each root's unit
     Poisson arrivals on Λ_β, kept where ``flip`` moves the label."""
     n_paths, m = len(gens), len(clocks.roots)
-    totals = clocks.values[:, clocks.stop, np.arange(n_paths)].T
+    totals = clocks.on_grid(clocks.stop[:, None], np.arange(m), np.arange(n_paths)[:, None])
     first = np.array([gen.standard_exponential(m) for gen in gens])
     # row i·m + β draws after row i·m + β − 1, from path i's stream
     rows, value = _draws([gen for gen in gens for _ in range(m)], totals.ravel(),

@@ -1,5 +1,8 @@
-"""Start-up cost: what importing a module pulls in, each in a fresh interpreter."""
+"""Start-up cost: what importing a module pulls in, each in a fresh interpreter;
+and the entry points the benchmark's traced run wraps, which must exist."""
 
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -25,3 +28,18 @@ def test_import_leaves_out(module, absent):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
     assert json.loads(proc.stdout) == []
+
+
+def _entry_points():
+    """perfbench's traced entry points, read from ``perfbench/spans.py``."""
+    path = os.path.join(os.path.dirname(SRC), "perfbench", "spans.py")
+    spec = importlib.util.spec_from_file_location("_perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans.ENTRY_POINTS
+
+
+@pytest.mark.parametrize("span, module, attribute", [e[:3] for e in _entry_points()])
+def test_benchmark_entry_points_exist(span, module, attribute):
+    # A traced run drops the metrics of an entry point it cannot find.
+    assert hasattr(importlib.import_module(f"dunkl_lab.{module}"), attribute), span

@@ -109,6 +109,18 @@ class TestTimeChange:
         with pytest.raises(SingularClockError):
             cumulative_time_change(np.array([0.0, 0.1]), states, np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize("n_times, alpha", [
+        (2, [1.0, 1.0]),            # one step would broadcast over 10 segments
+        (5, [1.0, 1.0]),
+        (11, [1.0, 0.0, 0.0]),      # 3 coordinates against 2-D states
+        (11, [0.0, 0.0, 1.0]),
+        (11, [[1.0, 1.0]]),
+    ])
+    def test_shapes_that_do_not_fit_are_refused(self, n_times, alpha):
+        states = np.stack([2.0 + np.linspace(0.0, 1.0, 11), np.ones(11)], axis=1)
+        with pytest.raises(InvalidArgumentError, match="cumulative_time_change"):
+            cumulative_time_change(np.linspace(0.0, 1.0, n_times), states, alpha)
+
     def test_strictly_increasing_and_invertible(self, b2, k_one):
         cfg = small_cfg(n_paths=5)
         run = simulate_dunkl(build_lift_plan(b2, k_one), [2.0, 1.0], cfg, stages=0)
@@ -150,11 +162,11 @@ class TestClockRule:
         rate = np.asarray(plan.rates)[np.argsort(plan.enumeration)]
         pos = plan.system.positive_roots
         clocks = lift._Clocks(res.tgrid, res.states, res.stop_index, pos, rate)
-        assert clocks.values.shape == (len(pos), len(res.tgrid), cfg.n_paths)
+        assert clocks.values.shape == (len(res.tgrid), len(pos), cfg.n_paths)
         for q, beta in enumerate(pos):
             want = (rate[q] * cumulative_time_change(res.tgrid, res.states, beta) if rate[q]
                     else np.zeros(res.states.shape[:2]))
-            assert clocks.values[q].T.tobytes() == want.tobytes(), q
+            assert (clocks.values[:, q] * rate[q]).T.tobytes() == want.tobytes(), q
         return res, rate
 
     @pytest.mark.parametrize("system, x0, mode, rates", [
@@ -177,9 +189,41 @@ class TestClockRule:
         states = res.states.copy()
         states[3, 5] = [2.0, 0.0]
         pos, args = b2.positive_roots, (res.tgrid, states, res.stop_index)
-        assert not lift._Clocks(*args, pos, rate).values[2:].any()
+        assert not lift._Clocks(*args, pos, rate).values[:, 2:].any()
         with pytest.raises(SingularClockError, match="hyperplane"):
             lift._Clocks(*args, pos, np.ones(4))
+
+    @staticmethod
+    def _b2_radial(b2, k, n_paths):
+        """A recorded B2 radial run over M + 1 = 201 grid points."""
+        res = lift._run_engine(b2, k, [2.0, 1.0], small_cfg(n_paths=n_paths, horizon=0.2),
+                               record=True, threads=1, any_chamber=True)
+        assert len(res.tgrid) == 201
+        return res, b2.positive_roots
+
+    @pytest.mark.parametrize("tile", [1, 7, 201])
+    def test_the_tile_moves_no_bit(self, b2, k_one, monkeypatch, tile):
+        res, pos = self._b2_radial(b2, k_one, n_paths=30)
+        args = (res.tgrid, res.states, res.stop_index, pos, np.array([1.0, 0.7, 0.0, 2.5]))
+        want = lift._Clocks(*args).values.tobytes()
+        monkeypatch.setattr(lift, "CLOCK_TILE", tile)
+        assert lift._Clocks(*args).values.tobytes() == want
+
+    @pytest.mark.parametrize("wall", ["touch", "cross"])
+    def test_a_wall_at_the_first_point_of_a_tile(self, b2, k_one, wall):
+        res, pos = self._b2_radial(b2, k_one, n_paths=20)
+        # Tiles open at grid points 1 + i·CLOCK_TILE; the segment into the
+        # first point of a tile reads its d₀ from the row carried over.
+        j = 1 + lift.CLOCK_TILE
+        states = res.states.copy()
+        if wall == "touch":
+            states[3, j] = [2.0, 0.0]      # on the wall of the short root (0, √2)
+        else:
+            states[3, j:, 1] *= -1.0       # only segment j − 1 → j crosses that wall
+        args = (res.tgrid, states, res.stop_index, pos)
+        assert not lift._Clocks(*args, np.array([1.0, 1.0, 1.0, 0.0])).values[:, 3].any()
+        with pytest.raises(SingularClockError, match="hyperplane"):
+            lift._Clocks(*args, np.ones(4))
 
     def test_paths_stopped_by_a_step_failure(self, b2, k_one, monkeypatch):
         # The run of TestSimulateDunkl.test_no_jump_after_step_failure.
