@@ -5,9 +5,10 @@ The central object is the integro-differential generator
     A u(x) = ½Δu(x) + Σ_{α∈R₊} k(α) (∇u(x)·α)/(x·α)
              + Σ_{α active} c(α) (u(σ_α x) − u(x))/(x·α)²
 
-evaluated with a test function's own closed-form gradient and Laplacian
-when it supplies them, and through Richardson-extrapolated central
-differences otherwise; the jump terms need only values of u.  With no
+evaluated with a test function's own closed forms when it supplies them
+(one ``derivatives(x)`` call returns ∇u and Δu together, so the pieces
+they share are computed once), and through Richardson-extrapolated
+central differences otherwise; the jump terms need only values of u.  With no
 active jump roots this is the radial generator; with all of R₊ active and
 c = k it is the full Dunkl generator; c = k′ (or any nonnegative
 per-orbit family) gives the two-parameter variants.  δ, δ̄ and π^{1−2k}
@@ -42,19 +43,19 @@ INTERIOR_MAX_TRIES = 100_000
 class TestFunction:
     """A smooth scalar test function with a declared trust region.
 
-    ``fn`` maps arrays of shape (..., n) to shape (...).  When both
-    ``grad`` (to shape (..., n)) and ``laplacian`` (to shape (...)) are
-    given, the generator uses these closed forms; otherwise it takes
-    Richardson differences of ``fn``.  Those are trusted on the centered
-    ball of radius ``smooth_radius``; evaluations whose stencil leaves it
-    raise ``DomainError``.  The closed forms are not checked against it.
+    ``fn`` maps arrays of shape (..., n) to shape (...).  When
+    ``derivatives`` is given, it maps the same arrays to the pair
+    (∇u of shape (..., n), Δu of shape (...)) and the generator uses these
+    closed forms; otherwise it takes Richardson differences of ``fn``.
+    Those are trusted on the centered ball of radius ``smooth_radius``;
+    evaluations whose stencil leaves it raise ``DomainError``.  The closed
+    forms are not checked against it.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     smooth_radius: float = np.inf
     name: str = ""
-    grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    laplacian: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    derivatives: Optional[Callable[[np.ndarray], tuple]] = None
 
     __test__ = False  # not a pytest class despite the name
 
@@ -100,9 +101,15 @@ class GeneratorSpec:
 
     @classmethod
     def prefix(cls, system, k, i, enumeration=None, jump_k=None):
-        """Jumps active on the first ``i`` roots of an enumeration."""
+        """Jumps active on the first ``i`` roots of an enumeration, 0 ≤ i ≤ m."""
+        # imported here: loading radial with calculus reorders the package's
+        # imports, which moved every run's peak RSS by about 0.8 MB
+        from .radial import _integral
+        m = system.n_positive
+        if not _integral(i) or not 0 <= i <= m:
+            raise InvalidArgumentError(f"i must be an integer in 0..{m}, got {i!r}")
         if enumeration is None:
-            enumeration = tuple(range(system.n_positive))
+            enumeration = tuple(range(m))
         return cls(system=system, k=k, jump_k=jump_k,
                    active=tuple(enumeration[:i]))
 
@@ -246,13 +253,15 @@ def generator_terms(spec, u, x):
     dots = _positive_dots(system, x)
     if np.any(dots == 0.0):
         raise SingularDriftError("generator evaluated on a reflecting hyperplane")
-    if u.grad is not None and u.laplacian is not None:
-        grad, lap = u.grad(x), u.laplacian(x)
+    if u.derivatives is not None:
+        grad, lap = u.derivatives(x)
     else:
         grad, second = _fd_scheme(u, x)
         lap = _coordinate_sum(second)
     half_lap = 0.5 * lap
-    drift_vec = (k.per_positive() / dots) @ system.positive_roots
+    # k at full width: an (m,) row divided into (..., m) runs one inner loop per point
+    k_rows = np.tile(k.per_positive(), dots.shape[:-1] + (1,))
+    drift_vec = (k_rows / dots) @ system.positive_roots
     drift_term = _coordinate_sum(drift_vec * grad)
     jumps = np.zeros(x.shape[:-1])
     jump_abs = np.zeros(x.shape[:-1])
@@ -299,17 +308,14 @@ def _delta_times(system, k, log_half):
         q = np.log(dots) @ half if log_half else np.ones(d.shape)
         return d, q, (expo * inv) @ pos, (half * inv) @ pos, inv * inv
 
-    def grad(x):
-        d, q, g, h, _ = terms(x)
-        return d[..., None] * (q[..., None] * g + h)
-
-    def laplacian(x):
+    def derivatives(x):
         d, q, g, h, inv_sq = terms(x)
-        return d * (q * (_coordinate_sum(g * g) - 2.0 * (inv_sq @ expo))
-                    + 2.0 * _coordinate_sum(g * h) - 2.0 * (inv_sq @ half))
+        lap = d * (q * (_coordinate_sum(g * g) - 2.0 * (inv_sq @ expo))
+                   + 2.0 * _coordinate_sum(g * h) - 2.0 * (inv_sq @ half))
+        return d[..., None] * (q[..., None] * g + h), lap
 
     return TestFunction(fn=lambda y: values(system, k, y), name=values.__name__,
-                        grad=grad, laplacian=laplacian)
+                        derivatives=derivatives)
 
 
 def harmonicity_residual(system, k, which, x):

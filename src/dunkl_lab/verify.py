@@ -47,7 +47,7 @@ from .calculus import (
 )
 from .errors import InvalidArgumentError, SingularClockError
 from .lift import _stage_prefix, build_lift_plan, label_table, simulate_dunkl
-from .radial import SimulationConfig, run_radial
+from .radial import SimulationConfig, _integral, run_radial
 from .root_systems import (
     Multiplicity,
     build_rank_one,
@@ -175,12 +175,13 @@ def _times(c, x):
 
 def _radial_function(f, df, d2f, name):
     """u(x) = f(‖x‖²): ∇u = 2f′x and Δu = 2n·f′ + 4‖x‖²·f″."""
-    def laplacian(x):
+    def derivatives(x):
         s = _coordinate_sum(x * x)
-        return 2.0 * x.shape[-1] * df(s) + 4.0 * s * d2f(s)
+        slope = df(s)
+        return _times(2.0 * slope, x), 2.0 * x.shape[-1] * slope + 4.0 * s * d2f(s)
 
-    return TestFunction(lambda x: f(_coordinate_sum(x * x)), name=name, laplacian=laplacian,
-                        grad=lambda x: _times(2.0 * df(_coordinate_sum(x * x)), x))
+    return TestFunction(lambda x: f(_coordinate_sum(x * x)), name=name,
+                        derivatives=derivatives)
 
 
 @dataclass(frozen=True)
@@ -191,8 +192,12 @@ class _RidgeFunction(TestFunction):
 def _ridge_function(v, g, dg, d2g, name):
     """u(x) = g(x·v): ∇u = g′·v and Δu = ‖v‖²·g″."""
     v_sq = float(v @ v)
-    return _RidgeFunction(lambda x: g(x @ v), name=name, grad=lambda x: _times(dg(x @ v), v),
-                          laplacian=lambda x: v_sq * d2g(x @ v))
+
+    def derivatives(x):
+        t = x @ v
+        return _times(dg(t), v), v_sq * d2g(t)
+
+    return _RidgeFunction(lambda x: g(x @ v), name=name, derivatives=derivatives)
 
 
 def function_battery(dim):
@@ -234,8 +239,11 @@ def calibrate_bias_coefficient(system, t, n_paths, seed):
     integral, (dt/2)·(E g(X_0) − E g(X_T)) + O(dt²) for g = ½Δu.  The
     returned c is the largest such half-difference over the battery, with
     a two-sigma sampling margin, so b(dt) = c·dt covers the quadrature
-    bias at any step size.
+    bias at any step size.  ``n_paths`` must be an integer ≥ 2, since the
+    margin needs a sample standard deviation.
     """
+    if not _integral(n_paths) or n_paths < 2:
+        raise InvalidArgumentError(f"n_paths must be an integer of at least 2, got {n_paths!r}")
     n = system.dimension
     rng = rngmod.stream(rngmod.keys(seed, rngmod.CHECK, 0))
     x0 = np.arange(2 * n, n, -1, dtype=float)  # generic off-wall start
@@ -254,14 +262,18 @@ def calibrate_bias_coefficient(system, t, n_paths, seed):
 def _path_residuals(states, times, spec, u):
     """u(X_T) − u(X_0) − Σ A u(X_{t_j}) Δt_j per path (left Riemann sum).
 
-    The generator runs on blocks of about ``_RESIDUAL_POINTS`` points; the
-    sum over steps stays one product over all paths, since a BLAS product
-    may round a row differently when it gets fewer rows.
+    The generator runs on blocks of whole paths, about ``_RESIDUAL_POINTS``
+    points each, as one contiguous (P·(M+1), n) array; the value at each
+    path's last point is computed and dropped.  The sum over steps stays
+    one product over all paths, since a BLAS product may round a row
+    differently when it gets fewer rows.
     """
-    au = np.empty(states[:, :-1, 0].shape)
-    block = max(1, _RESIDUAL_POINTS // max(1, au.shape[1]))
-    for lo in range(0, len(au), block):
-        au[lo:lo + block] = apply_generator(spec, u, states[lo:lo + block, :-1, :])
+    n_paths, n_points, dim = states.shape
+    au = np.empty((n_paths, n_points - 1))
+    block = max(1, _RESIDUAL_POINTS // max(1, n_points - 1))
+    for lo in range(0, n_paths, block):
+        points = states[lo:lo + block].reshape(-1, dim)
+        au[lo:lo + block] = apply_generator(spec, u, points).reshape(-1, n_points)[:, :-1]
     return u(states[:, -1, :]) - u(states[:, 0, :]) - au @ np.diff(times)
 
 

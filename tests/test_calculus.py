@@ -199,6 +199,14 @@ class TestGenerator:
         spec = GeneratorSpec.prefix(b2, k_one, 2)
         assert spec.active == (0, 1)
         assert np.allclose(spec.jump_coefficients(), [1.0, 1.0])
+        assert GeneratorSpec.prefix(b2, k_one, np.int64(4)).active == (0, 1, 2, 3)
+        assert GeneratorSpec.prefix(b2, k_one, 0).active == ()
+
+    @pytest.mark.parametrize("i", [-1, 5, True, 2.5, None])
+    def test_prefix_must_count_roots(self, b2, k_one, i):
+        # −1 dropped the last root, 5 activated all four, True acted as 1
+        with pytest.raises(InvalidArgumentError, match="0..4"):
+            GeneratorSpec.prefix(b2, k_one, i)
 
     def test_two_parameter_jump_coefficients(self, b2, k_one):
         kp = multiplicity(b2, [0.25, 2.0])
@@ -222,7 +230,7 @@ class TestGenerator:
         for u in function_battery(rank):
             drift_vec = (k.per_positive() / (pts @ system.positive_roots.T)
                          ) @ system.positive_roots
-            ref = np.einsum("...i,...i->...", drift_vec, u.grad(pts))
+            ref = np.einsum("...i,...i->...", drift_vec, u.derivatives(pts)[0])
             got = generator_terms(spec, u, pts)["drift"]
             if rank == 2:
                 assert got.tobytes() == ref.tobytes(), u.name
@@ -283,7 +291,7 @@ class TestHarmonicity:
                 if log_half and 0.5 not in k.by_orbit:
                     continue
                 u = calculus._delta_times(system, k, log_half)
-                grad, lap = u.grad(pts), u.laplacian(pts)
+                grad, lap = u.derivatives(pts)
                 fd_grad, fd_lap = fd_gradient(u.fn, pts), fd_laplacian(u.fn, pts)
                 grad_err = np.linalg.norm(grad - fd_grad, axis=-1)
                 assert np.all(grad_err <= 1e-5 * np.linalg.norm(fd_grad, axis=-1)), name
@@ -300,9 +308,10 @@ class TestHarmonicity:
         pts = 3.0 + rng.random((20, 3))
         u = calculus._delta_times(fake, k, True)
         fd_grad, fd_lap = fd_gradient(u.fn, pts), fd_laplacian(u.fn, pts)
-        grad_err = np.linalg.norm(u.grad(pts) - fd_grad, axis=-1)
+        grad, lap = u.derivatives(pts)
+        grad_err = np.linalg.norm(grad - fd_grad, axis=-1)
         assert np.all(grad_err <= 1e-5 * np.linalg.norm(fd_grad, axis=-1))
-        assert np.all(np.abs(u.laplacian(pts) - fd_lap) <= 1e-5 * np.abs(fd_lap))
+        assert np.all(np.abs(lap - fd_lap) <= 1e-5 * np.abs(fd_lap))
 
     @pytest.mark.parametrize("name", list(_SYSTEMS))
     def test_identities_hold_to_rounding(self, rng, name):

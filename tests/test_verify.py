@@ -226,6 +226,12 @@ class TestMartingale:
         c = calibrate_bias_coefficient(b2, 1.0, 2000, 7)
         assert 0 < c < 10.0
 
+    @pytest.mark.parametrize("n_paths", [1, 0, -3, True, 2.0, 2000.5])
+    def test_bias_coefficient_needs_two_paths(self, b2, n_paths):
+        # one path has no standard error: max(c, nan) kept c = 0, a zero allowance
+        with pytest.raises(InvalidArgumentError, match="at least 2"):
+            calibrate_bias_coefficient(b2, 1.0, n_paths, 7)
+
     def test_radial_battery_passes(self, b2):
         k = multiplicity(b2, 1.0)
         cfg = SimulationConfig(horizon=0.5, dt=1e-3, n_paths=600, seed=42)
@@ -245,23 +251,29 @@ class TestMartingale:
                                   control_function(2), bias_allowance=0.001)
         assert not rep.passed
 
-    @pytest.mark.parametrize("spec_kind", ["radial", "full", "two-param"])
-    def test_blocks_change_no_bit(self, b2, spec_kind):
-        # 997 steps, uneven: path counts around and between generator blocks
-        k = multiplicity(b2, 1.0)
-        spec = {"radial": GeneratorSpec.radial(b2, k),
-                "full": GeneratorSpec.full(b2, k),
+    @pytest.mark.parametrize("system, spec_kind", [
+        pytest.param(system, kind, id=kind if system == "b2" else f"{system}-{kind}")
+        for system in ("b2", "b3") for kind in ("radial", "full", "two-param")])
+    def test_blocks_change_no_bit(self, system, spec_kind, request):
+        # 997 steps, uneven: path counts around and between generator blocks;
+        # rank 3 puts a third term in every coordinate sum and product
+        system = request.getfixturevalue(system)
+        n = system.dimension
+        k = multiplicity(system, 1.0)
+        spec = {"radial": GeneratorSpec.radial(system, k),
+                "full": GeneratorSpec.full(system, k),
                 "two-param": GeneratorSpec.full(
-                    b2, k, jump_k=multiplicity(b2, [0.25, 2.0]))}[spec_kind]
+                    system, k, jump_k=multiplicity(system, [0.25, 2.0]))}[spec_kind]
         steps = 997
         block = verify._RESIDUAL_POINTS // steps
         assert block > 2
         rng = np.random.default_rng(46)
         times = np.concatenate([[0.0], np.cumsum(rng.uniform(5e-4, 1.5e-3, steps))])
         for n_paths in (1, block - 1, block + 1, 3 * block + 5):
-            states = np.stack([3.0 + rng.random((n_paths, steps + 1)),
-                               1.0 + 0.5 * rng.random((n_paths, steps + 1))], axis=-1)
-            for u in function_battery(2) + [control_function(2)]:
+            # x₁ > … > x_n > 0: B2's points as before, B3 puts 5 + U in front
+            states = np.stack([2.0 * (n - i) - 1.0 + (0.5 if i else 1.0)
+                               * rng.random((n_paths, steps + 1)) for i in range(n)], axis=-1)
+            for u in function_battery(n) + [control_function(n)]:
                 au = apply_generator(spec, u, states[:, :-1, :])
                 one_shot = (u(states[:, -1, :]) - u(states[:, 0, :])
                             - au @ np.diff(times))
@@ -297,8 +309,9 @@ class TestMartingale:
 def _matches_differences(u, pts):
     """u's closed-form gradient and Laplacian agree with Richardson differences."""
     grad, second = _fd_scheme(u, pts)
-    return (np.allclose(u.grad(pts), grad, rtol=1e-8, atol=1e-8)
-            and np.allclose(u.laplacian(pts), _coordinate_sum(second),
+    closed_grad, closed_lap = u.derivatives(pts)
+    return (np.allclose(closed_grad, grad, rtol=1e-8, atol=1e-8)
+            and np.allclose(closed_lap, _coordinate_sum(second),
                             rtol=1e-8, atol=1e-8))
 
 
@@ -310,12 +323,17 @@ class TestClosedForms:
         pts = sample_interior_points(system, 50, rng)
         for u in function_battery(n) + [control_function(n)]:
             assert _matches_differences(u, pts), u.name
-            assert u.grad(pts[0]).shape == (n,) and np.shape(u.laplacian(pts[0])) == ()
+            grad, lap = u.derivatives(pts[0])
+            assert grad.shape == (n,) and np.shape(lap) == ()
 
     def test_laplacian_off_by_a_constant_fails(self, b2, rng):
         pts = sample_interior_points(b2, 50, rng)
         for u in function_battery(2) + [control_function(2)]:
-            off = dataclasses.replace(u, laplacian=lambda x, lap=u.laplacian: lap(x) + 1e-6)
+            def off_by_a_constant(x, derivatives=u.derivatives):
+                grad, lap = derivatives(x)
+                return grad, lap + 1e-6
+
+            off = dataclasses.replace(u, derivatives=off_by_a_constant)
             assert not _matches_differences(off, pts), u.name
 
     @pytest.mark.parametrize("full", [False, True], ids=["radial", "full"])
@@ -323,11 +341,13 @@ class TestClosedForms:
         spec = (GeneratorSpec.full if full else GeneratorSpec.radial)(b2, k_one)
         pts = sample_interior_points(b2, 6, rng).reshape(2, 3, 2)
         for u in function_battery(2) + [control_function(2)]:
-            calls = []
+            calls, closed = [], []
             counted = dataclasses.replace(
-                u, fn=lambda x, fn=u.fn: calls.append(x.shape) or fn(x))
+                u, fn=lambda x, fn=u.fn: calls.append(x.shape) or fn(x),
+                derivatives=lambda x, d=u.derivatives: closed.append(x.shape) or d(x))
             generator_terms(spec, counted, pts)
             assert len(calls) == (1 + len(spec.active) if full else 0), u.name
+            assert closed == [pts.shape], u.name
 
 
 class TestLabelLaw:
