@@ -121,7 +121,7 @@ class GeneratorSpec:
 
 
 def _positive_dots(system, x):
-    return np.asarray(x, dtype=float) @ system.positive_roots.T
+    return np.asarray(x, dtype=float) @ np.ascontiguousarray(system.positive_roots.T)
 
 
 def weight_omega(system, k, y):

@@ -139,15 +139,13 @@ def derived_seed(master, tag):
     return int(key[0]) & 0xFFFFFFFF
 
 
-def stack_paths(trajectories):
-    """(times, states (N, M+1, n)) for paths that reached the horizon.
-
-    Returns the kept-path mask as third element; early-terminated paths
-    cannot be stacked on the common grid and are dropped, and more than 5%
-    of them is an error, as is an unrecorded run (no trajectories).
+def _kept_paths(trajectories):
+    """Mask of the paths that ran the whole grid to the horizon; the others
+    cannot share the common grid and are dropped.  More than 5% dropped is
+    an error, as is a run with no recorded paths (None when unrecorded).
     """
-    if trajectories is None:
-        raise InvalidArgumentError("the run holds no paths; simulate it with record=True")
+    if not trajectories:
+        raise InvalidArgumentError("the run holds no recorded paths; simulate it with record=True")
     full_len = max(len(t.times) for t in trajectories)
     kept = np.array([len(t.times) == full_len and t.termination == "horizon"
                      for t in trajectories])
@@ -155,10 +153,7 @@ def stack_paths(trajectories):
     if frac > 0.05:
         raise InvalidArgumentError(
             f"{frac:.1%} of paths terminated early; check the regime")
-    idx = np.nonzero(kept)[0]
-    times = trajectories[idx[0]].times
-    states = np.stack([trajectories[i].states for i in idx])
-    return times, states, kept
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -259,22 +254,23 @@ def calibrate_bias_coefficient(system, t, n_paths, seed):
     return float(c)
 
 
-def _path_residuals(states, times, spec, u):
+def _path_residuals(paths, times, spec, u):
     """u(X_T) − u(X_0) − Σ A u(X_{t_j}) Δt_j per path (left Riemann sum).
 
-    The generator runs on blocks of whole paths, about ``_RESIDUAL_POINTS``
-    points each, as one contiguous (P·(M+1), n) array; the value at each
-    path's last point is computed and dropped.  The sum over steps stays
-    one product over all paths, since a BLAS product may round a row
-    differently when it gets fewer rows.
+    ``paths`` holds each path's (M+1, n) states on ``times``.  The generator
+    runs on blocks of whole paths of about ``_RESIDUAL_POINTS`` points, each
+    block copied into one (P·(M+1), n) array; the value at each path's last
+    point is computed and dropped.  The sum over steps stays one product
+    over all paths: a BLAS product may round a row differently on fewer rows.
     """
-    n_paths, n_points, dim = states.shape
-    au = np.empty((n_paths, n_points - 1))
+    n_points = len(times)
+    au = np.empty((len(paths), n_points - 1))
     block = max(1, _RESIDUAL_POINTS // max(1, n_points - 1))
-    for lo in range(0, n_paths, block):
-        points = states[lo:lo + block].reshape(-1, dim)
+    for lo in range(0, len(paths), block):
+        points = np.concatenate(paths[lo:lo + block])
         au[lo:lo + block] = apply_generator(spec, u, points).reshape(-1, n_points)[:, :-1]
-    return u(states[:, -1, :]) - u(states[:, 0, :]) - au @ np.diff(times)
+    ends = np.array([(p[0], p[-1]) for p in paths])
+    return u(ends[:, 1]) - u(ends[:, 0]) - au @ np.diff(times)
 
 
 def martingale_residual(sample_paths, spec, u, *, bias_allowance=0.0,
@@ -282,11 +278,11 @@ def martingale_residual(sample_paths, spec, u, *, bias_allowance=0.0,
     """Mean martingale residual of ``u`` under the declared generator.
 
     ``sample_paths`` is a zero-argument callable returning recorded
-    trajectories; pass iff |mean| ≤ 3·SE + bias allowance.
+    trajectories, read block by block; pass iff |mean| ≤ 3·SE + bias allowance.
     """
     trajs = sample_paths()
-    times, states, kept = stack_paths(trajs)
-    resid = _path_residuals(states, times, spec, u)
+    kept = [t for t, keep in zip(trajs, _kept_paths(trajs)) if keep]
+    resid = _path_residuals([t.states for t in kept], kept[0].times, spec, u)
     est = float(resid.mean())
     se = float(resid.std(ddof=1) / np.sqrt(len(resid)))
     tol = 3.0 * se + bias_allowance
@@ -296,10 +292,10 @@ def martingale_residual(sample_paths, spec, u, *, bias_allowance=0.0,
         stderr=se,
         tolerance=tol,
         alpha=None,
-        sample_size=int(kept.sum()),
+        sample_size=len(kept),
         passed=abs(est) <= tol,
         details={"bias_allowance": bias_allowance, "function": u.name,
-                 "dropped_paths": int((~kept).sum())},
+                 "dropped_paths": len(trajs) - len(kept)},
     )
 
 
@@ -432,12 +428,13 @@ def label_law(run, plan, *, stages=None, name="label-law"):
     √Σ p_i(w)(1 − p_i(w)), ±∞ where the variance is zero and the count is
     off.  Pass iff max|z| ≤ the normal quantile at α/(2|W|), α =
     ``DEFAULT_ALPHA``.  The cost is about |W|·m operations per grid step and
-    path.  Raises ``SingularClockError`` if a path touches a wall on the
-    grid.
+    path, read from ``run.states`` (copied only when paths were dropped).
+    Raises ``SingularClockError`` if a path touches a wall on the grid.
     """
     system, stages = plan.system, _stage_prefix(plan, stages)
-    times, states, kept = stack_paths(run.trajectories)
-    pos, n_labels = system.positive_roots, len(system.weyl_group)
+    kept = _kept_paths(run.trajectories)
+    times, states = run.times, run.states if kept.all() else run.states[kept]
+    pos_t, n_labels = np.ascontiguousarray(system.positive_roots.T), len(system.weyl_group)
     root, flip = label_table(plan, stages)
 
     labels = chamber_labels(system, states[:, [0, -1]])
@@ -447,7 +444,7 @@ def label_law(run, plan, *, stages=None, name="label-law"):
     for t in range(0, len(times) - 1, 64):  # blocks of grid steps bound the temporaries
         x = states[:, t:t + 65]
         # β·Y = β·w⁻¹x = |α·x| for the α = ±w·β
-        d = np.take_along_axis(np.abs(x @ pos.T), root[chamber_labels(system, x)], axis=-1)
+        d = np.take_along_axis(np.abs(x @ pos_t), root[chamber_labels(system, x)], axis=-1)
         if np.any(d <= 0.0):
             raise SingularClockError("the radial path touches a wall on the grid")
         lam = rate * np.diff(times[t:t + 65])[:, None] / (d[:, :-1] * d[:, 1:])

@@ -222,6 +222,12 @@ class TestMartingale:
             label_law(unrecorded, build_lift_plan(b2, k_one))
         assert label_law(run, build_lift_plan(b2, k_one)).sample_size == 5
 
+    def test_no_paths_are_refused(self, b2, k_one):
+        # max() over no paths raised a bare ValueError
+        with pytest.raises(InvalidArgumentError, match="no recorded paths"):
+            martingale_residual(lambda: [], GeneratorSpec.radial(b2, k_one),
+                                function_battery(2)[0])
+
     def test_bias_coefficient_is_small(self, b2):
         c = calibrate_bias_coefficient(b2, 1.0, 2000, 7)
         assert 0 < c < 10.0
@@ -277,23 +283,36 @@ class TestMartingale:
                 au = apply_generator(spec, u, states[:, :-1, :])
                 one_shot = (u(states[:, -1, :]) - u(states[:, 0, :])
                             - au @ np.diff(times))
-                got = verify._path_residuals(states, times, spec, u)
-                assert got.tobytes() == one_shot.tobytes(), (n_paths, u.name)
+                for paths in (states, [s.copy() for s in states]):
+                    got = verify._path_residuals(paths, times, spec, u)
+                    assert got.tobytes() == one_shot.tobytes(), (n_paths, u.name)
 
-    def test_memory_stays_bounded(self, b2):
-        # 1,000 recorded paths of 1,000 steps: the stacked states take 16 MB,
-        # and the generator's temporaries over all 10⁶ points at once ~200 MB
+    @staticmethod
+    def _residual_peak(b2):
+        """tracemalloc peak of one residual over 1,000 recorded paths of
+        1,000 steps, and the bytes of the run's states."""
         k = multiplicity(b2, 1.0)
         cfg = SimulationConfig(horizon=1.0, dt=1e-3, n_paths=1000, seed=45)
-        paths = run_radial(b2, k, [2.0, 1.0], cfg, record=True).trajectories
+        run = run_radial(b2, k, [2.0, 1.0], cfg, record=True)
+        paths = run.trajectories
         tracemalloc.start()
         try:
             martingale_residual(lambda: paths, GeneratorSpec.radial(b2, k),
                                 function_battery(2)[0])
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1], run.states.nbytes
         finally:
             tracemalloc.stop()
-        assert peak <= 64e6
+
+    def test_memory_stays_bounded(self, b2):
+        # the stacked states take 16 MB, and the generator's temporaries over
+        # all 10⁶ points at once ~200 MB
+        assert self._residual_peak(b2)[0] <= 64e6
+
+    def test_residual_makes_no_whole_run_copy(self, b2):
+        # one stacked copy of the states is 16.0 MB; each block is copied alone
+        peak, states_bytes = self._residual_peak(b2)
+        assert states_bytes == 16_016_000
+        assert peak < states_bytes
 
     def test_constant_function_zero_residual(self, b2):
         k = multiplicity(b2, 1.0)
@@ -350,6 +369,12 @@ class TestClosedForms:
             assert closed == [pts.shape], u.name
 
 
+def _run_of(paths):
+    """A recorded run of ``paths``: its trajectories and its grid and states arrays."""
+    return types.SimpleNamespace(trajectories=paths, times=paths[0].times,
+                                 states=np.stack([p.states for p in paths]))
+
+
 class TestLabelLaw:
     def test_rank_one_closed_form(self, rank1):
         """On one fixed path the law's probability of the start label is the
@@ -357,7 +382,7 @@ class TestLabelLaw:
         times = np.linspace(0.0, 1.0, 51)
         x = 1.0 + 0.5 * np.sin(7.0 * times)
         path = Trajectory(path_id=0, times=times, states=x[:, None])
-        run = types.SimpleNamespace(trajectories=[path])
+        run = _run_of([path])
         k = multiplicity(rank1, 1.3)
         d = np.sqrt(2.0) * x
         exact = 0.5 * (1.0 + np.exp(-2.6 * np.sum(np.diff(times) / (d[:-1] * d[1:]))))
@@ -423,7 +448,7 @@ class TestLabelLaw:
         def rep(n_flipped):
             paths = [Trajectory(path_id=i, times=times, states=flipped if i < n_flipped else far)
                      for i in range(10)]
-            return label_law(types.SimpleNamespace(trajectories=paths), plan)
+            return label_law(_run_of(paths), plan)
 
         one, two = rep(1), rep(2)
         assert one.details["expected"][1] == pytest.approx(0.0056, rel=0.01)
@@ -439,7 +464,7 @@ class TestLabelLaw:
         for system, x0 in ((rank1, 1.0), (b3, (3.0, 2.0, 1.0))):
             path = Trajectory(path_id=0, times=times,
                               states=np.tile(np.asarray(x0, dtype=float), (11, 1)))
-            rep = label_law(types.SimpleNamespace(trajectories=[path]),
+            rep = label_law(_run_of([path]),
                             build_lift_plan(system, multiplicity(system, 1.0)))
             bound = sps.norm.isf(0.01 / (2 * len(system.weyl_group)))
             assert rep.tolerance == float(bound)
@@ -460,11 +485,23 @@ class TestLabelLaw:
         rep = label_law(run, plan, stages=4)
         assert rep.passed, rep.estimate
 
+    def test_dropped_paths_are_left_out(self, rank1):
+        # one path of 21 stopped early: the law reads the other 20 rows of the states
+        times = np.linspace(0.0, 1.0, 11)
+        paths = [Trajectory(path_id=i, times=times, states=np.full((11, 1), 1.0 + 0.1 * i),
+                            termination="step_failure" if i == 3 else "horizon")
+                 for i in range(21)]
+        plan = build_lift_plan(rank1, multiplicity(rank1, 1.0))
+        rep = label_law(_run_of(paths), plan)
+        kept = label_law(_run_of(paths[:3] + paths[4:]), plan)
+        assert (rep.sample_size, rep.details["dropped_paths"]) == (20, 1)
+        assert rep.details["expected"].tobytes() == kept.details["expected"].tobytes()
+
     def test_path_on_a_wall_is_refused(self, rank1):
         times = np.linspace(0.0, 1.0, 3)
         path = Trajectory(path_id=0, times=times, states=np.array([[1.0], [0.0], [1.0]]))
         with pytest.raises(SingularClockError):
-            label_law(types.SimpleNamespace(trajectories=[path]),
+            label_law(_run_of([path]),
                       build_lift_plan(rank1, multiplicity(rank1, 1.0)))
 
 
