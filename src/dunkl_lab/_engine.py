@@ -2,7 +2,8 @@
 
 Paths follow dX = dβ + Σ k(α) α/(X·α) dt inside the chamber of their start
 point.  The engine holds no jump clocks: the full process is rebuilt from
-the recorded radial path by ``lift``.
+the recorded radial path by ``lift``, which ``run_paths`` applies to
+each block of an unrecorded run in the process that ran it.
 
 Paths run in blocks of ``DEFAULT_CHUNK``, and all randomness is drawn from
 per-path streams, so results are independent of blocking and worker count.
@@ -24,7 +25,9 @@ contact threshold are taken only for paths a cheap bound cannot clear.
 A block derives its paths' ``DIFFUSION`` keys in one ``rng.keys`` call and
 draws their streams through one loader, in segments of grid steps: a
 recorded run's one segment is its rows of the run's (N, M+1, n) states,
-and an unrecorded run's segments hold at most ``NOISE_BUFFER`` doubles.
+and an unrecorded run's segments hold at most ``NOISE_BUFFER`` doubles
+(16 MB), each released before the next is allocated, so a block holds
+one segment at a time.
 Every ``TILE`` grid steps the block copies the next rows of its segment
 into a time-major (TILE, N, n) tile, so a step reads its noise as one
 contiguous (N, n) row; a recorded step writes its state into the tile
@@ -46,7 +49,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -64,8 +67,9 @@ MAX_HALVINGS = 20          # bisections of a grid interval before a step failure
 EPS_WALL = 1e-8            # wall contact: distance below EPS_WALL·(1 + ‖x‖)
 PROPOSAL_BUDGET = 100_000  # hard cap on sub-step proposals per grid interval
 DEFAULT_CHUNK = 4096
-NOISE_BUFFER = 8_000_000   # doubles of buffered noise per block segment, unrecorded runs
+NOISE_BUFFER = 2_000_000   # doubles of buffered noise per block segment (16 MB), unrecorded runs
 TILE = 16                  # grid steps per time-major tile of noise and states
+STATES_BUDGET = 1 << 26    # bytes of states per block of a run lifted unrecorded (64 MiB)
 
 
 @dataclass
@@ -90,6 +94,7 @@ class EngineResult:
     min_wall_distance: np.ndarray   # (N,)
     n_rejected: np.ndarray          # (N,) rejected proposals (diagnostics)
     states: Optional[np.ndarray]    # (N, M+1, n) when recording, frozen after stop
+    jumps: Optional[tuple] = None   # jump table of blocks lifted where they ran
 
 
 def cover_interval(k, retry, x, S, h, xi):
@@ -173,6 +178,7 @@ def _run_block(params: EngineParams, first_path: int, n_paths: int,
         nonlocal seg, seg_start, tile_start, tile_len
         if step == seg_start + seg.shape[1]:
             seg_start, n = step, min(seg_len, n_steps - step)
+            seg = None   # the spent segment goes before the next is allocated
             seg = states[:, 1:] if record else np.empty((n_paths, n, nd))
             last = step + seg.shape[1] == n_steps
             for p, buf in enumerate(seg):
@@ -309,16 +315,31 @@ def _run_block(params: EngineParams, first_path: int, n_paths: int,
     )
 
 
+def _lifted_block(params: EngineParams, first_path: int, n_paths: int, lift) -> EngineResult:
+    """Run a block of an unrecorded run with its states recorded, lift it
+    (``lift(result, first_path)`` writes the full process over the states
+    and returns the block's jump table), and keep only the lifted final
+    states and the jumps."""
+    res = _run_block(replace(params, record=True), first_path, n_paths)
+    res.jumps = lift(res, first_path)
+    res.final = res.states[np.arange(n_paths), res.stop_index]
+    res.states = None
+    return res
+
+
 def _merge(results, tgrid, states):
     """One result of the blocks' results, in path order; ``states`` holds
     every block's recorded rows already."""
     fields = ("final", "stop_index", "termination", "t0_time", "wall_contact",
               "min_wall_distance", "n_rejected")
-    return EngineResult(tgrid=tgrid, states=states,
+    jumps = results[0].jumps
+    if jumps is not None:
+        jumps = type(jumps)(*map(np.concatenate, zip(*(r.jumps for r in results))))
+    return EngineResult(tgrid=tgrid, states=states, jumps=jumps,
                         **{f: np.concatenate([getattr(r, f) for r in results]) for f in fields})
 
 
-def run_paths(params: EngineParams, n_paths: int, threads: int = 1) -> EngineResult:
+def run_paths(params: EngineParams, n_paths: int, threads: int = 1, lift=None) -> EngineResult:
     """Run ``n_paths`` independent paths in blocks of ``DEFAULT_CHUNK``,
     optionally across worker processes.
 
@@ -326,23 +347,35 @@ def run_paths(params: EngineParams, n_paths: int, threads: int = 1) -> EngineRes
     ``threads`` (0 = one per CPU; at most one worker per block) and any
     block size.  A recorded run fills one (N, M+1, n) array: a block run
     here writes its own rows, and a worker's rows are copied in and dropped.
+
+    ``lift(result, first_path)``, given only for an unrecorded run, lifts
+    each block to the full process in the process that ran it (see
+    ``_lifted_block``), in blocks whose states fit ``STATES_BUDGET`` bytes,
+    so no process holds more than one block's states; the result's
+    ``jumps`` joins the blocks' tables.
     """
     from .radial import _integral    # radial imports this module
 
     if not _integral(threads) or threads < 0:
         raise InvalidArgumentError(f"threads must be an integer ≥ 0, got {threads!r}")
-    ranges = [(start, min(DEFAULT_CHUNK, n_paths - start))
-              for start in range(0, n_paths, DEFAULT_CHUNK)]
+    n_times, nd = len(params.tgrid), params.positive_roots.shape[1]
+    chunk = DEFAULT_CHUNK
+    if lift is not None:
+        chunk = max(1, min(chunk, STATES_BUDGET // (8 * n_times * nd)))
+    ranges = [(start, min(chunk, n_paths - start)) for start in range(0, n_paths, chunk)]
     threads = min(threads or os.cpu_count() or 1, len(ranges))
-    states = (np.empty((n_paths, len(params.tgrid), params.positive_roots.shape[1]))
-              if params.record else None)
+    states = np.empty((n_paths, n_times, nd)) if params.record else None
     if threads <= 1:
-        results = [_run_block(params, s, c, None if states is None else states[s:s + c])
-                   for s, c in ranges]
+        if lift is not None:
+            results = [_lifted_block(params, s, c, lift) for s, c in ranges]
+        else:
+            results = [_run_block(params, s, c, None if states is None else states[s:s + c])
+                       for s, c in ranges]
     else:
         from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_run_block, params, s, c) for s, c in ranges]
+            futures = [pool.submit(_run_block, params, s, c) if lift is None
+                       else pool.submit(_lifted_block, params, s, c, lift) for s, c in ranges]
             results = []
             for (s, c), future in zip(ranges, futures):
                 results.append(future.result())

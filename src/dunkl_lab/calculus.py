@@ -388,7 +388,7 @@ def sample_interior_points(system, count, rng):
     kept in order where every wall product exceeds ``INTERIOR_MARGIN``.
     Raises ``DunklLabError`` after ``INTERIOR_MAX_TRIES`` draws.
     """
-    pos_t = system.positive_roots.T
+    pos_t = np.ascontiguousarray(system.positive_roots.T)
     out, drawn = np.zeros((0, system.dimension)), 0
     while len(out) < count:
         if drawn >= INTERIOR_MAX_TRIES:

@@ -32,7 +32,10 @@ dots, increments and running sums are formed while the tile is in cache.
 They are freed before X = v·Z is written over its states and before the
 next block's are built.  The label path is a flat table of pieces, one at each
 path's start and one per jump, so the pass holds the recorded paths, one
-block of clocks, and O(N + J) for the label path of N paths, J jumps.
+block of clocks, and O(N + J) for the label path of N paths, J jumps.  An
+unrecorded lift runs the pass on each engine block as soon as it exists
+and keeps only its final states and jumps, so it holds one engine block's
+states in place of all N paths'.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .errors import (
     SingularClockError,
     UnsupportedRegimeError,
 )
-from .radial import JumpTable, Run, SimulationConfig, _integral, _run, _run_engine
+from .radial import JumpTable, Run, SimulationConfig, _integral, _no_jumps, _run, _run_engine
 from .rng import FLIP, keys, stream
 from .root_systems import (
     Multiplicity,
@@ -143,7 +146,7 @@ def label_table(plan, stages):
     the index of w·σ_b where that root is active, one of the first
     ``stages`` of the plan's enumeration, and w elsewhere."""
     pos, group = plan.system.positive_roots, plan.system.weyl_group
-    root = np.abs(pos @ group @ pos.T).argmax(axis=1)
+    root = np.abs(pos @ group @ np.ascontiguousarray(pos.T)).argmax(axis=1)
     flip = np.stack([chamber_labels(plan.system, group @ reflect(beta, pos.sum(axis=0)))
                      for beta in pos], axis=1)
     active = np.argsort(plan.enumeration)[root] < stages
@@ -419,7 +422,51 @@ def _relabel(times, states, roots, first_path, jumps, start, flip, root, group):
     return JumpTable(first_path + path, time, root[before, q], pre, post)
 
 
-def simulate_dunkl(plan, x0, config: SimulationConfig, *, stages=None, threads=1) -> Run:
+class _BlockLift:
+    """The lift pass of the first ``n_stages`` stages of ``plan`` over the
+    recorded radial paths Z of an engine result, in blocks of
+    ``LIFT_BLOCK`` root-clock values.  It holds only arrays, so a worker
+    process can run it on a block of an unrecorded run."""
+
+    def __init__(self, plan, n_stages, seed):
+        system = plan.system
+        # Stages 1..g, up to the last general-mode one, run as joint clocks.
+        g = max((i for i, md in enumerate(plan.modes[:n_stages], start=1)
+                 if md == "general"), default=0)
+        self.roots, self.group, self.seed = system.positive_roots, system.weyl_group, seed
+        (self.root, self.flip), joint = label_table(plan, plan.n_stages), label_table(plan, g)[1]
+        self.joint = joint if g else None
+        self.shortcut = plan.enumeration[g:n_stages]
+        self.start = int(chamber_labels(system, self.roots.sum(axis=0)))   # the identity
+        self.rate = np.asarray(plan.rates)[np.argsort(plan.enumeration)]
+
+    def __call__(self, res, first_path):
+        """Write X = v·Z over ``res.states``, paths ``first_path`` on, and
+        return their jump table."""
+        states, times = res.states, res.tgrid
+        n_paths, n_times = states.shape[:2]
+        if self.joint is None and not self.shortcut:     # stage 0: X = Z
+            return _no_jumps(states.shape[-1])
+        flip_keys = keys(self.seed, FLIP, first_path + np.arange(n_paths))
+        step = max(1, LIFT_BLOCK // (n_times * len(self.roots)))
+        tables = []
+        for first in range(0, n_paths, step):
+            block = slice(first, first + step)
+            clocks = _Clocks(times, states[block], res.stop_index[block], self.roots, self.rate)
+            gens = [stream(key) for key in flip_keys[block]]
+            jumps = (_joint_stages(gens, clocks, first_path + first, self.start, self.joint)
+                     if self.joint is not None else _no_jumps(0)[:3])
+            for alpha in self.shortcut:
+                jumps = _flip_stage(gens, clocks, first_path + first, jumps, self.start,
+                                    self.flip, self.root, alpha)
+            del clocks   # freed before the relabel and the next block's clocks
+            tables.append(_relabel(times, states[block], self.roots, first_path + first, jumps,
+                                   self.start, self.flip, self.root, self.group))
+        return JumpTable(*map(np.concatenate, zip(*tables)))
+
+
+def simulate_dunkl(plan, x0, config: SimulationConfig, *, stages=None, threads=1,
+                   record=True) -> Run:
     """Simulate Y^i for i = ``stages`` (default: all m) under a lift plan.
 
     The start point may sit in any chamber; the engine records the radial
@@ -429,6 +476,15 @@ def simulate_dunkl(plan, x0, config: SimulationConfig, *, stages=None, threads=1
     walls and the construction does not apply).  The run's ``jumps`` log
     every stage's jumps.  Raises ``SingularClockError`` if a path's clock
     total exceeds ``MAX_CLOCK``.
+
+    With ``record=False`` each engine block is lifted as soon as it has
+    run, in blocks whose states fit ``_engine.STATES_BUDGET`` bytes, and
+    only its final states X_T and its jumps are kept: the run's ``states``
+    and ``trajectories`` are None, and memory is one block's states and
+    clocks whatever N and the grid are; with ``threads`` > 1 each block
+    is lifted in the worker that ran it.  A recorded run is lifted in one
+    pass after the engine.  Every output is the same bit for bit either
+    way.
     """
     system = plan.system
     if plan.k.min_value < 0.5:
@@ -437,31 +493,9 @@ def simulate_dunkl(plan, x0, config: SimulationConfig, *, stages=None, threads=1
         )
     if any(r < 0 for r in plan.rates):
         raise InvalidArgumentError("jump rates must be ≥ 0")
-    m, n_stages = plan.n_stages, _stage_prefix(plan, stages)
-    # Stages 1..g, up to the last general-mode one, run as joint clocks.
-    g = max((i for i, md in enumerate(plan.modes[:n_stages], start=1)
-             if md == "general"), default=0)
-
-    res = _run_engine(system, plan.k, x0, config, record=True, threads=threads,
-                      any_chamber=True)
-    states, times = res.states, res.tgrid
-    n_paths, n_times = states.shape[:2]
-    pos = system.positive_roots
-    (root, flip), joint = label_table(plan, m), label_table(plan, g)[1]
-    start = int(chamber_labels(system, pos.sum(axis=0)))   # the identity
-    rate = np.asarray(plan.rates)[np.argsort(plan.enumeration)]
-    flip_keys = keys(config.seed, FLIP, np.arange(n_paths))
-    step = max(1, LIFT_BLOCK // (n_times * len(pos)))
-    tables = []
-    for first in range(0, n_paths if n_stages else 0, step):
-        block = slice(first, first + step)
-        clocks = _Clocks(times, states[block], res.stop_index[block], pos, rate)
-        gens = [stream(key) for key in flip_keys[block]]
-        jumps = (_joint_stages(gens, clocks, first, start, joint) if g
-                 else (np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=np.int64)))
-        for alpha in plan.enumeration[g:n_stages]:
-            jumps = _flip_stage(gens, clocks, first, jumps, start, flip, root, alpha)
-        del clocks   # freed before the relabel and the next block's clocks
-        tables.append(_relabel(times, states[block], pos, first, jumps, start, flip, root,
-                               system.weyl_group))
-    return _run(res, states, JumpTable(*map(np.concatenate, zip(*tables))) if tables else None)
+    lift = _BlockLift(plan, _stage_prefix(plan, stages), config.seed)
+    res = _run_engine(system, plan.k, x0, config, record=record, threads=threads,
+                      any_chamber=True, lift=None if record else lift)
+    if record:   # one pass over the run's states, after the engine
+        res.jumps = lift(res, 0)
+    return _run(res)

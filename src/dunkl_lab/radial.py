@@ -97,8 +97,10 @@ class Run:
     """A batch of paths, radial or lifted, as the engine's arrays.
 
     ``states`` (N, M+1, n) and the flat jump table ``jumps``, sorted by
-    (path, time), are read-only, and both are None for an unrecorded run.
-    A path's grid states are valid up to ``stop_index``.
+    (path, time), are read-only.  An unrecorded run has no ``states``; an
+    unrecorded radial run has no ``jumps`` either, while an unrecorded
+    lift keeps its jump table.  A path's grid states are valid up to
+    ``stop_index``.
     """
 
     times: np.ndarray
@@ -119,7 +121,8 @@ class Run:
 
     @property
     def n_jumps(self):
-        """Jumps per path; an unrecorded run has no jump table."""
+        """Jumps per path; an unrecorded radial run has no jump table, so
+        this raises ``AttributeError`` there."""
         return np.bincount(self.jumps.path, minlength=len(self.stop_index))
 
     @functools.cached_property
@@ -129,8 +132,9 @@ class Run:
 
 
 def _run_engine(system: RootSystem, k: Multiplicity, x0, config: SimulationConfig, *,
-                record, threads, any_chamber=False) -> _engine.EngineResult:
-    """Run ``config``'s paths of drift k from ``x0``.
+                record, threads, any_chamber=False, lift=None) -> _engine.EngineResult:
+    """Run ``config``'s paths of drift k from ``x0``, their blocks lifted
+    by ``lift`` as ``_engine.run_paths`` says.
 
     ``x0`` must be finite and lie in the open chamber, or with
     ``any_chamber`` off every reflecting hyperplane.  Paths stop at T₀
@@ -153,20 +157,24 @@ def _run_engine(system: RootSystem, k: Multiplicity, x0, config: SimulationConfi
         stop_at_t0=k.min_value < 0.5,
         record=record,
     )
-    return _engine.run_paths(params, config.n_paths, threads=threads)
+    return _engine.run_paths(params, config.n_paths, threads=threads, lift=lift)
 
 
-def _run(res: _engine.EngineResult, states, jumps=None) -> Run:
-    """The run of ``res`` whose paths end as ``states`` (None when not
-    recorded) with jump log ``jumps`` (default: none); freezes the arrays
-    it holds."""
+def _no_jumps(n):
+    """An empty jump table of points with ``n`` coordinates."""
+    return JumpTable(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=np.int64),
+                     np.zeros((0, n)), np.zeros((0, n)))
+
+
+def _run(res: _engine.EngineResult) -> Run:
+    """The run of ``res``; a recorded run without a jump table gets an
+    empty one.  Freezes the arrays it holds."""
+    states, jumps = res.states, res.jumps
     if states is not None:
-        if jumps is None:
-            n = states.shape[-1]
-            jumps = JumpTable(np.zeros(0, dtype=np.int64), np.zeros(0),
-                              np.zeros(0, dtype=np.int64), np.zeros((0, n)), np.zeros((0, n)))
-        for a in (res.tgrid, states, *jumps):
-            a.flags.writeable = False
+        jumps = _no_jumps(states.shape[-1]) if jumps is None else jumps
+        res.tgrid.flags.writeable = states.flags.writeable = False
+    for a in jumps or ():
+        a.flags.writeable = False
     return Run(
         times=res.tgrid, stop_index=res.stop_index, t0_times=res.t0_time,
         final_states=(res.final if states is None
@@ -210,7 +218,7 @@ def run_radial(system: RootSystem, k: Multiplicity, x0, config: SimulationConfig
     table.
     """
     res = _run_engine(system, k, x0, config, record=record, threads=threads)
-    return _run(res, res.states)
+    return _run(res)
 
 
 # ---------------------------------------------------------------------------

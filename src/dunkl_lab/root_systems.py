@@ -85,6 +85,7 @@ class RootSystem:
     ``positive`` indexes them; ``weyl_group`` stacks orthogonal matrices in
     their deterministic closure-discovery order (identity first);
     ``orbits`` partitions root indices into Weyl orbits.
+    ``positive_roots``, ``roots[positive]``, is built once.
     """
 
     dimension: int
@@ -94,12 +95,14 @@ class RootSystem:
     orbits: tuple
 
     def __post_init__(self):
-        for name in ("roots", "positive", "weyl_group"):
+        object.__setattr__(self, "_positive_roots", self.roots[self.positive])
+        for name in ("roots", "positive", "weyl_group", "_positive_roots"):
             getattr(self, name).setflags(write=False)
 
     @property
     def positive_roots(self):
-        return self.roots[self.positive]
+        """The positive roots, (m, n), as one read-only array."""
+        return self._positive_roots
 
     @property
     def n_positive(self):
@@ -304,11 +307,11 @@ def project_batch(system, states):
     states = np.asarray(states, dtype=float)
     out = np.empty_like(states)
     pending = np.ones(len(states), dtype=bool)
-    pos_t = system.positive_roots.T
+    pos_t = np.ascontiguousarray(system.positive_roots.T)
     for w in system.weyl_group:
         if not pending.any():
             break
-        cand = states[pending] @ w.T
+        cand = states[pending] @ np.ascontiguousarray(w.T)
         ok = np.all(cand @ pos_t >= -DEFAULT_BOUNDARY_TOL, axis=1)
         idx = np.nonzero(pending)[0][ok]
         out[idx] = cand[ok]
@@ -371,7 +374,8 @@ class Multiplicity:
     """W-invariant multiplicity function: one nonnegative value per orbit.
 
     Constancy on orbits is structural (values are stored per orbit), which
-    is exactly the W-invariance k∘w = k.
+    is exactly the W-invariance k∘w = k.  The values per positive root are
+    built once.
     """
 
     system: RootSystem
@@ -384,11 +388,13 @@ class Multiplicity:
             )
         if any(not np.isfinite(v) or v < 0 for v in self.by_orbit):
             raise InvalidArgumentError("multiplicity values must be finite and ≥ 0")
+        per_positive = np.asarray(self.by_orbit, dtype=float)[self.system.positive_orbit_index()]
+        per_positive.setflags(write=False)
+        object.__setattr__(self, "_per_positive", per_positive)
 
     def per_positive(self):
-        """Values aligned with the positive enumeration, shape (m,)."""
-        vals = np.asarray(self.by_orbit, dtype=float)
-        return vals[self.system.positive_orbit_index()]
+        """Values aligned with the positive enumeration, shape (m,), read-only."""
+        return self._per_positive
 
     @property
     def gamma(self):

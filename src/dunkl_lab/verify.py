@@ -62,6 +62,7 @@ ROTATION_TOL = 1e-6          # relative residual bound of rotate-generator
 MIN_WALL_DOT = 0.2           # rotate-generator's points keep |x·α| above this
 WALL_KS = (0.1, 0.3, 0.45, 0.5, 0.6, 1.0)  # wall-profile's k values, across k = 1/2
 WALL_X0, WALL_HORIZON, WALL_DT = 0.2, 1.0, 1e-4   # its rank-one start point and grid
+_UNRECORDED = "the run holds no recorded paths; simulate it with record=True"
 
 
 @dataclass
@@ -139,16 +140,15 @@ def derived_seed(master, tag):
     return int(key[0]) & 0xFFFFFFFF
 
 
-def _kept_paths(trajectories):
-    """Mask of the paths that ran the whole grid to the horizon; the others
-    cannot share the common grid and are dropped.  More than 5% dropped is
-    an error, as is a run with no recorded paths (None when unrecorded).
+def _kept_paths(stop_index, termination):
+    """Mask of the paths, by last grid index and termination label, that
+    ran the whole grid to the horizon; the others cannot share the common
+    grid and are dropped.  More than 5% dropped is an error, as are no paths.
     """
-    if not trajectories:
-        raise InvalidArgumentError("the run holds no recorded paths; simulate it with record=True")
-    full_len = max(len(t.times) for t in trajectories)
-    kept = np.array([len(t.times) == full_len and t.termination == "horizon"
-                     for t in trajectories])
+    if not len(stop_index):
+        raise InvalidArgumentError(_UNRECORDED)
+    stop_index = np.asarray(stop_index)
+    kept = (stop_index == stop_index.max()) & (np.asarray(termination) == "horizon")
     frac = 1.0 - kept.mean()
     if frac > 0.05:
         raise InvalidArgumentError(
@@ -281,7 +281,10 @@ def martingale_residual(sample_paths, spec, u, *, bias_allowance=0.0,
     trajectories, read block by block; pass iff |mean| ≤ 3·SE + bias allowance.
     """
     trajs = sample_paths()
-    kept = [t for t, keep in zip(trajs, _kept_paths(trajs)) if keep]
+    if trajs is None:
+        raise InvalidArgumentError(_UNRECORDED)
+    mask = _kept_paths([len(t.times) - 1 for t in trajs], [t.termination for t in trajs])
+    kept = [t for t, keep in zip(trajs, mask) if keep]
     resid = _path_residuals([t.states for t in kept], kept[0].times, spec, u)
     est = float(resid.mean())
     se = float(resid.std(ddof=1) / np.sqrt(len(resid)))
@@ -432,7 +435,9 @@ def label_law(run, plan, *, stages=None, name="label-law"):
     Raises ``SingularClockError`` if a path touches a wall on the grid.
     """
     system, stages = plan.system, _stage_prefix(plan, stages)
-    kept = _kept_paths(run.trajectories)
+    if run.states is None:
+        raise InvalidArgumentError(_UNRECORDED)
+    kept = _kept_paths(run.stop_index, run.termination)
     times, states = run.times, run.states if kept.all() else run.states[kept]
     pos_t, n_labels = np.ascontiguousarray(system.positive_roots.T), len(system.weyl_group)
     root, flip = label_table(plan, stages)
@@ -622,14 +627,14 @@ def rotation_covariance_paths(system, k, x0, config: SimulationConfig, *,
 
     plan = build_lift_plan(system, k, mode="auto")
     cfg_base = replace(config, seed=derived_seed(seed, f"{name}:base"))
-    base = simulate_dunkl(plan, x0, cfg_base, threads=threads)
+    base = simulate_dunkl(plan, x0, cfg_base, threads=threads, record=False)
     rotated_states = base.final_states @ theta.T
 
     rot_system = rotate_system(system, theta)
     rot_k = Multiplicity(system=rot_system, by_orbit=k.by_orbit)
     rot_plan = build_lift_plan(rot_system, rot_k, mode="auto")
     cfg_rotated = replace(config, seed=derived_seed(seed, f"{name}:rotated"))
-    other = simulate_dunkl(rot_plan, theta @ x0, cfg_rotated, threads=threads)
+    other = simulate_dunkl(rot_plan, theta @ x0, cfg_rotated, threads=threads, record=False)
 
     return _coordinate_ks(rotated_states, other.final_states, name, config.n_paths)
 

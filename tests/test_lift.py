@@ -409,6 +409,30 @@ class TestBlocking:
                        _stage_digest(lambda **kw: simulate(threads=threads, **kw), stages))
             assert got == expected, (threads, chunk, block)
 
+    @pytest.mark.parametrize("case", ["a2_mixed", "b2_general_then_flips"])
+    def test_unrecorded_lift_matches_the_recorded_one(self, monkeypatch, case):
+        """A lift kept unrecorded, each engine block lifted where it ran,
+        ends with the recorded run's final states, stops and jump table."""
+        from test_contract import STAGE_CONTRACT
+
+        simulate = STAGE_CONTRACT[case][0]
+        recorded = simulate()
+        for threads in (1, 2):
+            for chunk in (4096, 64):
+                for block in (lift.LIFT_BLOCK, 500):
+                    with monkeypatch.context() as mp:
+                        mp.setattr(_engine, "DEFAULT_CHUNK", chunk)
+                        mp.setattr(lift, "LIFT_BLOCK", block)
+                        run = simulate(threads=threads, record=False)
+                    assert run.states is None and run.trajectories is None
+                    for name in ("final_states", "stop_index", "termination", "n_jumps"):
+                        assert np.array_equal(getattr(run, name), getattr(recorded, name)), (
+                            name, threads, chunk, block)
+                    for name, a, b in zip(run.jumps._fields, run.jumps, recorded.jumps):
+                        assert a.dtype == b.dtype and np.array_equal(a, b), (
+                            name, threads, chunk, block)
+                        assert not a.flags.writeable
+
     def test_jump_table_of_blocks_is_one_sorted_log(self, b2, k_one, monkeypatch):
         """Blocks of 3 paths merge into one table sorted by (path, time) with
         run-wide path numbers; every row reflects pre across its root and
@@ -464,6 +488,24 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak - run.states.nbytes <= 1.6 * lift.LIFT_BLOCK * 8
+
+    def test_unrecorded_lift_holds_one_block_of_states(self, b2, k_one, monkeypatch):
+        """Unrecorded, the lift runs on engine blocks of 64 paths' states as
+        they finish and keeps only their final states and jumps: its peak
+        is one block's states and one lift block's clocks, not the 8.2 MB
+        of the run's states."""
+        budget = 64 * 2001 * 2 * 8
+        monkeypatch.setattr(_engine, "STATES_BUDGET", budget)
+        cfg = SimulationConfig(horizon=2.0, dt=1e-3, n_paths=256, seed=5)
+        plan = build_lift_plan(b2, k_one)
+        tracemalloc.start()
+        try:
+            run = simulate_dunkl(plan, [2.0, 1.0], cfg, record=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert run.states is None and run.n_jumps.sum() > 0
+        assert peak <= budget + 1.6 * lift.LIFT_BLOCK * 8
 
     def test_flip_stage_holds_paths_plus_jumps(self, b2, k_one, monkeypatch):
         """A flip stage's label path is flat: one path of 12,860 jumps costs

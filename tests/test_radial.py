@@ -1,6 +1,7 @@
 import concurrent.futures
 import io
 import math
+import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
@@ -226,6 +227,21 @@ class TestRun:
         run = run_radial(b2, k_one, [2.0, 1.0], self.CFG, record=False)
         assert run.states is None and run.jumps is None and run.trajectories is None
         assert not hasattr(run, "n_jumps")
+        with pytest.raises(AttributeError):
+            run.n_jumps
+
+    def test_unrecorded_run_holds_one_noise_segment(self, b2, k_one):
+        """2,000 B2 paths of 1,000 steps draw 4,000,000 doubles of noise in
+        16 MB segments, each released before the next is allocated: the
+        peak stays within 1.25 segments (one 32 MB segment read 33 MB)."""
+        cfg = SimulationConfig(horizon=1.0, dt=1e-3, n_paths=2000, seed=3)
+        tracemalloc.start()
+        try:
+            run_radial(b2, k_one, [2.0, 1.0], cfg, record=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20_000_000
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
     @pytest.mark.parametrize("x0", [[2.0], [2.0, 1.0, 0.5], [2.0, np.nan],

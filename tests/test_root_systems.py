@@ -358,6 +358,19 @@ class TestMultiplicity:
         with pytest.raises(InvalidArgumentError):
             multiplicity(b2, -0.5)
 
+    @pytest.mark.parametrize("name", ["a2", "b2", "b3"])
+    def test_positive_data_built_once_and_read_only(self, request, name):
+        system = request.getfixturevalue(name)
+        k = multiplicity(system, np.arange(1.0, len(system.orbits) + 1.0))
+        assert system.positive_roots is system.positive_roots
+        assert k.per_positive() is k.per_positive()
+        assert np.array_equal(system.positive_roots, system.roots[system.positive])
+        assert np.array_equal(k.per_positive(),
+                              np.asarray(k.by_orbit)[system.positive_orbit_index()])
+        for a in (system.positive_roots, k.per_positive()):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
     def test_wrong_arity_rejected(self, b2):
         with pytest.raises(InvalidArgumentError):
             Multiplicity(system=b2, by_orbit=(1.0,))

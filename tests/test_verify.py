@@ -370,9 +370,12 @@ class TestClosedForms:
 
 
 def _run_of(paths):
-    """A recorded run of ``paths``: its trajectories and its grid and states arrays."""
-    return types.SimpleNamespace(trajectories=paths, times=paths[0].times,
-                                 states=np.stack([p.states for p in paths]))
+    """A recorded run of ``paths`` as the arrays ``label_law`` reads: its
+    grid, states, stop indices and termination labels."""
+    return types.SimpleNamespace(times=paths[0].times,
+                                 states=np.stack([p.states for p in paths]),
+                                 stop_index=np.array([len(p.times) - 1 for p in paths]),
+                                 termination=np.array([p.termination for p in paths]))
 
 
 class TestLabelLaw:
