@@ -13,10 +13,7 @@ from .calculus import (
     delta,
     delta_bar,
     drift,
-    fd_gradient,
-    fd_laplacian,
     harmonicity_residual,
-    rotate_spec,
     rotate_system,
     weight_omega,
     weight_varpi,

@@ -5,26 +5,24 @@ The central object is the integro-differential generator
     A u(x) = ½Δu(x) + Σ_{α∈R₊} k(α) (∇u(x)·α)/(x·α)
              + Σ_{α active} c(α) (u(σ_α x) − u(x))/(x·α)²
 
-evaluated with a test function's own closed forms when it supplies them
-(one ``derivatives(x)`` call returns ∇u and Δu together, so the pieces
-they share are computed once), and through Richardson-extrapolated
-central differences otherwise; the jump terms need only values of u.  With no
-active jump roots this is the radial generator; with all of R₊ active and
-c = k it is the full Dunkl generator; c = k′ (or any nonnegative
-per-orbit family) gives the two-parameter variants.  δ, δ̄ and π^{1−2k}
-come with closed forms (``_delta_times``), so differences serve only user
-functions and rotate-generator's random ones.
+evaluated with a test function's own closed forms: one ``derivatives(x)``
+call returns ∇u and Δu together, so the pieces they share are computed
+once; the jump terms need only values of u.  With no active jump roots
+this is the radial generator; with all of R₊ active and c = k it is the
+full Dunkl generator; c = k′ (or any nonnegative per-orbit family) gives
+the two-parameter variants.  δ, δ̄ and π^{1−2k} come with closed forms
+(``_delta_times``).
 
 Everything here is pure and vectorized: points may carry leading batch
 axes with coordinates on the last axis, and test functions must accept
 such arrays.  A test function may return a view of its argument (say
-``lambda y: y[..., 0]``): every finite-difference stencil point is a fresh
-array, so no later evaluation overwrites an earlier value.
+``lambda y: y[..., 0]``): u is read at x and at the reflected points,
+each a fresh array, so no later evaluation overwrites an earlier value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -32,7 +30,6 @@ import numpy as np
 from .errors import DomainError, DunklLabError, InvalidArgumentError, SingularDriftError
 from .root_systems import Multiplicity, RootSystem, chamber_labels, multiplicity, reflect
 
-FD_BASE_STEP = 1e-3            # h = FD_BASE_STEP · (1 + ‖x‖)
 ORTHOGONALITY_TOL = 1e-12
 INTERIOR_MARGIN = 0.3          # sampled points keep every wall product above this
 INTERIOR_RADIUS = 3.0          # sampled points are drawn from N(0, radius²·I)
@@ -41,30 +38,26 @@ INTERIOR_MAX_TRIES = 100_000
 
 @dataclass(frozen=True)
 class TestFunction:
-    """A smooth scalar test function with a declared trust region.
+    """A smooth scalar test function with its closed-form derivatives.
 
-    ``fn`` maps arrays of shape (..., n) to shape (...).  When
-    ``derivatives`` is given, it maps the same arrays to the pair
-    (∇u of shape (..., n), Δu of shape (...)) and the generator uses these
-    closed forms; otherwise it takes Richardson differences of ``fn``.
-    Those are trusted on the centered ball of radius ``smooth_radius``;
-    evaluations whose stencil leaves it raise ``DomainError``.  The closed
-    forms are not checked against it.
+    ``fn`` maps arrays of shape (..., n) to shape (...), and
+    ``derivatives`` maps the same arrays to the pair (∇u of shape (..., n),
+    Δu of shape (...)).  The generator uses these closed forms; they are
+    not checked against ``fn``.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
-    smooth_radius: float = np.inf
+    derivatives: Callable[[np.ndarray], tuple]
     name: str = ""
-    derivatives: Optional[Callable[[np.ndarray], tuple]] = None
 
     __test__ = False  # not a pytest class despite the name
 
+    def __post_init__(self):
+        if not callable(self.derivatives):
+            raise InvalidArgumentError("a test function needs its derivatives(x) -> (∇u, Δu)")
+
     def __call__(self, x):
         return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
-
-
-def as_test_function(u):
-    return u if isinstance(u, TestFunction) else TestFunction(fn=u)
 
 
 @dataclass(frozen=True)
@@ -82,9 +75,11 @@ class GeneratorSpec:
     active: tuple = ()
 
     def __post_init__(self):
+        from .radial import _integral  # imported here, as in ``prefix``
         m = self.system.n_positive
-        if not all(0 <= int(i) < m for i in self.active):
-            raise InvalidArgumentError("active entries must index positive roots")
+        if not all(_integral(i) and 0 <= i < m for i in self.active):
+            raise InvalidArgumentError(
+                f"active entries must be integers in 0..{m - 1}, got {self.active!r}")
         if len(set(self.active)) != len(self.active):
             raise InvalidArgumentError("active roots repeat")
 
@@ -195,69 +190,21 @@ def _coordinate_sum(a):
     return out
 
 
-def _fd_scheme(u, x):
-    """Richardson-extrapolated central differences.
-
-    Returns (gradient, per-axis second derivatives) at base step
-    h = FD_BASE_STEP·(1 + ‖x‖), combining the h and h/2 stencils to fourth
-    order.  ``x``: (..., n).
-    """
-    u = as_test_function(u)
-    x = np.asarray(x, dtype=float)
-    n = x.shape[-1]
-    norm = np.sqrt(_coordinate_sum(x * x))  # np.linalg.norm(x, axis=-1)
-    h = FD_BASE_STEP * (1.0 + norm)
-    if np.any(norm + h > u.smooth_radius):
-        raise DomainError("finite-difference stencil exits the smoothness region")
-
-    def u_at(i, op, step):
-        # u(x ± step·e_i) on a fresh array (u may return a view of it);
-        # op(x, 0.0) rounds x_j as the vector sum x ± step·e does, −0.0 too
-        xs = op(x, 0.0)
-        op(x[..., i], step, out=xs[..., i])
-        return u(xs)
-
-    u0_2 = 2.0 * u(x)
-    half, h_2, h_sq, half_sq = 0.5 * h, 2.0 * h, h**2, (0.5 * h) ** 2
-    grad = np.empty(x.shape)
-    second = np.empty(x.shape)
-    for i in range(n):
-        up1, um1 = u_at(i, np.add, h), u_at(i, np.subtract, h)
-        up2, um2 = u_at(i, np.add, half), u_at(i, np.subtract, half)
-        g1 = (up1 - um1) / h_2
-        g2 = (up2 - um2) / h
-        grad[..., i] = (4.0 * g2 - g1) / 3.0
-        s1 = (up1 - u0_2 + um1) / h_sq
-        s2 = (up2 - u0_2 + um2) / half_sq
-        second[..., i] = (4.0 * s2 - s1) / 3.0
-    return grad, second
-
-
-def fd_gradient(u, x):
-    return _fd_scheme(u, x)[0]
-
-
-def fd_laplacian(u, x):
-    return _coordinate_sum(_fd_scheme(u, x)[1])
-
-
 def generator_terms(spec, u, x):
     """The generator split into its named pieces, each shaped like (...).
 
     Returns a dict with "half_laplacian", "drift", "jumps" (signed sum)
     and "jump_abs" (sum of |term|).
     """
-    u = as_test_function(u)
+    if not isinstance(u, TestFunction):
+        raise InvalidArgumentError(
+            f"u must be a TestFunction with closed-form derivatives, got {type(u).__name__}")
     x = np.asarray(x, dtype=float)
     system, k = spec.system, spec.k
     dots = _positive_dots(system, x)
     if np.any(dots == 0.0):
         raise SingularDriftError("generator evaluated on a reflecting hyperplane")
-    if u.derivatives is not None:
-        grad, lap = u.derivatives(x)
-    else:
-        grad, second = _fd_scheme(u, x)
-        lap = _coordinate_sum(second)
+    grad, lap = u.derivatives(x)
     half_lap = 0.5 * lap
     # k at full width: an (m,) row divided into (..., m) runs one inner loop per point
     k_rows = np.tile(k.per_positive(), dots.shape[:-1] + (1,))
@@ -354,7 +301,10 @@ def harmonicity_residual(system, k, which, x):
 def rotate_system(system, theta):
     """The root system θR with every stored object transported by θ."""
     theta = np.asarray(theta, dtype=float)
-    if np.max(np.abs(theta.T @ theta - np.eye(theta.shape[0]))) > ORTHOGONALITY_TOL:
+    n = system.dimension
+    if theta.shape != (n, n):
+        raise InvalidArgumentError(f"θ must be {n}×{n}, got shape {theta.shape}")
+    if np.max(np.abs(theta.T @ theta - np.eye(n))) > ORTHOGONALITY_TOL:
         raise InvalidArgumentError("θ must be orthogonal")
     return RootSystem(
         dimension=system.dimension,
@@ -363,21 +313,6 @@ def rotate_system(system, theta):
         weyl_group=np.einsum("ij,gjk,lk->gil", theta, system.weyl_group, theta),
         orbits=system.orbits,
     )
-
-
-def rotate_spec(spec, theta):
-    """Transport a generator spec by θ: roots θα with k_θ(θα) = k(α).
-
-    The defining identity is L^{θR}_{k_θ} u(θx) = L^R_k (u∘θ)(x).
-    """
-    rotated = rotate_system(spec.system, theta)
-    k_rot = Multiplicity(system=rotated, by_orbit=spec.k.by_orbit)
-    jump_rot = (
-        None
-        if spec.jump_k is None
-        else Multiplicity(system=rotated, by_orbit=spec.jump_k.by_orbit)
-    )
-    return GeneratorSpec(system=rotated, k=k_rot, jump_k=jump_rot, active=spec.active)
 
 
 def sample_interior_points(system, count, rng):

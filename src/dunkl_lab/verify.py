@@ -2,18 +2,17 @@
 
 Every check returns a ``Report`` whose pass criterion is declared up
 front: |estimate − target| ≤ tolerance for moment/identity checks;
-p ≥ significance for distribution checks, either one-sample against an
-exact law (the norm) or two-sample (rotated paths, Bonferroni across
-coordinates inside a check); and for the exact chamber-label law, max|z|
-over the |W| labels ≤ the two-sided normal quantile at α/|W|.  Checks
-draw their randomness from streams derived off a master seed, so a whole
-suite is reproducible bit for bit from (seed, configuration); only the
-recorded runtimes vary.
+p ≥ significance for the one-sample check of the norm against its exact
+law; and for the exact chamber-label law, max|z| over the |W| labels ≤
+the two-sided normal quantile at α/|W|.  Checks draw their randomness
+from streams derived off a master seed, so a whole suite is reproducible
+bit for bit from (seed, configuration); only the recorded runtimes vary.
 
 A lifted run is X = v·Z over the engine's radial path Z, so π(X_t) = Z_t,
 and a check of π(X), ‖X‖ or a W-invariant function of it would test the
 engine again.  The suite checks lifted runs only through their chamber
-labels and the ridge (non-invariant) martingale functions.
+labels and the ridge (non-invariant) martingale functions.  The label law
+is rotation covariant: a lift of θR from θx₀ is checked against it too.
 
 Each statistical check is paired with a negative control that feeds it a
 deliberately mismatched pair, since a check that cannot fail verifies
@@ -27,7 +26,7 @@ from __future__ import annotations
 import json
 import time
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -39,27 +38,18 @@ from .calculus import (
     GeneratorSpec,
     TestFunction,
     apply_generator,
-    generator_scale,
     harmonicity_residual,
-    rotate_spec,
     rotate_system,
     sample_interior_points,
 )
 from .errors import InvalidArgumentError, SingularClockError
 from .lift import _stage_prefix, build_lift_plan, label_table, simulate_dunkl
 from .radial import SimulationConfig, _integral, run_radial
-from .root_systems import (
-    Multiplicity,
-    build_rank_one,
-    chamber_labels,
-    multiplicity,
-)
+from .root_systems import build_rank_one, chamber_labels, multiplicity
 
 DEFAULT_ALPHA = 0.01         # significance level of every statistical check
 _RESIDUAL_POINTS = 1 << 14   # path points per generator call in _path_residuals
 POISSON_SHARE = 0.1          # label-law counts with Σp² ≤ this share of Σp are Poisson
-ROTATION_TOL = 1e-6          # relative residual bound of rotate-generator
-MIN_WALL_DOT = 0.2           # rotate-generator's points keep |x·α| above this
 WALL_KS = (0.1, 0.3, 0.45, 0.5, 0.6, 1.0)  # wall-profile's k values, across k = 1/2
 WALL_X0, WALL_HORIZON, WALL_DT = 0.2, 1.0, 1e-4   # its rank-one start point and grid
 _UNRECORDED = "the run holds no recorded paths; simulate it with record=True"
@@ -526,117 +516,13 @@ def wall_hitting_profile(n_paths, seed, *, name="wall-profile", threads=1,
 
 
 # ---------------------------------------------------------------------------
-# rotational covariance
+# rotated systems
 
 
 def haar_orthogonal(n, rng):
     """Haar-distributed orthogonal matrix via sign-fixed QR."""
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     return q * np.sign(np.diag(r))
-
-
-def _random_smooth_function(rng, n):
-    w1 = rng.standard_normal(n)
-    w2 = rng.standard_normal(n)
-    b = rng.standard_normal()
-    c = rng.standard_normal(3)
-
-    def fn(x):
-        return (c[0] * np.sin(x @ w1 + b)
-                + c[1] * np.cos(x @ w2)
-                + c[2] * np.exp(-0.1 * np.einsum("...i,...i->...", x, x)))
-
-    return TestFunction(fn=fn, name="random_smooth")
-
-
-def _random_offwall_point(rng, system):
-    while True:
-        x = 1.5 * rng.standard_normal(system.dimension)
-        if np.min(np.abs(system.positive_roots @ x)) > MIN_WALL_DOT:
-            return x
-
-
-def rotation_covariance_generator(system, k, *, trials=50, seed=0,
-                                  wrong_transport=False, name="rotate-generator"):
-    """Deterministic identity L^{θR}_{k_θ} u(θx) = L^R_k (u∘θ)(x).
-
-    The residual is compared against ``ROTATION_TOL`` times the generator's own
-    term-magnitude scale.  With ``wrong_transport`` the orbit values of
-    k_θ are rotated by one position (meaningful on multi-orbit systems):
-    the negative control.
-    """
-    rng = rngmod.stream(rngmod.keys(seed, rngmod.CHECK, 2))
-    spec = GeneratorSpec.full(system, k)
-    worst = 0.0
-    for _ in range(trials):
-        theta = haar_orthogonal(system.dimension, rng)
-        u = _random_smooth_function(rng, system.dimension)
-        x = _random_offwall_point(rng, system)
-        rotated = rotate_spec(spec, theta)
-        if wrong_transport:
-            vals = rotated.k.by_orbit
-            wrong = Multiplicity(system=rotated.system,
-                                 by_orbit=vals[1:] + vals[:1])
-            rotated = GeneratorSpec(system=rotated.system, k=wrong,
-                                    jump_k=None, active=rotated.active)
-        u_theta = TestFunction(lambda y, u=u, th=theta: u(y @ th.T),
-                               name="u∘θ")
-        lhs = apply_generator(rotated, u, theta @ x)
-        rhs = apply_generator(spec, u_theta, x)
-        scale = generator_scale(rotated, u, theta @ x) + 1e-30
-        worst = max(worst, float(abs(lhs - rhs) / scale))
-    return Report(
-        name=name,
-        estimate=worst,
-        stderr=None,
-        tolerance=ROTATION_TOL,
-        alpha=None,
-        sample_size=trials,
-        passed=worst <= ROTATION_TOL,
-        details={"wrong_transport": wrong_transport},
-    )
-
-
-def _coordinate_ks(a, b, name, sample_size, **details):
-    """Two-sample KS of each coordinate of ``a`` against ``b`` at level
-    ``DEFAULT_ALPHA``, Bonferroni across the coordinates."""
-    from scipy import stats as sps  # only here: importing it costs more than verify itself
-
-    n = a.shape[1]
-    pvals = [float(sps.ks_2samp(a[:, i], b[:, i]).pvalue) for i in range(n)]
-    threshold = DEFAULT_ALPHA / n
-    return Report(
-        name=name,
-        estimate=float(min(pvals)),
-        stderr=None,
-        tolerance=None,
-        alpha=threshold,
-        sample_size=sample_size,
-        passed=bool(min(pvals) >= threshold),
-        details={"pvalues": pvals, **details},
-    )
-
-
-def rotation_covariance_paths(system, k, x0, config: SimulationConfig, *,
-                              name="rotate-paths", threads=1):
-    """Statistical check: θ·paths(k, R, x0) vs paths(k_θ, θR, θx0) at T."""
-    seed = config.seed
-    rng = rngmod.stream(rngmod.keys(seed, rngmod.CHECK, 3))
-    theta = haar_orthogonal(system.dimension, rng)
-    x0 = np.asarray(x0, dtype=float)
-
-    plan = build_lift_plan(system, k, mode="auto")
-    cfg_base = replace(config, seed=derived_seed(seed, f"{name}:base"))
-    base = simulate_dunkl(plan, x0, cfg_base, threads=threads, record=False)
-    rotated_states = base.final_states @ theta.T
-
-    rot_system = rotate_system(system, theta)
-    rot_k = Multiplicity(system=rot_system, by_orbit=k.by_orbit)
-    rot_plan = build_lift_plan(rot_system, rot_k, mode="auto")
-    cfg_rotated = replace(config, seed=derived_seed(seed, f"{name}:rotated"))
-    other = simulate_dunkl(rot_plan, theta @ x0, cfg_rotated, threads=threads, record=False)
-
-    return _coordinate_ks(rotated_states, other.final_states, name, config.n_paths)
 
 
 # ---------------------------------------------------------------------------
@@ -656,8 +542,8 @@ def harmonic_identities(k):
 def harmonicity_check(system, k, *, n_points=100, seed=0, tol=1e-5,
                       which="delta", name=None):
     """Max relative residual of a harmonicity identity at random points (an exact 0 is 0)."""
-    if n_points < 1:
-        raise InvalidArgumentError(f"n_points must be at least 1, got {n_points}")
+    if not _integral(n_points) or n_points < 1:
+        raise InvalidArgumentError(f"n_points must be an integer of at least 1, got {n_points!r}")
     if name is None:
         name = f"harmonic-{which}"
     rng = rngmod.stream(rngmod.keys(seed, rngmod.CHECK, 4))
@@ -736,7 +622,7 @@ def run_suite(system, k, x0, *, horizon=1.0, dt=1e-3, n_paths=2000,
     add(norm_is_bessel, radial_norms, dim_besq - offset, start, horizon, name="ks-norm:control",
         control=f"off-by-{'one' if offset == 1 else offset} dimension must be rejected")
 
-    # the chamber label given the radial path, in both modes and at k′
+    # the chamber label given the radial path, in both modes, at k′ and after a rotation
     mart_paths = max(800, n_paths // 2)
     plan = build_lift_plan(system, k, mode="auto")
     plan_kp = build_lift_plan(system, k, rates=k_prime, mode="auto")
@@ -755,6 +641,16 @@ def run_suite(system, k, x0, *, horizon=1.0, dt=1e-3, n_paths=2000,
         add(label_law, two_param, plan_kp, name="label-law-two-param")
         add(label_law, full, build_lift_plan(system, k, rates=k_plus, mode="auto"),
             name="label-law:control", control="mismatched jump rates must be rejected")
+        # the same law on a lift of θR from θx₀, θ drawn from the run's CHECK stream
+        rot_cfg = cfg("label-rotated")
+        theta = haar_orthogonal(n, rngmod.stream(rngmod.keys(rot_cfg.seed, rngmod.CHECK, 0)))
+        rotated = rotate_system(system, theta)
+        rot_plan = build_lift_plan(rotated, multiplicity(rotated, k.by_orbit), mode="auto")
+        rot_run = simulate_dunkl(rot_plan, theta @ x0, rot_cfg, threads=threads)
+        add(label_law, rot_run, rot_plan, name="label-law-rotated")
+        add(label_law, rot_run,
+            build_lift_plan(rotated, rot_plan.k, rates=multiplicity(rotated, k_plus.by_orbit)),
+            name="label-law-rotated:control", control="mismatched jump rates must be rejected")
 
     # wall-hitting profile (rank-1, fixed setup)
     wall_paths = max(800, n_paths // 4)
@@ -763,16 +659,6 @@ def run_suite(system, k, x0, *, horizon=1.0, dt=1e-3, n_paths=2000,
     add(wall_hitting_profile, wall_paths, derived_seed(seed, "wall-ctrl"),
         mislabel_shift=5, name="wall-profile:control", threads=threads,
         control="mislabeled simulations must break the profile")
-
-    # rotational covariance
-    add(rotation_covariance_generator, system, k, seed=derived_seed(seed, "rotgen"))
-    if len(system.orbits) >= 2 and len(set(k.by_orbit)) > 1:
-        add(rotation_covariance_generator, system, k,
-            seed=derived_seed(seed, "rotgen-ctrl"), wrong_transport=True,
-            name="rotate-generator:control",
-            control="untransported multiplicity must be rejected")
-    add(rotation_covariance_paths, system, k, x0,
-        cfg("rotpaths", max(1000, n_paths // 2)), threads=threads)
 
     # martingale residual battery; a W-invariant u has u(X) = u(Z) and no
     # jump terms, so lifted runs take only the ridge functions

@@ -14,24 +14,22 @@ from dunkl_lab import (
     delta,
     delta_bar,
     drift,
-    fd_gradient,
-    fd_laplacian,
     harmonicity_residual,
     multiplicity,
-    rotate_spec,
     weight_omega,
     weight_varpi,
 )
 from dunkl_lab import calculus
 from dunkl_lab.calculus import (
     _coordinate_sum,
-    _fd_scheme,
     generator_scale,
     generator_terms,
+    rotate_system,
     sample_interior_points,
 )
-from dunkl_lab.root_systems import build_rank_one, build_type_a, build_type_b
-from dunkl_lab.verify import function_battery, harmonicity_check
+from dunkl_lab.root_systems import Multiplicity, build_rank_one, build_type_a, build_type_b
+from dunkl_lab.verify import _ridge_function, function_battery, haar_orthogonal, harmonicity_check
+from helpers import _fd_scheme, fd_gradient, fd_laplacian, rotate_spec, with_differences
 
 
 @pytest.fixture()
@@ -96,8 +94,7 @@ class TestDrift:
             kvals = rng.uniform(0.5, 3.0, size=len(system.orbits))
             k = multiplicity(system, list(kvals))
             pts = sample_interior_points(system, 20, rng)
-            fn = TestFunction(lambda y: np.log(weight_varpi(system, k, y)))
-            grad = fd_gradient(fn, pts)
+            grad = fd_gradient(lambda y: np.log(weight_varpi(system, k, y)), pts)
             exact = drift(system, k, pts)
             rel = np.max(np.abs(grad - exact)) / np.max(np.abs(exact))
             assert rel <= 1e-6
@@ -132,43 +129,38 @@ class TestDeltaFunctions:
 
 
 class TestFiniteDifferences:
+    """The test-side reference that the closed forms are checked against."""
+
     def test_gradient_on_polynomial(self, rng):
         pts = rng.standard_normal((30, 3))
-        fn = TestFunction(lambda x: x[..., 0] ** 3 + 2 * x[..., 1] * x[..., 2])
-        grad = fd_gradient(fn, pts)
+        grad = fd_gradient(lambda x: x[..., 0] ** 3 + 2 * x[..., 1] * x[..., 2], pts)
         exact = np.stack([3 * pts[:, 0] ** 2, 2 * pts[:, 2], 2 * pts[:, 1]], axis=1)
         assert np.max(np.abs(grad - exact)) <= 1e-8 * (1 + np.max(np.abs(exact)))
 
     def test_laplacian_on_gaussian(self, rng):
         pts = 0.5 * rng.standard_normal((30, 2))
-        fn = TestFunction(lambda x: np.exp(-np.einsum("...i,...i->...", x, x)))
-        lap = fd_laplacian(fn, pts)
+        lap = fd_laplacian(lambda x: np.exp(-np.einsum("...i,...i->...", x, x)), pts)
         sq = np.einsum("ij,ij->i", pts, pts)
         exact = np.exp(-sq) * (4 * sq - 4)
         assert np.max(np.abs(lap - exact)) <= 1e-7
 
-    def test_smoothness_region_enforced(self):
-        fn = TestFunction(lambda x: x[..., 0], smooth_radius=1.0)
-        with pytest.raises(DomainError):
-            fd_gradient(fn, np.array([2.0, 0.0]))
-
 
 class TestGenerator:
     def test_constant_function_is_killed(self, b2, k_one, x21):
-        fn = TestFunction(lambda x: np.full(x.shape[:-1], 3.5))
+        fn = with_differences(lambda x: np.full(x.shape[:-1], 3.5))
         for spec in (GeneratorSpec.radial(b2, k_one), GeneratorSpec.full(b2, k_one)):
             assert apply_generator(spec, fn, x21) == pytest.approx(0.0, abs=1e-9)
 
     def test_squared_norm_radial(self, b2, k_one, x21):
         # ½Δ|x|² = n and drift·∇|x|² = 2γ
-        fn = TestFunction(lambda x: np.einsum("...i,...i->...", x, x))
+        fn = with_differences(lambda x: np.einsum("...i,...i->...", x, x))
         spec = GeneratorSpec.radial(b2, k_one)
         val = apply_generator(spec, fn, x21)
         assert val == pytest.approx(2 + 2 * 4.0, rel=1e-8)
 
     def test_squared_norm_full_equals_radial(self, b2, k_one, x21):
         # |x|² is W-invariant so jump terms vanish identically
-        fn = TestFunction(lambda x: np.einsum("...i,...i->...", x, x))
+        fn = with_differences(lambda x: np.einsum("...i,...i->...", x, x))
         full = apply_generator(GeneratorSpec.full(b2, k_one), fn, x21)
         rad = apply_generator(GeneratorSpec.radial(b2, k_one), fn, x21)
         assert full == pytest.approx(rad, rel=1e-12)
@@ -176,7 +168,7 @@ class TestGenerator:
     def test_invariant_function_drops_jumps(self, b2, rng):
         k = multiplicity(b2, [1.0, 2.0])
         pts = sample_interior_points(b2, 10, rng)
-        fn = TestFunction(
+        fn = with_differences(
             lambda x: np.exp(-0.3 * np.einsum("...i,...i->...", x, x)))
         full = apply_generator(GeneratorSpec.full(b2, k), fn, pts)
         rad = apply_generator(GeneratorSpec.radial(b2, k), fn, pts)
@@ -185,10 +177,10 @@ class TestGenerator:
 
     def test_linearity(self, b2, k_one, rng):
         pts = sample_interior_points(b2, 5, rng)
-        u = TestFunction(lambda x: np.sin(x[..., 0]) + x[..., 1] ** 2)
-        v = TestFunction(lambda x: np.exp(-np.einsum("...i,...i->...", x, x) / 8))
+        u = with_differences(lambda x: np.sin(x[..., 0]) + x[..., 1] ** 2)
+        v = with_differences(lambda x: np.exp(-np.einsum("...i,...i->...", x, x) / 8))
         a, b = 2.3, -0.7
-        combo = TestFunction(lambda x: a * u(x) + b * v(x))
+        combo = with_differences(lambda x: a * u(x) + b * v(x))
         spec = GeneratorSpec.full(b2, k_one)
         lhs = apply_generator(spec, combo, pts)
         rhs = a * apply_generator(spec, u, pts) + b * apply_generator(spec, v, pts)
@@ -208,13 +200,27 @@ class TestGenerator:
         with pytest.raises(InvalidArgumentError, match="0..4"):
             GeneratorSpec.prefix(b2, k_one, i)
 
+    @pytest.mark.parametrize("active", [(1.5,), ("1",), (True,)], ids=["float", "str", "bool"])
+    def test_active_entries_must_be_integers(self, b2, k_one, active):
+        # 1.5 and "1" failed later with a bare IndexError; True acted as root 1
+        with pytest.raises(InvalidArgumentError, match="integers in 0..3"):
+            GeneratorSpec(system=b2, k=k_one, active=active)
+        assert GeneratorSpec(system=b2, k=k_one, active=(np.int64(3),)).active == (3,)
+
+    def test_a_bare_callable_is_refused(self, b2, k_one, x21):
+        # the generator takes only closed-form derivatives
+        with pytest.raises(InvalidArgumentError, match="TestFunction"):
+            apply_generator(GeneratorSpec.radial(b2, k_one), lambda x: x[..., 0], x21)
+        with pytest.raises(InvalidArgumentError, match="derivatives"):
+            TestFunction(lambda x: x[..., 0], None)
+
     def test_two_parameter_jump_coefficients(self, b2, k_one):
         kp = multiplicity(b2, [0.25, 2.0])
         spec = GeneratorSpec.full(b2, k_one, jump_k=kp)
         assert np.allclose(spec.jump_coefficients(), [0.25, 0.25, 2.0, 2.0])
 
     def test_wall_contact_raises(self, b2, k_one):
-        fn = TestFunction(lambda x: x[..., 0])
+        fn = with_differences(lambda x: x[..., 0])
         with pytest.raises(SingularDriftError):
             apply_generator(GeneratorSpec.radial(b2, k_one),
                             fn, np.array([1.0, 1.0]))
@@ -244,8 +250,8 @@ class TestGenerator:
         # a view-returning u gave for the earlier stencil points
         pts = sample_interior_points(b2, 12, rng).reshape(3, 4, 2)
         spec = (GeneratorSpec.full if full else GeneratorSpec.radial)(b2, k_one)
-        view = apply_generator(spec, TestFunction(lambda y: y[..., 0]), pts)
-        copy = apply_generator(spec, TestFunction(lambda y: y[..., 0].copy()), pts)
+        view = apply_generator(spec, with_differences(lambda y: y[..., 0]), pts)
+        copy = apply_generator(spec, with_differences(lambda y: y[..., 0].copy()), pts)
         assert view.tobytes() == copy.tobytes()
 
 
@@ -348,17 +354,6 @@ class TestHarmonicity:
             rep = harmonicity_check(system, k, which=which, n_points=20, seed=3)
             assert rep.estimate == 0.0 and rep.passed
 
-    def test_no_differences(self, b2, rng, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("finite differences reached")
-
-        monkeypatch.setattr(calculus, "_fd_scheme", refuse)
-        k = multiplicity(b2, [1.0, 0.5])
-        pts = sample_interior_points(b2, 10, rng)
-        for which, kk in [("delta", k), ("delta_bar", k), ("pi", k), ("pi_power", 0.8)]:
-            res, scale = harmonicity_residual(b2, kk, which, pts)
-            assert _worst(res, scale) <= 1e-12
-
     def test_pi_harmonic(self, a2, rng):
         pts = sample_interior_points(a2, 100, rng)
         res, scale = harmonicity_residual(a2, None, "pi", pts)
@@ -417,11 +412,40 @@ class TestInteriorPoints:
             sample_interior_points(b2, 5, rng)
 
 
+def _sine_ridge(v):
+    """u(x) = sin(x·v) in closed form; u∘θ is the ridge of θᵀv."""
+    return _ridge_function(np.asarray(v, dtype=float), np.sin, np.cos,
+                           lambda t: -np.sin(t), "sine")
+
+
+def _off_wall_point(system, rng):
+    """A point anywhere in space with every |α·x| ≥ 0.3."""
+    x = 2.0 * rng.standard_normal(system.dimension)
+    while np.min(np.abs(system.positive_roots @ x)) < 0.3:
+        x = 2.0 * rng.standard_normal(system.dimension)
+    return x
+
+
+def _covariance_residuals(spec, rotated_spec, trials, rng):
+    """|L^{θR} u(θx) − L^R (u∘θ)(x)| / scale over random θ, ridge u and x,
+    where ``rotated_spec(θ)`` gives the spec on θR."""
+    n = spec.system.dimension
+    out = []
+    for _ in range(trials):
+        theta, v = haar_orthogonal(n, rng), rng.standard_normal(n)
+        x = _off_wall_point(spec.system, rng)
+        rotated = rotated_spec(theta)
+        lhs = apply_generator(rotated, _sine_ridge(v), theta @ x)
+        rhs = apply_generator(spec, _sine_ridge(theta.T @ v), x)
+        out.append(abs(lhs - rhs) / generator_scale(rotated, _sine_ridge(v), theta @ x))
+    return np.array(out)
+
+
 class TestRotation:
     def test_identity_rotation_is_noop(self, b2, k_one, x21):
         spec = GeneratorSpec.full(b2, k_one)
         rotated = rotate_spec(spec, np.eye(2))
-        fn = TestFunction(lambda x: np.sin(x[..., 0] - 0.3 * x[..., 1]))
+        fn = _sine_ridge([1.0, -0.3])
         assert apply_generator(rotated, fn, x21) == pytest.approx(
             apply_generator(spec, fn, x21), rel=1e-12)
 
@@ -433,39 +457,52 @@ class TestRotation:
             dist = np.max(np.abs(b2.roots - root), axis=1).min()
             assert dist <= 1e-12
 
-    def test_generator_identity_random_rotations(self, b2, rng):
-        k = multiplicity(b2, [0.6, 1.9])
-        spec = GeneratorSpec.full(b2, k)
-        for _ in range(10):
-            q, r = np.linalg.qr(rng.standard_normal((2, 2)))
-            theta = q * np.sign(np.diag(r))
-            x = rng.standard_normal(2) * 2
-            while np.min(np.abs(b2.positive_roots @ x)) < 0.3:
-                x = rng.standard_normal(2) * 2
-            u = TestFunction(lambda y: np.cos(y[..., 0] + 0.5 * y[..., 1]))
-            u_theta = TestFunction(lambda y: u(y @ theta.T))
-            lhs = apply_generator(rotate_spec(spec, theta), u, theta @ x)
-            rhs = apply_generator(spec, u_theta, x)
-            scale = generator_scale(rotate_spec(spec, theta), u, theta @ x)
-            assert abs(lhs - rhs) <= 1e-6 * scale
+    def test_generator_identity_random_rotations(self, a2, b2, b3, rng):
+        """L^{θR}_{k_θ} u(θx) = L^R_k (u∘θ)(x) to rounding, with the jump
+        family transported too: the generator reads x only through α·x and Δ."""
+        for system in (b2, b3, a2):
+            k = multiplicity(system, list(rng.uniform(0.5, 2.0, len(system.orbits))))
+            kp = multiplicity(system, list(rng.uniform(0.5, 2.0, len(system.orbits))))
+            spec = GeneratorSpec.full(system, k, jump_k=kp)
+            worst = _covariance_residuals(spec, lambda th: rotate_spec(spec, th), 50, rng)
+            assert np.max(worst) <= 1e-12, system.dimension
+
+    def test_wrong_transport_is_caught(self, b2, rng):
+        # k_θ with its orbit values shifted by one breaks the identity in
+        # every trial, by far more than its 1e-12 bound (the smallest read 2e-4)
+        spec = GeneratorSpec.full(b2, multiplicity(b2, [0.75, 1.25]))
+
+        def wrong(theta):
+            rotated = rotate_spec(spec, theta)
+            vals = rotated.k.by_orbit
+            return GeneratorSpec.full(
+                rotated.system, Multiplicity(system=rotated.system, by_orbit=vals[1:] + vals[:1]))
+
+        assert np.min(_covariance_residuals(spec, wrong, 25, rng)) >= 1e-6
 
     def test_non_orthogonal_rejected(self, b2, k_one):
         with pytest.raises(InvalidArgumentError):
             rotate_spec(GeneratorSpec.full(b2, k_one),
                         np.array([[1.0, 0.1], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("theta", [np.eye(3), np.eye(2, 3)], ids=["3x3", "2x3"])
+    def test_theta_must_match_the_dimension(self, b2, theta):
+        # a matmul and a broadcast ValueError on B2 before the check
+        with pytest.raises(InvalidArgumentError, match="2×2"):
+            rotate_system(b2, theta)
+
 
 class TestGeneratorTerms:
     def test_terms_sum_to_value(self, b2, k_one, x21):
         spec = GeneratorSpec.full(b2, k_one)
-        fn = TestFunction(lambda x: np.sin(x[..., 0]) * x[..., 1])
+        fn = with_differences(lambda x: np.sin(x[..., 0]) * x[..., 1])
         t = generator_terms(spec, fn, x21)
         total = t["half_laplacian"] + t["drift"] + t["jumps"]
         assert total == pytest.approx(apply_generator(spec, fn, x21), rel=1e-14)
 
     def test_scale_dominates_value(self, b2, k_one, x21):
         spec = GeneratorSpec.full(b2, k_one)
-        fn = TestFunction(lambda x: np.sin(x[..., 0]) * x[..., 1])
+        fn = with_differences(lambda x: np.sin(x[..., 0]) * x[..., 1])
         assert generator_scale(spec, fn, x21) >= abs(
             apply_generator(spec, fn, x21)) - 1e-12
 

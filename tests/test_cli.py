@@ -347,7 +347,7 @@ class TestCommands:
 class TestVerifySuiteCommand:
     # SHA-256 of the suite's reports, runtimes removed, as sorted-key JSON
     QUICK_SUITE_SHA256 = (
-        "b0c305d22325c4c779385b163f8c94ae887d0caa75d8cb2aec15ec86652fa336")
+        "c317c472d230bd87593e714c1bda254fb9264bf4c91f2137b25407fbea23dedb")
     # Lifted runs appear only in the label law and the ridge martingale
     # functions: their norm, projection and W-invariant functions are the
     # radial run's (π(X_t) = Z_t).
@@ -355,7 +355,8 @@ class TestVerifySuiteCommand:
         "harmonic-delta", "harmonic-pi", "harmonic-pi_power",
         "moment-besq-radial", "ks-norm-radial", "ks-norm:control",
         "label-law-full", "label-law-general", "label-law-two-param", "label-law:control",
-        "wall-profile", "wall-profile:control", "rotate-generator", "rotate-paths",
+        "label-law-rotated", "label-law-rotated:control",
+        "wall-profile", "wall-profile:control",
         "martingale-radial-sq_norm", "martingale-radial-gauss",
         "martingale-radial-linear", "martingale-full-linear", "martingale-two-param-linear",
         "martingale-radial-sine", "martingale-full-sine", "martingale-two-param-sine",

@@ -1,5 +1,6 @@
-"""Start-up cost: what importing a module pulls in, each in a fresh interpreter;
-and the entry points the benchmark's traced run wraps, which must exist."""
+"""Start-up cost: what importing a module or running the suite pulls in, each
+in a fresh interpreter; and the entry points the benchmark's traced run
+wraps, which must exist."""
 
 import importlib
 import importlib.util
@@ -15,6 +16,14 @@ import dunkl_lab
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(dunkl_lab.__file__)))
 
 
+def _fresh(code):
+    """stdout of ``code`` run in a fresh interpreter on this checkout's ``src``."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True).stdout
+
+
 @pytest.mark.parametrize("module, absent", [
     ("dunkl_lab.verify", ["scipy.stats"]),
     ("dunkl_lab.cli", ["scipy.stats", "scipy.special"]),
@@ -23,11 +32,15 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(dunkl_lab.__file__)))
 def test_import_leaves_out(module, absent):
     code = (f"import sys, json, {module}; "
             f"print(json.dumps([m for m in {absent!r} if m in sys.modules]))")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
-    assert json.loads(proc.stdout) == []
+    assert json.loads(_fresh(code)) == []
+
+
+def test_run_suite_leaves_out_scipy_stats():
+    # the quick suite's size: every check runs, and none loads scipy.stats
+    code = ("import sys, dunkl_lab as d; from dunkl_lab import verify; b2 = d.build_type_b(2); "
+            "verify.run_suite(b2, d.multiplicity(b2, 1.0), [2.0, 1.0], horizon=0.5, "
+            "dt=0.005, n_paths=400, seed=314); print('scipy.stats' in sys.modules)")
+    assert _fresh(code).split() == ["False"]
 
 
 def _entry_points():

@@ -15,9 +15,18 @@ from dunkl_lab import (
     run_radial,
     write_trajectories_csv,
 )
-from dunkl_lab import _engine, radial, rng, verify
+from dunkl_lab import _engine, radial, rng
 from dunkl_lab.lift import build_lift_plan, simulate_dunkl
 from dunkl_lab.radial import read_trajectories_csv
+
+
+def _same_coordinate_laws(a, b, alpha=0.01):
+    """Two-sample KS of each coordinate of ``a`` against ``b``, Bonferroni
+    across the coordinates at level ``alpha``."""
+    from scipy import stats
+
+    return all(stats.ks_2samp(a[:, i], b[:, i]).pvalue >= alpha / a.shape[1]
+               for i in range(a.shape[1]))
 
 
 class TestConfig:
@@ -134,8 +143,8 @@ class TestSimulateRadial:
                     cfg = SimulationConfig(horizon=0.5, dt=1e-2, n_paths=1000, seed=seed)
                     return simulate_dunkl(plan, start, cfg, stages=stages).final_states
                 moved, base = finals(w @ x0, 21), finals(x0, 22)
-                assert verify._coordinate_ks(moved, base @ w.T, "equivariance", 1000).passed
-                assert not verify._coordinate_ks(moved, base, "control", 1000).passed
+                assert _same_coordinate_laws(moved, base @ w.T)
+                assert not _same_coordinate_laws(moved, base)
 
     def test_interior_preservation_diagnostics(self, b2, k_one):
         cfg = SimulationConfig(horizon=1.0, dt=1e-3, n_paths=500, seed=13)

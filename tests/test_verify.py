@@ -8,7 +8,7 @@ import pytest
 
 from dunkl_lab import (InvalidArgumentError, SimulationConfig, SingularClockError, Trajectory,
                        build_lift_plan, build_type_b, multiplicity, run_radial)
-from dunkl_lab.calculus import (GeneratorSpec, _coordinate_sum, _fd_scheme, apply_generator,
+from dunkl_lab.calculus import (GeneratorSpec, _coordinate_sum, apply_generator,
                                 generator_terms, sample_interior_points)
 from dunkl_lab import verify
 from dunkl_lab.lift import simulate_dunkl
@@ -24,13 +24,12 @@ from dunkl_lab.verify import (
     norm_is_bessel,
     render_table,
     reports_to_json,
-    rotation_covariance_generator,
-    rotation_covariance_paths,
     function_battery,
     wall_hitting_profile,
 )
 from dunkl_lab.rng import CHECK, keys, stream
 from dunkl_lab.root_systems import chamber_labels
+from helpers import _fd_scheme, with_differences
 
 
 class TestReportPlumbing:
@@ -318,8 +317,7 @@ class TestMartingale:
         k = multiplicity(b2, 1.0)
         cfg = SimulationConfig(horizon=0.2, dt=1e-3, n_paths=50, seed=44)
         paths = run_radial(b2, k, [2.0, 1.0], cfg, record=True).trajectories
-        from dunkl_lab.calculus import TestFunction
-        const = TestFunction(lambda x: np.full(x.shape[:-1], 2.0), name="const")
+        const = with_differences(lambda x: np.full(x.shape[:-1], 2.0), name="const")
         rep = martingale_residual(lambda: paths, GeneratorSpec.radial(b2, k),
                                   const, bias_allowance=1e-9)
         assert abs(rep.estimate) <= 1e-8
@@ -508,27 +506,6 @@ class TestLabelLaw:
                       build_lift_plan(rank1, multiplicity(rank1, 1.0)))
 
 
-class TestCallerSettings:
-    def test_simulations_keep_the_callers_wall_settings(self, b2, monkeypatch):
-        """Checks that run their own lifts change only the seed of the
-        caller's config: its horizon, step and path count reach
-        ``simulate_dunkl`` unchanged."""
-        received = []
-
-        def recording(plan, x0, config, **kwargs):
-            received.append(config)
-            return simulate_dunkl(plan, x0, config, **kwargs)
-
-        monkeypatch.setattr(verify, "simulate_dunkl", recording)
-        k = multiplicity(b2, 1.0)
-        cfg = SimulationConfig(horizon=0.1, dt=0.01, n_paths=20, seed=5)
-        rotation_covariance_paths(b2, k, [2.0, 1.0], cfg)
-        assert len(received) == 2
-        assert len({c.seed for c in received}) == 2
-        for got in received:
-            assert dataclasses.replace(got, seed=cfg.seed) == cfg
-
-
 class TestWallProfile:
     def test_profile_and_control(self):
         rep = wall_hitting_profile(600, 80)
@@ -539,16 +516,6 @@ class TestWallProfile:
         assert not ctrl.passed
 
 
-class TestRotation:
-    def test_generator_identity_and_control(self, b2):
-        k = multiplicity(b2, [0.75, 1.25])
-        rep = rotation_covariance_generator(b2, k, trials=25, seed=90)
-        assert rep.passed
-        ctrl = rotation_covariance_generator(b2, k, trials=25, seed=90,
-                                             wrong_transport=True)
-        assert not ctrl.passed
-
-
 class TestHarmonicityCheck:
     def test_reports(self, b2):
         k = multiplicity(b2, [0.75, 1.25])
@@ -556,6 +523,12 @@ class TestHarmonicityCheck:
         assert harmonicity_check(b2, k, which="pi", tol=1e-6, seed=1).passed
         assert harmonicity_check(b2, 0.8, which="pi_power", tol=1e-6,
                                  seed=1).passed
+
+    @pytest.mark.parametrize("n_points", [2.5, True, 0], ids=["float", "bool", "zero"])
+    def test_n_points_must_be_a_count(self, b2, k_one, n_points):
+        # 2.5 and True raised a bare TypeError inside the point sampler
+        with pytest.raises(InvalidArgumentError, match="n_points"):
+            harmonicity_check(b2, k_one, n_points=n_points)
 
 
 class TestReproducibility:
