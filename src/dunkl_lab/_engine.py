@@ -55,7 +55,7 @@ from typing import Optional
 import numpy as np
 
 from . import rng as rngmod
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, _integral
 
 TERM_HORIZON = 0
 TERM_T0 = 1
@@ -354,8 +354,6 @@ def run_paths(params: EngineParams, n_paths: int, threads: int = 1, lift=None) -
     so no process holds more than one block's states; the result's
     ``jumps`` joins the blocks' tables.
     """
-    from .radial import _integral    # radial imports this module
-
     if not _integral(threads) or threads < 0:
         raise InvalidArgumentError(f"threads must be an integer ≥ 0, got {threads!r}")
     n_times, nd = len(params.tgrid), params.positive_roots.shape[1]

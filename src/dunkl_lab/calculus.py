@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, DunklLabError, InvalidArgumentError, SingularDriftError
+from .errors import DomainError, DunklLabError, InvalidArgumentError, SingularDriftError, _integral
 from .root_systems import Multiplicity, RootSystem, chamber_labels, multiplicity, reflect
 
 ORTHOGONALITY_TOL = 1e-12
@@ -75,7 +75,6 @@ class GeneratorSpec:
     active: tuple = ()
 
     def __post_init__(self):
-        from .radial import _integral  # imported here, as in ``prefix``
         m = self.system.n_positive
         if not all(_integral(i) and 0 <= i < m for i in self.active):
             raise InvalidArgumentError(
@@ -97,9 +96,6 @@ class GeneratorSpec:
     @classmethod
     def prefix(cls, system, k, i, enumeration=None, jump_k=None):
         """Jumps active on the first ``i`` roots of an enumeration, 0 ≤ i ≤ m."""
-        # imported here: loading radial with calculus reorders the package's
-        # imports, which moved every run's peak RSS by about 0.8 MB
-        from .radial import _integral
         m = system.n_positive
         if not _integral(i) or not 0 <= i <= m:
             raise InvalidArgumentError(f"i must be an integer in 0..{m}, got {i!r}")

@@ -11,14 +11,12 @@ any error or failed check.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 
 import numpy as np
 
-from ._engine import DEFAULT_CHUNK
 from .config import load_run_config
 from .errors import DunklLabError, InvalidArgumentError
 from .lift import build_lift_plan, simulate_dunkl
@@ -42,11 +40,7 @@ def _env_seed():
 
 
 def _build_system(kind, n):
-    if kind == "A":
-        return build_type_a(n)
-    if kind == "B":
-        return build_type_b(n)
-    raise DunklLabError(f"unknown system type {kind!r}")
+    return {"A": build_type_a, "B": build_type_b}[kind](n)    # kind is one of --system's choices
 
 
 def _parse_k(text, system):
@@ -103,7 +97,7 @@ def _load_simulation(args):
 def _report_run(cfg, run, **fields):
     """Write the run's CSV if the config asks for one and print its summary."""
     if cfg.output:
-        write_trajectories_csv(run.trajectories, cfg.output["path"])
+        write_trajectories_csv(run, cfg.output["path"])
     sq = np.einsum("ij,ij->i", run.final_states, run.final_states)
     print(_summary_json({
         "paths": cfg.sim.n_paths,
@@ -118,7 +112,7 @@ def _report_run(cfg, run, **fields):
 
 def cmd_radial(args):
     cfg = _load_simulation(args)
-    run = run_radial(cfg.system, cfg.k, cfg.x0, cfg.sim, record=True,
+    run = run_radial(cfg.system, cfg.k, cfg.x0, cfg.sim, record=bool(cfg.output),
                      threads=args.threads)
     target = cfg.x0 @ cfg.x0 + (cfg.system.dimension + 2 * cfg.k.gamma) * cfg.sim.horizon
     return _report_run(cfg, run, mean_sq_norm_target=float(target),
@@ -131,7 +125,8 @@ def cmd_simulate_dunkl(args):
     cfg = _load_simulation(args)
     plan = build_lift_plan(cfg.system, cfg.k, rates=cfg.k_prime,
                            enumeration=cfg.enumeration, mode=args.mode)
-    run = simulate_dunkl(plan, cfg.x0, cfg.sim, threads=args.threads)
+    run = simulate_dunkl(plan, cfg.x0, cfg.sim, threads=args.threads,
+                         record=bool(cfg.output))
     jumps = run.n_jumps
     return _report_run(cfg, run, modes=list(plan.modes), rates=list(plan.rates),
                        mean_jumps_per_path=float(jumps.mean()),
@@ -175,44 +170,43 @@ def cmd_export_plot_data(args):
         paths = read_trajectories_csv(getattr(args, "in"))
     except OSError as exc:
         raise DunklLabError(f"cannot read trajectory CSV: {exc}") from exc
-    all_t = np.concatenate([rec["t"] for rec in paths.values()])
-    t_max = float(all_t.max())
+    t = np.concatenate([rec["t"] for rec in paths.values()])
+    x = np.concatenate([rec["x"] for rec in paths.values()])
+    t_max = float(t.max())
     edges = np.linspace(0.0, t_max, args.bins + 1)
-    dim = next(iter(paths.values()))["x"].shape[1]
+    # bin b holds edges[b] ≤ t < edges[b + 1], the last bin its right edge too;
+    # a row before 0 goes to the extra bin args.bins, which is not reported
+    bin_of = np.searchsorted(edges, t, side="right") - 1
+    bin_of[t == t_max] = args.bins - 1
+    bin_of[t < 0.0] = args.bins
+    order = np.argsort(bin_of, kind="stable")    # rows of a bin keep the reader's path order
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(bin_of, minlength=args.bins + 1))))
+    events = np.concatenate([rec["event"] for rec in paths.values()])
+    jumps, t0s = (np.bincount(bin_of[rows], minlength=args.bins + 1)
+                  for rows in (np.strings.startswith(events, "jump:"), events == "T0"))
     rows = []
     for b in range(args.bins):
-        lo, hi = edges[b], edges[b + 1]
-        states, jumps, t0s = [], 0, 0
-        for rec in paths.values():
-            inside = (rec["t"] >= lo) & ((rec["t"] < hi) | (b == args.bins - 1) & (rec["t"] <= hi))
-            states.append(rec["x"][inside])
-            events = [e for e, m in zip(rec["event"], inside) if m]
-            jumps += sum(1 for e in events if e.startswith("jump:"))
-            t0s += sum(1 for e in events if e == "T0")
-        block = np.concatenate(states) if states else np.zeros((0, dim))
+        block = x[order[bounds[b]:bounds[b + 1]]]
         row = {
-            "t_lo": lo, "t_hi": hi, "count": len(block),
-            "jumps": jumps, "t0_events": t0s,
+            "t_lo": edges[b], "t_hi": edges[b + 1], "count": len(block),
+            "jumps": int(jumps[b]), "t0_events": int(t0s[b]),
             "mean_sq_norm": float(np.mean(np.einsum("ij,ij->i", block, block)))
             if len(block) else float("nan"),
         }
-        for i in range(dim):
+        for i in range(x.shape[1]):
             row[f"mean_x_{i+1}"] = float(block[:, i].mean()) if len(block) else float("nan")
             row[f"std_x_{i+1}"] = float(block[:, i].std(ddof=1)) if len(block) > 1 else float("nan")
         rows.append(row)
-    fieldnames = list(rows[0].keys())
     with open(args.out, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=fieldnames, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: (f"{v:.17g}" if isinstance(v, float) else v)
-                             for k, v in row.items()})
+        f.write(",".join(rows[0]) + "\n")
+        f.writelines(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row.values())
+                     + "\n" for row in rows)
     print(f"wrote {len(rows)} bins to {args.out}")
     return 0
 
 
 def build_parser():
-    threads_help = f"worker processes, at most one per {DEFAULT_CHUNK} paths (0 = one per CPU)"
+    threads_help = "worker processes, at most one per block of paths (0 = one per CPU)"
     parser = argparse.ArgumentParser(
         prog="dunkl-lab",
         description="Simulate and verify multidimensional Dunkl Markov processes.",

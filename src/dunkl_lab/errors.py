@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its argument checks' integer test."""
+
+import numbers
+
+
+def _integral(x):
+    """An integer, a bool excepted: bool is ``Integral``, but True is not a
+    path count or a seed."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 class DunklLabError(Exception):

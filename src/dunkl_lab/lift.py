@@ -49,8 +49,9 @@ from .errors import (
     InvalidPlanError,
     SingularClockError,
     UnsupportedRegimeError,
+    _integral,
 )
-from .radial import JumpTable, Run, SimulationConfig, _integral, _no_jumps, _run, _run_engine
+from .radial import JumpTable, Run, SimulationConfig, _no_jumps, _run, _run_engine
 from .rng import FLIP, keys, stream
 from .root_systems import (
     Multiplicity,

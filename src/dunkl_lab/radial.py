@@ -12,24 +12,18 @@ The multiplicity alone decides which of the two holds.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import _engine
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, _integral
 from .root_systems import Multiplicity, RootSystem, chamber_contains
-
-
-def _integral(x):
-    """An integer, a bool excepted: bool is ``Integral``, but True is not a
-    path count or a seed."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -228,68 +222,73 @@ def run_radial(system: RootSystem, k: Multiplicity, x0, config: SimulationConfig
 # floats are written with 17 significant digits so replays are byte-identical.
 
 
-def _fmt(v):
-    return f"{float(v):.17g}"
+def _opened(fileobj_or_path, mode):
+    """A path opened in ``mode``, or a file object, which is left open."""
+    if isinstance(fileobj_or_path, str) or hasattr(fileobj_or_path, "__fspath__"):
+        return open(fileobj_or_path, mode, newline="")
+    return contextlib.nullcontext(fileobj_or_path)
 
 
-def write_trajectories_csv(trajectories, fileobj_or_path):
-    if isinstance(fileobj_or_path, (str,)) or hasattr(fileobj_or_path, "__fspath__"):
-        with open(fileobj_or_path, "w", newline="") as f:
-            _write_csv(trajectories, f)
-    else:
-        _write_csv(trajectories, fileobj_or_path)
-
-
-def _write_csv(trajectories, f):
-    if not trajectories:
-        raise InvalidArgumentError("no trajectories to export")
-    n = trajectories[0].states.shape[1]
-    writer = csv.writer(f, lineterminator="\n")
-    writer.writerow(["path_id", "t"] + [f"x_{i+1}" for i in range(n)] + ["event"])
-    for traj in trajectories:
-        rows = [(float(t), [_fmt(v) for v in state], "")
-                for t, state in zip(traj.times, traj.states)]
-        for ev in traj.events:
-            rows.append((float(ev.time), [_fmt(v) for v in ev.post],
-                         f"jump:{ev.root}"))
-        rows.sort(key=lambda r: (r[0], r[2]))
-        if traj.termination == "T0" and rows:
-            t_last, coords, _ = rows[-1]
-            rows[-1] = (t_last, coords, "T0")
-        for t, coords, event in rows:
-            writer.writerow([str(traj.path_id), _fmt(t)] + coords + [event])
+def write_trajectories_csv(run: Run, fileobj_or_path):
+    """Write a recorded run's paths in turn, each path's rows (its grid points
+    up to its stop and the states just after its jumps) in one stable sort
+    by (t, event), the last row of a path stopped at T₀ marked ``T0``.  An
+    unrecorded run is refused."""
+    if run.states is None:
+        raise InvalidArgumentError("the run holds no recorded paths; simulate it with record=True")
+    jumps, n = run.jumps, run.states.shape[-1]
+    # events sort as strings, a grid row's "" first: root 10 before root 2
+    names, rank = np.unique(["", *(f"jump:{r}" for r in jumps.root.tolist())],
+                            return_inverse=True)
+    bounds = np.searchsorted(jumps.path, np.arange(len(run.states) + 1)).tolist()
+    with _opened(fileobj_or_path, "w") as f:
+        f.write(",".join(["path_id", "t", *(f"x_{i + 1}" for i in range(n)), "event"]) + "\n")
+        for p, (stop, label) in enumerate(zip(run.stop_index.tolist(), run.termination.tolist())):
+            lo, hi = bounds[p], bounds[p + 1]
+            key = np.concatenate((np.zeros(stop + 1, int), rank[lo + 1:hi + 1]))
+            t = np.concatenate((run.times[: stop + 1], jumps.time[lo:hi]))
+            order = np.lexsort((key, t))
+            x = np.concatenate((run.states[p, : stop + 1], jumps.post[lo:hi]))
+            ends = names[key[order]].tolist()
+            if label == "T0":
+                ends[-1] = "T0"
+            head = f"{p}," + "%.17g," * (n + 1)
+            f.write("".join([f"{head}{e}\n" for e in ends])
+                    % tuple(np.column_stack((t, x))[order].ravel().tolist()))
 
 
 def read_trajectories_csv(fileobj_or_path):
-    """Parse the CSV format back into plain per-path dicts (for tooling)."""
-    if isinstance(fileobj_or_path, (str,)) or hasattr(fileobj_or_path, "__fspath__"):
-        with open(fileobj_or_path, newline="") as f:
-            return _read_csv(f)
-    return _read_csv(fileobj_or_path)
+    """Parse the CSV format back into plain per-path dicts (for tooling); a
+    malformed row, or a time or coordinate that is not finite, is refused."""
+    from array import array    # only here, so that importing the package loads no more modules
 
-
-def _read_csv(f):
-    reader = csv.reader(f)
-    header = next(reader, [])
-    if header[:2] != ["path_id", "t"] or header[-1] != "event":
-        raise InvalidArgumentError("not a trajectory CSV (bad header)")
-    n = len(header) - 3
-    paths = {}
-    for row in reader:
-        try:
-            if len(row) != len(header):
-                raise ValueError
-            pid, t, x = int(row[0]), float(row[1]), [float(v) for v in row[2:2 + n]]
-        except ValueError:
-            raise InvalidArgumentError(
-                f"trajectory CSV line {reader.line_num}: malformed row") from None
-        rec = paths.setdefault(pid, {"t": [], "x": [], "event": []})
-        rec["t"].append(t)
-        rec["x"].append(x)
-        rec["event"].append(row[-1])
+    with _opened(fileobj_or_path, "r") as f:
+        reader = csv.reader(f)
+        header = next(reader, [])
+        if header[:2] != ["path_id", "t"] or header[-1] != "event":
+            raise InvalidArgumentError("not a trajectory CSV (bad header)")
+        n = len(header) - 3
+        paths = {}
+        for row in reader:
+            try:
+                if len(row) != len(header):
+                    raise ValueError
+                pid, t, x = int(row[0]), float(row[1]), [float(v) for v in row[2:2 + n]]
+            except ValueError:
+                raise InvalidArgumentError(
+                    f"trajectory CSV line {reader.line_num}: malformed row") from None
+            if not (math.isfinite(t) and all(map(math.isfinite, x))):
+                raise InvalidArgumentError(
+                    f"trajectory CSV line {reader.line_num}: a value is not finite")
+            rec = paths.get(pid)
+            if rec is None:     # values go to flat arrays of doubles, not to float objects
+                rec = paths[pid] = {"t": array("d"), "x": array("d"), "event": []}
+            rec["t"].append(t)
+            rec["x"].extend(x)
+            rec["event"].append(row[-1])
     if not paths:
         raise InvalidArgumentError("trajectory CSV has no rows")
     for rec in paths.values():
         rec["t"] = np.array(rec["t"])
-        rec["x"] = np.array(rec["x"])
+        rec["x"] = np.array(rec["x"]).reshape(len(rec["t"]), n)
     return paths

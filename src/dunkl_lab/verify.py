@@ -42,9 +42,9 @@ from .calculus import (
     rotate_system,
     sample_interior_points,
 )
-from .errors import InvalidArgumentError, SingularClockError
+from .errors import InvalidArgumentError, SingularClockError, _integral
 from .lift import _stage_prefix, build_lift_plan, label_table, simulate_dunkl
-from .radial import SimulationConfig, _integral, run_radial
+from .radial import SimulationConfig, run_radial
 from .root_systems import build_rank_one, chamber_labels, multiplicity
 
 DEFAULT_ALPHA = 0.01         # significance level of every statistical check

@@ -314,6 +314,91 @@ class TestCommands:
         assert rc == 2
         assert err.startswith("error:") and "line 3" in err
 
+    # SHA-256 of export-plot-data's output, as binned path by path and bin by
+    # bin before the one-pass binning
+    EXPORT_PINNED = {
+        "b2": "2c32626f9cffb7de19f3ebf89aa95987cf20e3f184608c4997165d7c3a31918a",
+        "interleaved": "4d83274d94a1ae314a3166378f52d92cf5e32eaab4d84ad542217db9af5352ae",
+    }
+    # path 0's rows come before and after path 1's; a bin concatenates its
+    # rows in the reader's path order, so bin 0's mean_x_1 is ((0.1 + 0.7) + 0.3)/3,
+    # not ((0.1 + 0.3) + 0.7)/3, and the row at t = −0.25 falls in no bin
+    INTERLEAVED = ("path_id,t,x_1,x_2,event\n0,0,0.1,1,\n1,0,0.3,0.5,\n0,0.25,0.7,2,\n"
+                   "1,-0.25,9,9,\n1,0.5,0.75,0.125,jump:1\n0,0.5,3,0.25,\n"
+                   "0,0.75,-3,0.25,jump:3\n1,1,0.5,0.25,T0\n")
+
+    @pytest.mark.parametrize("case", EXPORT_PINNED)
+    def test_export_plot_data_bytes_are_pinned(self, tmp_path, capsys, case):
+        in_path, out_path = tmp_path / "traj.csv", tmp_path / "summary.csv"
+        if case == "b2":
+            doc = base_doc(output={"path": str(in_path), "format": "csv"})
+            assert main(["simulate-dunkl", "--config", write_cfg(tmp_path, doc)]) == 0
+            bins = "5"
+        else:
+            in_path.write_text(self.INTERLEAVED)
+            bins = "2"
+        rc = main(["export-plot-data", "--in", str(in_path), "--out", str(out_path),
+                   "--bins", bins])
+        assert rc == 0
+        digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+        assert digest == self.EXPORT_PINNED[case]
+        if case == "interleaved":
+            lines = out_path.read_text().splitlines()
+            assert lines[1].split(",")[2:7] == ["3", "0", "0", "1.9466666666666665",
+                                                "0.36666666666666664"]
+            assert lines[2].split(",")[2:5] == ["4", "2", "1"]
+
+    @pytest.mark.parametrize("bad", ["0,nan,2,1,", "0,0.2,2,inf,"],
+                             ids=["nan-time", "inf-coordinate"])
+    def test_export_plot_data_refuses_a_value_that_is_not_finite(self, tmp_path, capsys, bad):
+        in_path, out_path = tmp_path / "traj.csv", tmp_path / "summary.csv"
+        in_path.write_text(f"path_id,t,x_1,x_2,event\n0,0,2,1,\n0,0.1,2,1,\n{bad}\n")
+        rc = main(["export-plot-data", "--in", str(in_path), "--out", str(out_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and "line 4: a value is not finite" in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("command", ["simulate-radial", "simulate-dunkl"])
+    def test_csv_output_builds_no_trajectories(self, tmp_path, capsys, monkeypatch, command):
+        from dunkl_lab import radial
+
+        def no_objects(run):
+            raise AssertionError("built Trajectory objects")
+
+        monkeypatch.setattr(radial, "_trajectories_from_engine", no_objects)
+        out_path = tmp_path / "traj.csv"
+        doc = base_doc(output={"path": str(out_path), "format": "csv"})
+        assert main([command, "--config", write_cfg(tmp_path, doc)]) == 0
+        assert out_path.read_text().startswith("path_id,t,x_1,x_2,event\n")
+
+    @pytest.mark.parametrize("command", ["simulate-radial", "simulate-dunkl"])
+    def test_summary_does_not_depend_on_the_output(self, tmp_path, capsys, command):
+        summaries = []
+        for output in (None, {"path": str(tmp_path / "traj.csv"), "format": "csv"}):
+            doc = base_doc() if output is None else base_doc(output=output)
+            assert main([command, "--config", write_cfg(tmp_path, doc)]) == 0
+            summaries.append(json.loads(capsys.readouterr().out))
+        assert summaries[0].pop("output") is None
+        assert summaries[1].pop("output") == str(tmp_path / "traj.csv")
+        assert summaries[0] == summaries[1]
+
+    def test_paths_are_recorded_only_for_an_output(self, tmp_path, capsys, monkeypatch):
+        import dunkl_lab.cli as cli
+
+        seen = []
+        for name in ("run_radial", "simulate_dunkl"):
+            def spy(*args, _fn=getattr(cli, name), **kwargs):
+                seen.append((_fn.__name__, kwargs["record"]))
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(cli, name, spy)
+        for output in (None, {"path": str(tmp_path / "traj.csv"), "format": "csv"}):
+            doc = base_doc() if output is None else base_doc(output=output)
+            for command in ("simulate-radial", "simulate-dunkl"):
+                assert main([command, "--config", write_cfg(tmp_path, doc)]) == 0
+        assert seen == [("run_radial", False), ("simulate_dunkl", False),
+                        ("run_radial", True), ("simulate_dunkl", True)]
+
     @pytest.mark.parametrize("command", ["simulate-radial", "simulate-dunkl"])
     def test_output_in_a_missing_directory_is_refused_first(self, tmp_path, capsys,
                                                             monkeypatch, command):

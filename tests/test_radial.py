@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import io
 import math
 import tracemalloc
@@ -288,35 +289,95 @@ class TestWallHitting:
             assert len(t.times) == len(t.states)
 
 
+def _hand_built_run():
+    """Two paths whose rows tie: path 0 jumps at grid time 0.5 and twice at
+    0.7, by roots 2 and 10 (so "jump:10" sorts first); path 1 stops at T₀
+    after two jumps at one time by one root, which keep their table order."""
+    times = np.array([0.0, 0.5, 1.0])
+    states = np.array([[[2.0, 1.0], [2.5, 0.5], [3.0, 0.25]],
+                       [[1.0, 0.5], [0.75, 0.125], [0.0, 0.0]]])
+    post = np.array([[1.0, 2.0], [0.5, 2.5], [-1.0, 3.0], [4.0, 0.0], [0.1, 0.2]])
+    jumps = radial.JumpTable(path=np.array([0, 0, 0, 1, 1]),
+                             time=np.array([0.5, 0.7, 0.7, 0.25, 0.25]),
+                             root=np.array([2, 2, 10, 1, 1]), pre=np.zeros((5, 2)), post=post)
+    return Run(times=times, final_states=states[[0, 1], [2, 1]], stop_index=np.array([2, 1]),
+               termination=np.array(["horizon", "T0"]), t0_times=np.array([math.nan, 0.5]),
+               wall_contact=np.array([False, True]), min_wall_distance=np.array([0.5, 0.0]),
+               n_rejected=np.zeros(2, dtype=np.int64), states=states, jumps=jumps)
+
+
+def _csv_text(run):
+    buf = io.StringIO()
+    write_trajectories_csv(run, buf)
+    return buf.getvalue()
+
+
 class TestCsv:
     def test_round_trip(self, b2, k_one):
         cfg = SimulationConfig(horizon=0.05, dt=0.01, n_paths=3, seed=4)
-        trajs = run_radial(b2, k_one, [2.0, 1.0], cfg).trajectories
-        buf = io.StringIO()
-        write_trajectories_csv(trajs, buf)
-        text = buf.getvalue()
+        run = run_radial(b2, k_one, [2.0, 1.0], cfg)
+        text = _csv_text(run)
         assert text.splitlines()[0] == "path_id,t,x_1,x_2,event"
         back = read_trajectories_csv(io.StringIO(text))
         assert set(back) == {0, 1, 2}
-        assert np.allclose(back[0]["x"], trajs[0].states)
+        assert np.array_equal(back[0]["x"], run.states[0])
+        assert np.array_equal(back[2]["t"], run.times)
 
     def test_t0_marker_written(self, rank1):
         k = multiplicity(rank1, 0.1)
         cfg = SimulationConfig(horizon=1.0, dt=1e-3, n_paths=20, seed=3)
-        trajs = run_radial(rank1, k, [0.1], cfg).trajectories
-        buf = io.StringIO()
-        write_trajectories_csv(trajs, buf)
-        assert ",T0" in buf.getvalue()
+        assert ",T0" in _csv_text(run_radial(rank1, k, [0.1], cfg))
 
     def test_byte_identical_export(self, b2, k_one):
         cfg = SimulationConfig(horizon=0.05, dt=0.01, n_paths=3, seed=4)
-        out = []
-        for _ in range(2):
-            buf = io.StringIO()
-            run = run_radial(b2, k_one, [2.0, 1.0], cfg)
-            write_trajectories_csv(run.trajectories, buf)
-            out.append(buf.getvalue())
+        out = [_csv_text(run_radial(b2, k_one, [2.0, 1.0], cfg)) for _ in range(2)]
         assert out[0] == out[1]
+
+    def test_an_unrecorded_run_is_refused(self, b2, k_one, tmp_path):
+        cfg = SimulationConfig(horizon=0.05, dt=0.01, n_paths=3, seed=4)
+        run = run_radial(b2, k_one, [2.0, 1.0], cfg, record=False)
+        with pytest.raises(InvalidArgumentError, match="record=True"):
+            write_trajectories_csv(run, tmp_path / "x.csv")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_tied_rows_sort_by_time_then_event_string(self):
+        rows = [line.split(",") for line in _csv_text(_hand_built_run()).splitlines()[1:]]
+        assert [(r[0], r[1], r[-1]) for r in rows] == [
+            ("0", "0", ""), ("0", "0.5", ""), ("0", "0.5", "jump:2"),
+            ("0", "0.69999999999999996", "jump:10"), ("0", "0.69999999999999996", "jump:2"),
+            ("0", "1", ""), ("1", "0", ""), ("1", "0.25", "jump:1"), ("1", "0.25", "jump:1"),
+            ("1", "0.5", "T0")]
+        assert rows[2][2:4] == ["1", "2"] and rows[3][2:4] == ["-1", "3"]
+        assert rows[7][2:4] == ["4", "0"] and rows[8][2] == "0.10000000000000001"
+
+    # SHA-256 of each run's CSV, as written from its ``Trajectory`` objects
+    # before the writer read the run's arrays
+    PINNED = {
+        "b2-lift": "1405c2a085843d3125b2cb81b5dffa0a665bf3be23ad18e642825b92d8f81803",
+        "rank-one-t0": "267017b4b564d24ca105c53722dbf6edfb3c82ece9cd9d8f157b9e1d0d88aa37",
+        "hand-built": "97cd7253c682dc402a41b1be6997ad7be1e1d4fcd9d13351d2c4a2792d621030",
+    }
+
+    @pytest.mark.parametrize("case", PINNED)
+    def test_bytes_are_pinned(self, b2, k_one, rank1, case):
+        if case == "b2-lift":
+            cfg = SimulationConfig(horizon=0.5, dt=0.01, n_paths=20, seed=3)
+            run = simulate_dunkl(build_lift_plan(b2, k_one), [2.0, 1.0], cfg)
+            assert run.n_jumps.sum() == 22
+        elif case == "rank-one-t0":
+            cfg = SimulationConfig(horizon=1.0, dt=1e-3, n_paths=20, seed=3)
+            run = run_radial(rank1, multiplicity(rank1, 0.1), [0.1], cfg)
+            assert np.sum(run.termination == "T0") == 13
+        else:
+            run = _hand_built_run()
+        assert hashlib.sha256(_csv_text(run).encode()).hexdigest() == self.PINNED[case]
+
+    @pytest.mark.parametrize("bad", ["0,nan,2,1,", "0,0.2,2,inf,", "1,0.2,-inf,1,"],
+                             ids=["nan-time", "inf-coordinate", "minus-inf-coordinate"])
+    def test_reader_refuses_a_value_that_is_not_finite(self, bad):
+        text = f"path_id,t,x_1,x_2,event\n0,0,2,1,\n{bad}\n0,0.3,2,1,\n"
+        with pytest.raises(InvalidArgumentError, match="line 3: a value is not finite"):
+            read_trajectories_csv(io.StringIO(text))
 
 
 class TestEngineHelpers:
