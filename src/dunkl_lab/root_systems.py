@@ -31,7 +31,7 @@ GROUP_DEDUP_TOL = 1e-9    # max-entry tolerance for identifying group elements
 NORM_TOL = 1e-12          # tolerance on α·α = 2
 DEFAULT_BOUNDARY_TOL = 1e-12
 WEYL_GROUP_CAP = 10**6
-CLOSURE_BATCH = 1 << 8    # candidate products g·w the closure forms at once
+CLOSURE_BATCH = 1 << 8    # products g·w the closure forms, or images w·α matched, at once
 
 
 def reflect(alpha, x):
@@ -65,10 +65,10 @@ def normalize_roots(raw_roots):
 
 
 def _match_root(roots, v):
-    """Index of ``v`` in ``roots`` up to ``ROOT_MATCH_TOL`` entrywise, or -1."""
-    dist = np.max(np.abs(roots - v), axis=1)
-    i = int(np.argmin(dist))
-    return i if dist[i] <= ROOT_MATCH_TOL else -1
+    """Index in ``roots`` of each row of ``v`` (k, n) up to ``ROOT_MATCH_TOL``
+    entrywise, or -1: one (k, len(roots), n) comparison."""
+    dist = np.max(np.abs(roots - v[:, None]), axis=2)
+    return np.where(dist.min(axis=1) <= ROOT_MATCH_TOL, dist.argmin(axis=1), -1)
 
 
 def _dedup_key(mat):
@@ -122,20 +122,20 @@ def validate_root_system(roots):
     sq = np.einsum("ij,ij->i", roots, roots)
     if np.any(np.abs(sq - 2.0) > NORM_TOL):
         raise InvalidArgumentError("roots must satisfy α·α = 2; run normalize_roots first")
-    for i, alpha in enumerate(roots):
-        dup = np.max(np.abs(roots - alpha), axis=1) <= ROOT_MATCH_TOL
-        if dup.sum() != 1:
+    dups = (np.max(np.abs(roots - roots[:, None]), axis=2) <= ROOT_MATCH_TOL).sum(axis=1)
+    negs = _match_root(roots, -roots)
+    for i in range(len(roots)):
+        if dups[i] != 1:
             raise InvalidArgumentError("duplicate root detected")
-        if _match_root(roots, -alpha) < 0:
+        if negs[i] < 0:
             raise InvalidArgumentError(f"root {i}: −α missing (R ∩ ℝα = {{±α}} fails)")
-    # closure under its own reflections
+    # closure under its own reflections, all images of one root at a time
     for alpha in roots:
-        images = reflect(alpha, roots)
-        for j, im in enumerate(images):
-            if _match_root(roots, im) < 0:
-                raise InvalidArgumentError(
-                    f"reflection closure fails: σ_α({roots[j]}) not in R"
-                )
+        missing = np.flatnonzero(_match_root(roots, reflect(alpha, roots)) < 0)
+        if missing.size:
+            raise InvalidArgumentError(
+                f"reflection closure fails: σ_α({roots[missing[0]]}) not in R"
+            )
 
 
 def positive_subsystem(roots, beta):
@@ -197,12 +197,12 @@ def orbit_decomposition(roots, weyl_group):
     orbits = []
     while unassigned:
         start = min(unassigned)
-        members = set()
-        for w in weyl_group:
-            j = _match_root(roots, w @ roots[start])
-            if j < 0:
-                raise InvalidArgumentError("Weyl group does not map R onto R")
-            members.add(j)
+        images = np.asarray(weyl_group, dtype=float) @ roots[start]
+        members = np.concatenate([_match_root(roots, images[lo:lo + CLOSURE_BATCH])
+                                  for lo in range(0, len(images), CLOSURE_BATCH)])
+        if (members < 0).any():
+            raise InvalidArgumentError("Weyl group does not map R onto R")
+        members = set(members.tolist())
         orbits.append(tuple(sorted(members)))
         unassigned -= members
     return tuple(orbits)
@@ -219,7 +219,7 @@ def _system(roots, positive=None, beta=None):
     if positive is None:
         beta = np.arange(roots.shape[1], 0, -1, dtype=float) if beta is None else beta
         pos = positive_subsystem(roots, beta)
-        neg = [_match_root(roots, -roots[i]) for i in pos]
+        neg = _match_root(roots, -roots[pos])
         roots, positive = np.concatenate([roots[pos], roots[neg]]), np.arange(len(pos))
     weyl = generate_weyl_group(roots)
     return RootSystem(dimension=roots.shape[1], roots=roots, positive=positive,
@@ -354,7 +354,7 @@ def check_invariance_condition(system, i, enumeration=None):
         return True
     prev_full = np.concatenate([prev, -prev])
     images = reflect(alpha_i, prev_full)
-    return all(_match_root(prev_full, im) >= 0 for im in images)
+    return bool((_match_root(prev_full, images) >= 0).all())
 
 
 def _as_enumeration(system, enumeration):
@@ -445,8 +445,7 @@ def system_from_dict(doc):
     if len(set(int(i) for i in positive)) != len(positive):
         raise InvalidArgumentError("positive indices repeat")
     seen = set()
-    for i in positive:
-        j = _match_root(roots, -roots[i])
+    for i, j in zip(positive, _match_root(roots, -roots[positive])):
         if j < 0 or j in seen:
             raise InvalidArgumentError("positive indices must pick one of each ±α pair")
         seen.add(int(i))

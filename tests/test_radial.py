@@ -253,6 +253,19 @@ class TestRun:
             tracemalloc.stop()
         assert peak <= 20_000_000
 
+    def test_unrecorded_blocks_hold_little_noise(self, b2, k_one):
+        """16,384 B2 paths of 200 steps run in blocks of ``DEFAULT_CHUNK``
+        paths, each holding one block-sized noise segment and tile: blocks
+        of 2,048 paths peak at about 8 MiB, blocks of 4,096 at 15.5 MiB."""
+        cfg = SimulationConfig(horizon=0.2, dt=1e-3, n_paths=16384, seed=1)
+        tracemalloc.start()
+        try:
+            run_radial(b2, k_one, [2.0, 1.0], cfg, record=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
     @pytest.mark.parametrize("x0", [[2.0], [2.0, 1.0, 0.5], [2.0, np.nan],
                                     [2.0, np.inf], [np.inf, 1.0]])

@@ -197,8 +197,9 @@ def test_recorded_rows_after_every_path_stopped():
 
 
 def test_engine_keys_each_block_in_one_batch(monkeypatch):
-    """A run of two blocks derives each block's ``DIFFUSION`` keys in one
-    array-keyed ``rng.keys`` call and opens one ``rng.stream`` per path."""
+    """A run of several blocks, the last one short, derives each block's
+    ``DIFFUSION`` keys in one array-keyed ``rng.keys`` call and opens one
+    ``rng.stream`` per path."""
     key_calls, streams = [], []
     keys, stream = rng.keys, rng.stream
 
@@ -219,7 +220,9 @@ def test_engine_keys_each_block_in_one_batch(monkeypatch):
         x0=np.array([40.0, 20.0]), tgrid=np.arange(3) * 0.01, seed=11)
     res = _engine.run_paths(params, 4608)
     assert res.n_rejected.sum() == 0
-    assert [purpose for purpose, _ in key_calls] == [rng.DIFFUSION] * 2
-    for (_, (paths,)), first, n in zip(key_calls, (0, 4096), (4096, 512)):
+    chunk = _engine.DEFAULT_CHUNK
+    blocks = [(first, min(chunk, 4608 - first)) for first in range(0, 4608, chunk)]
+    assert [purpose for purpose, _ in key_calls] == [rng.DIFFUSION] * len(blocks)
+    for (_, (paths,)), (first, n) in zip(key_calls, blocks):
         assert np.array_equal(paths, first + np.arange(n))
     assert len(streams) == 4608
